@@ -65,8 +65,11 @@ class SignalSpec:
 
     @classmethod
     def from_wave_number(cls, amplitude: float, sound_speed: float, wave_number: float):
+        # __post_init__ rejects a nonpositive wave number after checking
+        # amplitude and sound speed; only keep it from dividing by zero first
+        lam = 2.0 * math.pi / wave_number if wave_number > 0 else math.nan
         return cls(amplitude, sound_speed, wave_number,
-                   sound_speed * wave_number, 2.0 * math.pi / wave_number)
+                   sound_speed * wave_number, lam)
 
     @classmethod
     def from_wavelength(cls, amplitude: float, sound_speed: float, wavelength: float):
@@ -80,7 +83,8 @@ class SignalSpec:
                                angular_frequency: float):
         if not angular_frequency > 0:
             raise ValueError("angular_frequency must be positive")
-        k = angular_frequency / sound_speed
+        # as in from_wave_number, a zero sound speed is left to __post_init__
+        k = angular_frequency / sound_speed if sound_speed > 0 else math.nan
         return cls(amplitude, sound_speed, k, angular_frequency, 2.0 * math.pi / k)
 
 

@@ -17,8 +17,8 @@ outputs are still written).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,8 +26,8 @@ from .environment import (BathymetrySpec, SurfaceSpectrumParams,
                           bathymetry_profile, surface_psd_series)
 from .errors import ConfigError, SingularityError
 from .milne import envelope_q
-from .scenario import (PRODUCTS, _output_grid, export_csv, export_json,
-                       load_config, run_scenario)
+from .scenario import (PRODUCTS, _output_grid, config_to_dict, export_csv,
+                       export_json, load_config, run_scenario)
 from .transition import compare_forms
 
 _FMT = ".17g"
@@ -100,7 +100,11 @@ def _load(path: str):
 def _cmd_simulate(args) -> int:
     config = _load(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        # validated like a seed in the file, so result.json echoes a
+        # config that loads back
+        doc = config_to_dict(config)
+        doc["seed"] = args.seed
+        config = load_config(json.dumps(doc))
     result = run_scenario(config)
 
     out_dir = Path(args.out_dir)

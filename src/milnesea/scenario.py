@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
@@ -38,7 +39,8 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           surface_psd_series)
 from .errors import ConfigError, InsufficientDataError, NotComputedError, \
     SingularityError
-from .medium import _BUMP_KINDS, CoefficientProfile, MediumSpec
+from .medium import (_BUMP_KINDS, CONSTANT, TABLE, CoefficientProfile,
+                     MediumSpec)
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     estimate_period_phase, integrate_milne, milne_energy)
 from .solver import Trajectory
@@ -46,8 +48,6 @@ from .transition import TransitionMatrix, compare_forms
 
 PRODUCTS = ("trajectory", "summary", "envelope", "transition",
             "spectrum", "bathymetry")
-
-_PROFILE_KEYS = {"kind", "base", "amplitude", "center", "width", "table"}
 
 
 class DynamicalParams(NamedTuple):
@@ -71,6 +71,12 @@ class BathymetryRequest:
     length: float
     dx: float
     seed: Optional[int] = None  # None: follow the scenario seed
+
+    def __post_init__(self):
+        # the spec's range checks; the seed may still come from the scenario
+        BathymetrySpec(self.zeta_max, self.hill_spacing, self.length,
+                       self.dx, self.seed or 0)
+        _within_budget(_grid_points(self.length, self.dx))
 
 
 @dataclass(frozen=True)
@@ -129,138 +135,220 @@ class ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# configuration parsing
+# configuration schema and parsing
 
 
-def _check_keys(block: dict, allowed, path: str, problems: list):
-    for key in block:
-        if key not in allowed:
-            problems.append(f"{path}.{key}: unknown key")
-
-
-def _get_block(raw: dict, key: str, problems: list) -> Optional[dict]:
-    block = raw.get(key)
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        problems.append(f"{key}: expected an object")
-        return None
-    return block
-
-
-def _get_num(block: dict, key: str, path: str, problems: list,
-             default=None, required=False):
-    if key not in block:
-        if required:
-            problems.append(f"{path}.{key}: required")
-        return default
-    v = block[key]
+def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        problems.append(f"{path}.{key}: expected a number, "
-                        f"got {type(v).__name__}")
-        return default
-    v = float(v)
-    if not math.isfinite(v):
-        problems.append(f"{path}.{key}: must be finite")
-        return default
+        raise TypeError(f"expected a number, got {type(v).__name__}")
+    if not math.isfinite(v := float(v)):
+        raise ValueError("must be finite")
     return v
 
 
-def _get_int(block: dict, key: str, path: str, problems: list, default=None):
-    if key not in block:
-        return default
-    v = block[key]
+def _integer(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        problems.append(f"{path}.{key}: expected an integer, "
-                        f"got {type(v).__name__}")
-        return default
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
     return v
 
 
-def _parse_profile(block, path: str, problems: list,
-                   default_base: float) -> Optional[CoefficientProfile]:
-    if block is None:
-        return CoefficientProfile(kind="constant", base=default_base)
-    if not isinstance(block, dict):
-        problems.append(f"{path}: expected an object")
-        return None
-    _check_keys(block, _PROFILE_KEYS, path, problems)
-    kind = block.get("kind")
-    if not isinstance(kind, str):
-        problems.append(f"{path}.kind: required string")
-        return None
-    kwargs = {"kind": kind}
-    for name in ("base", "amplitude", "center", "width"):
-        v = _get_num(block, name, path, problems)
-        if v is not None:
-            kwargs[name] = v
-    if "table" in block:
-        table = block["table"]
-        ok = (isinstance(table, list) and
-              all(isinstance(r, list) and len(r) == 2 and
-                  all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                      for x in r)
-                  for r in table))
-        if not ok:
-            problems.append(f"{path}.table: expected a list of [t, value] pairs")
-            return None
-        kwargs["table"] = tuple((float(a), float(b)) for a, b in table)
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError("expected a boolean")
+    return v
+
+
+def _method(v) -> str:
+    if v not in ("fixed", "adaptive"):
+        raise ValueError(f"expected 'fixed' or 'adaptive', got {v!r}")
+    return v
+
+
+def _knots(v) -> tuple:
+    if isinstance(v, list) and all(isinstance(r, list) and len(r) == 2
+                                   for r in v):
+        try:
+            return tuple((_number(t), _number(x)) for t, x in v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise TypeError("expected a list of [t, value] pairs")
+
+
+def _unchecked(v):  # a profile's kind and outputs, checked in load_config
+    return v
+
+
+# every key a coefficient profile block may hold, and the ones each kind
+# takes; an unknown kind is reported once the profile is built
+_PROFILE_FIELDS = {"kind": (_unchecked, None),
+                   "base": (_number, CoefficientProfile.base),
+                   "amplitude": (_number, CoefficientProfile.amplitude),
+                   "center": (_number, CoefficientProfile.center),
+                   "width": (_number, CoefficientProfile.width),
+                   "table": (_knots, CoefficientProfile.table)}
+_KIND_KEYS = {CONSTANT: ("kind", "base"), TABLE: ("kind", "table"),
+              **dict.fromkeys(_BUMP_KINDS, ("kind", "base", "amplitude",
+                                            "center", "width"))}
+
+# The scenario document, read by load_config and written by config_to_dict:
+# block path ("" is the top level) -> (ScenarioConfig attribute holding the
+# block's object, "" for the config itself; key -> field, or None for a
+# profile). A field is (check, default[, attribute]). A key left out takes
+# its default; a default of ... marks a required key. The value lives in
+# the object's attribute named like the key, or as given third (None:
+# input-only).
+_SCHEMA = {
+    "": ("", {"seed": (_integer, 0),
+              "outputs": (_unchecked, ["trajectory", "summary"])}),
+    "signal": ("signal", {
+        "amplitude": (_number, 1.0), "sound_speed": (_number, 1480.0),
+        # exactly one of the three is used; a bad one counts as 0.1
+        "wave_number": (_number, 0.1), "wavelength": (_number, 0.1, None),
+        "angular_frequency": (_number, 0.1, None)}),
+    "medium": ("medium", {"allow_degenerate_omega": (_flag, False)}),
+    "medium.omega": ("medium.omega_profile", None),
+    "medium.beta": ("medium.beta_profile", None),
+    "time": ("", {"t0": (_number, 0.0), "t1": (_number, 2.0),
+                  "stride": (_integer, 10)}),
+    "solver": ("", {"method": (_method, "fixed"),
+                    "dt": (_number, solver.DEFAULT_DT),
+                    "rtol": (_number, solver.DEFAULT_RTOL),
+                    "atol": (_number, solver.DEFAULT_ATOL),
+                    "blowup_threshold": (_number, None)}),
+    "initial_condition": ("initial_condition", {
+        "p0": (_number, ..., "p"), "p_dot0": (_number, 0.0, "p_dot")}),
+    "dynamical_params": ("dynamical_params", {
+        "e_m": (_number, ...), "delta": (_number, ...),
+        "tau": (_number, ...)}),
+    "environment": ("", {}),
+    "environment.surface_spectrum": ("spectrum", {
+        "wind_speed": (_number, ..., "params.wind_speed"),
+        "alpha": (_number, SurfaceSpectrumParams.alpha, "params.alpha"),
+        "beta": (_number, SurfaceSpectrumParams.beta, "params.beta"),
+        "gravity": (_number, SurfaceSpectrumParams.gravity, "params.gravity"),
+        "k_min": (_number, SpectrumRequest.k_min),
+        "k_max": (_number, SpectrumRequest.k_max),
+        "samples": (_integer, SpectrumRequest.samples)}),
+    "environment.bathymetry": ("bathymetry", {
+        "zeta_max": (_number, ...), "hill_spacing": (_number, ...),
+        "length": (_number, ...), "dx": (_number, ...),
+        "seed": (_integer, None)}),
+}
+_POSITIVE = {"solver": ("dt", "rtol", "atol", "blowup_threshold"),
+             "dynamical_params": ("tau",)}
+
+
+def _block(doc: dict, path: str, problems: list) -> Optional[dict]:
+    """Block `path` inside its enclosing block `doc`; None if absent or bad."""
+    value = doc.get(path.rpartition(".")[2])
+    if value is None or isinstance(value, dict):
+        return value
+    problems.append(f"{path}: expected an object")
+    return None
+
+
+def _unknown_keys(block: dict, path: str, problems: list, fields=None):
+    fields = _SCHEMA[path][1] if fields is None else fields
+    subs = {p.rpartition(".")[2] for p in _SCHEMA
+            if p and p.rpartition(".")[0] == path}
+    for key in block:
+        if key not in fields and key not in subs:
+            problems.append(f"{path or 'config'}.{key}: unknown key")
+
+
+def _values(block: dict, path: str, problems: list,
+            fields=None) -> Optional[dict]:
+    """Key -> value of block `path`, defaults filled in; None if unbuildable.
+
+    A bad optional number is reported and falls back to its default, so
+    the checks that use it still run. A missing or bad required key, or
+    any other bad value, makes the block unbuildable.
+    """
+    where = path or "config"
+    fields = _SCHEMA[path][1] if fields is None else fields
+    values, built = {}, True
+    for key, (check, default, *_) in fields.items():
+        required = default is ...
+        values[key] = None if required else default
+        try:
+            if key not in block:
+                if required:
+                    raise ValueError("required")
+                continue
+            values[key] = check(block[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            problems.append(f"{where}.{key}: {exc}")
+            built = built and not required and check in (_number, _integer)
+    for key in _POSITIVE.get(path, ()):
+        if values[key] is not None and values[key] <= 0:
+            problems.append(f"{where}.{key}: must be positive, "
+                            f"got {values[key]}")
+    return values if built else None
+
+
+def _read(block: dict, path: str, problems: list) -> Optional[dict]:
+    _unknown_keys(block, path, problems)
+    return _values(block, path, problems)
+
+
+def _build(problems: list, path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), or None with its ValueError reported."""
     try:
-        return CoefficientProfile(**kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
         problems.append(f"{path}: {exc}")
         return None
 
 
-def _parse_signal(raw: dict, problems: list) -> Optional[SignalSpec]:
-    block = _get_block(raw, "signal", problems) or {}
-    _check_keys(block, {"amplitude", "sound_speed", "wave_number",
-                        "wavelength", "angular_frequency"}, "signal", problems)
-    amplitude = _get_num(block, "amplitude", "signal", problems, default=1.0)
-    sound_speed = _get_num(block, "sound_speed", "signal", problems,
-                           default=1480.0)
-    given = [key for key in ("wave_number", "wavelength", "angular_frequency")
-             if key in block]
-    if len(given) > 1 or (not given and "signal" in raw):
-        got = ", ".join(given) if given else "none"
-        problems.append("signal: provide exactly one of wave_number, "
-                        f"wavelength, angular_frequency (got {got})")
-        return None
-    key = given[0] if given else "wave_number"
-    value = _get_num(block, key, "signal", problems, default=0.1)
-    if amplitude is None or sound_speed is None or value is None:
-        return None
-    builders = {"wave_number": SignalSpec.from_wave_number,
-                "wavelength": SignalSpec.from_wavelength,
-                "angular_frequency": SignalSpec.from_angular_frequency}
-    try:
-        return builders[key](amplitude, sound_speed, value)
-    except ValueError as exc:
-        problems.append(f"signal: {exc}")
-        return None
+def _optional(doc: dict, path: str, problems: list, build):
+    """`build` applied to an optional block's values, in schema order."""
+    block = _block(doc, path, problems)
+    values = None if block is None else _read(block, path, problems)
+    return values and _build(problems, path, build, *values.values())
 
 
-def _parse_medium(raw: dict, problems: list,
-                  sound_speed: float) -> Optional[MediumSpec]:
-    # the medium shares the signal's sound speed; configuring it twice
-    # would only invite contradictions
-    block = _get_block(raw, "medium", problems) or {}
-    _check_keys(block, {"omega", "beta", "allow_degenerate_omega"},
-                "medium", problems)
-    omega = _parse_profile(block.get("omega"), "medium.omega", problems, 1.0)
-    beta = _parse_profile(block.get("beta"), "medium.beta", problems, 0.0)
-    allow = block.get("allow_degenerate_omega", False)
-    if not isinstance(allow, bool):
-        problems.append("medium.allow_degenerate_omega: expected a boolean")
+def _profile(medium: dict, path: str, problems: list,
+             default_base: float) -> Optional[CoefficientProfile]:
+    if medium.get(path.rpartition(".")[2]) is None:
+        return CoefficientProfile(kind=CONSTANT, base=default_base)
+    block = _block(medium, path, problems)
+    if block is None:
         return None
-    if omega is None or beta is None:
+    kind = block.get("kind")
+    keys = _KIND_KEYS.get(kind) if isinstance(kind, str) else None
+    fields = {key: _PROFILE_FIELDS[key] for key in keys or _PROFILE_FIELDS}
+    _unknown_keys(block, path, problems, fields)
+    if not isinstance(kind, str):
+        problems.append(f"{path}.kind: required string")
         return None
-    try:
-        return MediumSpec(omega, beta, sound_speed=sound_speed,
-                          allow_degenerate_omega=allow)
-    except ValueError as exc:
-        problems.append(f"medium: {exc}")
-        return None
+    values = _values(block, path, problems, fields)
+    return values and _build(problems, path, CoefficientProfile, **values)
+
+
+def _grid_points(span: float, step: float):
+    """Points of the grid 0, step, 2 step, ... <= span (inf if unbounded)."""
+    # the tolerance keeps an endpoint that divides evenly in exact arithmetic
+    n = span / step + 1e-9
+    return math.floor(n) + 1 if math.isfinite(n) else math.inf
+
+
+def _within_budget(samples):
+    # the adaptive solver's step limit also caps every sample count a
+    # config asks for, so nothing oversized is allocated at run time
+    if samples > solver.DEFAULT_MAX_STEPS:
+        raise ValueError(f"{samples} samples exceed the sample budget of "
+                         f"{solver.DEFAULT_MAX_STEPS}")
+
+
+def _spectrum_request(wind_speed, alpha, beta, gravity, k_min, k_max,
+                      samples) -> SpectrumRequest:
+    params = SurfaceSpectrumParams(wind_speed, alpha, beta, gravity)
+    if not 0 < k_min < k_max:
+        raise ValueError(f"need 0 < k_min ({k_min}) < k_max ({k_max})")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    _within_budget(samples)
+    return SpectrumRequest(params, k_min, k_max, samples)
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -277,130 +365,72 @@ def load_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
 
+    # each block reports its unknown keys, then its sub-blocks, then its
+    # values, then the rules that tie values together
     problems: list[str] = []
-    _check_keys(raw, {"signal", "medium", "time", "solver",
-                      "initial_condition", "dynamical_params", "environment",
-                      "seed", "outputs"}, "config", problems)
+    _unknown_keys(raw, "", problems)
 
-    signal = _parse_signal(raw, problems)
-    medium = _parse_medium(raw, problems,
-                           signal.sound_speed if signal else 1480.0)
+    sblock = _block(raw, "signal", problems) or {}
+    sig = _read(sblock, "signal", problems)
+    signal = None
+    given = [key for key in ("wave_number", "wavelength", "angular_frequency")
+             if key in sblock]
+    if len(given) > 1 or (not given and "signal" in raw):
+        got = ", ".join(given) if given else "none"
+        problems.append("signal: provide exactly one of wave_number, "
+                        f"wavelength, angular_frequency (got {got})")
+    else:
+        key = given[0] if given else "wave_number"
+        spec = _build(problems, "signal", getattr(SignalSpec, f"from_{key}"),
+                      sig["amplitude"], sig["sound_speed"], sig[key])
+        # the echo stores only the wave number; rebuilding from it makes
+        # the echo load back bit for bit
+        signal = spec and SignalSpec.from_wave_number(
+            spec.amplitude, spec.sound_speed, spec.wave_number)
 
-    tblock = _get_block(raw, "time", problems) or {}
-    _check_keys(tblock, {"t0", "t1", "stride"}, "time", problems)
-    t0 = _get_num(tblock, "t0", "time", problems, default=0.0)
-    t1 = _get_num(tblock, "t1", "time", problems, default=2.0)
-    stride = _get_int(tblock, "stride", "time", problems, default=10)
-    if t0 is not None and t1 is not None and not t1 > t0:
+    # the medium shares the signal's sound speed; configuring it twice
+    # would only invite contradictions
+    mblock = _block(raw, "medium", problems) or {}
+    _unknown_keys(mblock, "medium", problems)
+    omega = _profile(mblock, "medium.omega", problems, 1.0)
+    beta = _profile(mblock, "medium.beta", problems, 0.0)
+    med = _values(mblock, "medium", problems)
+    medium = med and omega and beta and _build(
+        problems, "medium", MediumSpec, omega, beta,
+        signal.sound_speed if signal else 1480.0, **med)
+
+    time = _read(_block(raw, "time", problems) or {}, "time", problems)
+    t0, t1, stride = time["t0"], time["t1"], time["stride"]
+    if not t1 > t0:
         problems.append(f"time: t1 ({t1}) must exceed t0 ({t0})")
-    if stride is not None and stride < 1:
+    if stride < 1:
         problems.append(f"time.stride: must be >= 1, got {stride}")
 
-    sblock = _get_block(raw, "solver", problems) or {}
-    _check_keys(sblock, {"method", "dt", "rtol", "atol", "blowup_threshold"},
-                "solver", problems)
-    method = sblock.get("method", "fixed")
-    if method not in ("fixed", "adaptive"):
-        problems.append(f"solver.method: expected 'fixed' or 'adaptive', "
-                        f"got {method!r}")
-    dt = _get_num(sblock, "dt", "solver", problems, default=solver.DEFAULT_DT)
-    rtol = _get_num(sblock, "rtol", "solver", problems,
-                    default=solver.DEFAULT_RTOL)
-    atol = _get_num(sblock, "atol", "solver", problems,
-                    default=solver.DEFAULT_ATOL)
-    threshold = _get_num(sblock, "blowup_threshold", "solver", problems)
-    for name, v in (("dt", dt), ("rtol", rtol), ("atol", atol)):
-        if v is not None and v <= 0:
-            problems.append(f"solver.{name}: must be positive, got {v}")
-    if threshold is not None and threshold <= 0:
-        problems.append(f"solver.blowup_threshold: must be positive, "
-                        f"got {threshold}")
+    run = _read(_block(raw, "solver", problems) or {}, "solver", problems)
+    if run is not None and run["dt"] > 0 and t1 > t0 and stride >= 1:
+        # a fixed run records every step, finer than the output grid
+        step = (run["dt"] if run["method"] == "fixed"
+                else stride * solver.DEFAULT_DT)
+        _build(problems, "time", _within_budget, _grid_points(t1 - t0, step))
 
-    ic = None
-    icblock = _get_block(raw, "initial_condition", problems)
-    if icblock is not None:
-        _check_keys(icblock, {"p0", "p_dot0"}, "initial_condition", problems)
-        p0 = _get_num(icblock, "p0", "initial_condition", problems,
-                      required=True)
-        pd0 = _get_num(icblock, "p_dot0", "initial_condition", problems,
-                       default=0.0)
-        if p0 is not None and pd0 is not None:
-            ic = MilneState(p0, pd0)
+    ic = _optional(raw, "initial_condition", problems, MilneState)
+    dyn = _optional(raw, "dynamical_params", problems, DynamicalParams)
 
-    dyn = None
-    dblock = _get_block(raw, "dynamical_params", problems)
-    if dblock is not None:
-        _check_keys(dblock, {"e_m", "delta", "tau"}, "dynamical_params",
-                    problems)
-        e_m = _get_num(dblock, "e_m", "dynamical_params", problems,
-                       required=True)
-        delta = _get_num(dblock, "delta", "dynamical_params", problems,
-                         required=True)
-        tau = _get_num(dblock, "tau", "dynamical_params", problems,
-                       required=True)
-        if tau is not None and not tau > 0:
-            problems.append(f"dynamical_params.tau: must be positive, got {tau}")
-        if None not in (e_m, delta, tau) and tau > 0:
-            dyn = DynamicalParams(e_m, delta, tau)
-
-    spectrum = None
-    bathymetry = None
-    eblock = _get_block(raw, "environment", problems)
+    spectrum = bathymetry = None
+    eblock = _block(raw, "environment", problems)
     if eblock is not None:
-        _check_keys(eblock, {"surface_spectrum", "bathymetry"}, "environment",
-                    problems)
-        spblock = _get_block(eblock, "surface_spectrum", problems)
-        if spblock is not None:
-            path = "environment.surface_spectrum"
-            _check_keys(spblock, {"wind_speed", "alpha", "beta", "gravity",
-                                  "k_min", "k_max", "samples"}, path, problems)
-            wind = _get_num(spblock, "wind_speed", path, problems,
-                            required=True)
-            kwargs = {}
-            for name in ("alpha", "beta", "gravity"):
-                v = _get_num(spblock, name, path, problems)
-                if v is not None:
-                    kwargs[name] = v
-            k_min = _get_num(spblock, "k_min", path, problems, default=1e-3)
-            k_max = _get_num(spblock, "k_max", path, problems, default=10.0)
-            samples = _get_int(spblock, "samples", path, problems, default=512)
-            if wind is not None:
-                try:
-                    params = SurfaceSpectrumParams(wind_speed=wind, **kwargs)
-                    if not 0 < k_min < k_max:
-                        raise ValueError(f"need 0 < k_min ({k_min}) "
-                                         f"< k_max ({k_max})")
-                    if samples < 2:
-                        raise ValueError("samples must be >= 2")
-                    spectrum = SpectrumRequest(params, k_min, k_max, samples)
-                except ValueError as exc:
-                    problems.append(f"{path}: {exc}")
-        bblock = _get_block(eblock, "bathymetry", problems)
-        if bblock is not None:
-            path = "environment.bathymetry"
-            _check_keys(bblock, {"zeta_max", "hill_spacing", "length", "dx",
-                                 "seed"}, path, problems)
-            zeta = _get_num(bblock, "zeta_max", path, problems, required=True)
-            spacing = _get_num(bblock, "hill_spacing", path, problems,
-                               required=True)
-            length = _get_num(bblock, "length", path, problems, required=True)
-            dx = _get_num(bblock, "dx", path, problems, required=True)
-            bseed = _get_int(bblock, "seed", path, problems)
-            if None not in (zeta, spacing, length, dx):
-                try:
-                    # construct once to reuse the range checks, then keep
-                    # the request form so a scenario seed can flow in later
-                    BathymetrySpec(zeta, spacing, length, dx, bseed or 0)
-                    bathymetry = BathymetryRequest(zeta, spacing, length, dx,
-                                                   bseed)
-                except ValueError as exc:
-                    problems.append(f"{path}: {exc}")
+        _unknown_keys(eblock, "environment", problems)
+        spectrum = _optional(eblock, "environment.surface_spectrum", problems,
+                             _spectrum_request)
+        bathymetry = _optional(eblock, "environment.bathymetry", problems,
+                               BathymetryRequest)
 
-    seed = _get_int(raw, "seed", "config", problems, default=0)
-    if seed is not None and seed < 0:
+    top = _values(raw, "", problems)
+    seed = top["seed"]
+    if seed < 0:
         problems.append(f"seed: must be nonnegative, got {seed}")
 
-    outputs = raw.get("outputs", ["trajectory", "summary"])
+    outputs = top["outputs"]
     if (not isinstance(outputs, list)
             or not all(isinstance(o, str) for o in outputs)):
         problems.append("outputs: expected a list of product names")
@@ -421,70 +451,40 @@ def load_config(text: str) -> ScenarioConfig:
 
     if problems:
         raise ConfigError(problems)
-
-    if ic is None:
-        ic = MilneState(signal.amplitude, 0.0)
-
-    return ScenarioConfig(signal=signal, medium=medium, t0=t0, t1=t1,
-                          stride=stride, method=method, dt=dt, rtol=rtol,
-                          atol=atol, blowup_threshold=threshold,
-                          initial_condition=ic, dynamical_params=dyn,
-                          spectrum=spectrum, bathymetry=bathymetry,
-                          seed=seed, outputs=tuple(outputs))
+    return ScenarioConfig(
+        signal=signal, medium=medium, **time, **run,
+        initial_condition=ic or MilneState(signal.amplitude, 0.0),
+        dynamical_params=dyn, spectrum=spectrum, bathymetry=bathymetry,
+        seed=seed, outputs=tuple(outputs))
 
 
-def _profile_to_dict(profile: CoefficientProfile) -> dict:
-    d = {"kind": profile.kind}
-    if profile.kind == "table":
-        d["table"] = [[t, v] for t, v in profile.table]
-    else:
-        d["base"] = profile.base
-        if profile.kind in _BUMP_KINDS:
-            d.update(amplitude=profile.amplitude, center=profile.center,
-                     width=profile.width)
-    return d
+def _plain(value):
+    """JSON form of a stored value: tuples (outputs, knots) become lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Canonical dict form of a config, defaults materialised."""
-    doc = {
-        "signal": {"amplitude": config.signal.amplitude,
-                   "sound_speed": config.signal.sound_speed,
-                   "wave_number": config.signal.wave_number},
-        "medium": {"omega": _profile_to_dict(config.medium.omega_profile),
-                   "beta": _profile_to_dict(config.medium.beta_profile)},
-        "time": {"t0": config.t0, "t1": config.t1, "stride": config.stride},
-        "solver": {"method": config.method, "dt": config.dt,
-                   "rtol": config.rtol, "atol": config.atol},
-        "initial_condition": {"p0": config.initial_condition.p,
-                              "p_dot0": config.initial_condition.p_dot},
-        "seed": config.seed,
-        "outputs": list(config.outputs),
-    }
-    if config.medium.allow_degenerate_omega:
-        doc["medium"]["allow_degenerate_omega"] = True
-    if config.blowup_threshold is not None:
-        doc["solver"]["blowup_threshold"] = config.blowup_threshold
-    if config.dynamical_params is not None:
-        dyn = config.dynamical_params
-        doc["dynamical_params"] = {"e_m": dyn.e_m, "delta": dyn.delta,
-                                   "tau": dyn.tau}
-    env = {}
-    if config.spectrum is not None:
-        sp = config.spectrum
-        env["surface_spectrum"] = {
-            "wind_speed": sp.params.wind_speed, "alpha": sp.params.alpha,
-            "beta": sp.params.beta, "gravity": sp.params.gravity,
-            "k_min": sp.k_min, "k_max": sp.k_max, "samples": sp.samples}
-    if config.bathymetry is not None:
-        b = config.bathymetry
-        block = {"zeta_max": b.zeta_max, "hill_spacing": b.hill_spacing,
-                 "length": b.length, "dx": b.dx}
-        if b.seed is not None:
-            block["seed"] = b.seed
-        env["bathymetry"] = block
-    if env:
-        doc["environment"] = env
+    doc = {}
+    for path, (source, fields) in _SCHEMA.items():
+        obj = attrgetter(source)(config) if source else config
+        if obj is None:
+            continue
+        if fields is None:
+            fields = {key: _PROFILE_FIELDS[key]
+                      for key in _KIND_KEYS[obj.kind]}
+        block = {}
+        for key, (_, _, *attr) in fields.items():
+            name = attr[0] if attr else key
+            value = attrgetter(name)(obj) if name else None
+            # None and False are the unset forms of optional values
+            if value is not None and value is not False:
+                block[key] = _plain(value)
+        if block:
+            target = doc
+            for part in path.split(".") if path else ():
+                target = target.setdefault(part, {})
+            target.update(block)
     return doc
 
 
@@ -510,8 +510,7 @@ def _estimation_window(medium: MediumSpec, t0: float,
 def _output_grid(config: ScenarioConfig) -> np.ndarray:
     base = config.dt if config.method == "fixed" else solver.DEFAULT_DT
     h = config.stride * base
-    n = int(math.floor((config.t1 - config.t0) / h + 1e-9))
-    return config.t0 + h * np.arange(n + 1)
+    return config.t0 + h * np.arange(_grid_points(config.t1 - config.t0, h))
 
 
 def _estimate_summary(trajectory: Trajectory,

@@ -78,6 +78,14 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "absent.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_invalid_seed_override_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out-dir", str(out),
+                     "--seed", "-5"]) == 1
+        assert "seed: must be nonnegative, got -5" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
     def test_seed_override_changes_bathymetry(self, tmp_path):
         doc = {"environment": {"bathymetry": {"zeta_max": 5.0,
                                               "hill_spacing": 100.0,

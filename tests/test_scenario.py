@@ -11,7 +11,7 @@ from milnesea.errors import ConfigError, NotComputedError
 from milnesea.scenario import (DynamicalParams, ScenarioResult, dumps_config,
                                export_csv, export_json, load_config,
                                result_to_dict, run_scenario)
-from milnesea.solver import DEFAULT_DT, Trajectory
+from milnesea.solver import DEFAULT_DT, DEFAULT_MAX_STEPS, Trajectory
 
 
 def load(doc: dict):
@@ -85,6 +85,27 @@ class TestValidation:
         assert any("medium.omega.sigma" in p for p in problems_of(
             {"medium": {"omega": {"kind": "constant", "sigma": 1}}}))
 
+    def test_profile_keys_follow_the_kind(self):
+        # a key the kind does not use would be dropped by the echo
+        assert problems_of({"medium": {"beta": {
+            "kind": "constant", "base": 0.1, "amplitude": 3}}}) == [
+            "medium.beta.amplitude: unknown key"]
+        assert problems_of({"medium": {"beta": {
+            "kind": "table", "base": 0.1, "table": [[0.0, 0.1]]}}}) == [
+            "medium.beta.base: unknown key"]
+        assert problems_of({"medium": {"beta": {"kind": "table"}}}) == [
+            "medium.beta: table profiles need at least one knot"]
+
+    def test_problem_paths(self):
+        assert problems_of({"seed": 1.5}) == [
+            "config.seed: expected an integer, got float"]
+        assert problems_of({"environment": {"surface_spectrum": 5}}) == [
+            "environment.surface_spectrum: expected an object"]
+        # the parameter check comes first and stops the block's checks
+        assert problems_of({"environment": {"surface_spectrum": {
+            "wind_speed": -1.0, "k_min": 2.0, "k_max": 1.0}}}) == [
+            "environment.surface_spectrum: wind_speed must be positive"]
+
     def test_booleans_are_not_numbers(self):
         probs = problems_of({"time": {"t1": True}})
         assert any("time.t1" in p and "bool" in p for p in probs)
@@ -106,6 +127,13 @@ class TestValidation:
         # an explicit signal block must commit to one of the three
         probs = problems_of({"signal": {"amplitude": 2.0}})
         assert any("exactly one" in p for p in probs)
+
+    def test_zero_wave_number_is_a_problem(self):
+        assert problems_of({"signal": {"wave_number": 0}}) == [
+            "signal: wave_number must be positive"]
+        assert problems_of({"signal": {"angular_frequency": 1.0,
+                                       "sound_speed": 0}}) == [
+            "signal: sound_speed must be positive"]
 
     def test_signal_alternate_parameterisations(self):
         by_len = load({"signal": {"wavelength": 62.83185307179586}})
@@ -135,12 +163,10 @@ class TestValidation:
         assert any("bathymetry" in p for p in probs)
 
     def test_degenerate_omega_needs_explicit_consent(self):
-        doc = {"medium": {"omega": {"kind": "constant", "base": 1.0,
-                                    "amplitude": -1.0, "center": 0.0}}}
-        # constant profiles ignore amplitude; use a bump dipping to zero
-        doc["medium"]["omega"] = {"kind": "gaussian-bump", "base": 1.0,
-                                  "amplitude": -1.0, "center": 5.0,
-                                  "width": 1.0}
+        # a bump dipping to zero
+        doc = {"medium": {"omega": {"kind": "gaussian-bump", "base": 1.0,
+                                    "amplitude": -1.0, "center": 5.0,
+                                    "width": 1.0}}}
         assert any("omega" in p for p in problems_of(doc))
         doc["medium"]["allow_degenerate_omega"] = True
         cfg = load(doc)
@@ -154,6 +180,40 @@ class TestValidation:
                                                     "k_min": 2.0,
                                                     "k_max": 1.0}}}
         assert any("k_min" in p for p in problems_of(doc))
+
+    @pytest.mark.parametrize("doc, block", [
+        ({"environment": {"surface_spectrum": {"wind_speed": 10.0,
+                                               "samples": 10 ** 12}}},
+         "environment.surface_spectrum"),
+        ({"environment": {"bathymetry": {"zeta_max": 5.0,
+                                         "hill_spacing": 100.0,
+                                         "length": 1e15, "dx": 1.0}}},
+         "environment.bathymetry"),
+        ({"time": {"t1": 2e12}, "solver": {"dt": 1e-3}}, "time"),
+        ({"time": {"t1": 1e12, "stride": 1},
+          "solver": {"method": "adaptive"}}, "time"),
+    ])
+    def test_sample_budget(self, doc, block):
+        # rejected while loading, before anything is allocated
+        probs = problems_of(doc)
+        assert len(probs) == 1
+        assert probs[0].startswith(f"{block}: ")
+        count = int(probs[0].split(": ")[1].split()[0])
+        assert count > DEFAULT_MAX_STEPS
+        assert f"budget of {DEFAULT_MAX_STEPS}" in probs[0]
+
+    def test_sample_budget_boundary(self):
+        spectrum = {"wind_speed": 10.0, "samples": DEFAULT_MAX_STEPS}
+        cfg = load({"environment": {"surface_spectrum": spectrum}})
+        assert cfg.spectrum.samples == DEFAULT_MAX_STEPS
+        spectrum["samples"] += 1
+        assert problems_of({"environment": {"surface_spectrum": spectrum}})
+        # a fixed run of exactly the budget in samples still loads
+        run = {"time": {"t1": DEFAULT_MAX_STEPS - 1}, "solver": {"dt": 1.0}}
+        assert load(run).t1 == DEFAULT_MAX_STEPS - 1
+        run["time"]["t1"] += 1
+        assert problems_of(run) == ["time: 10000001 samples exceed the "
+                                    "sample budget of 10000000"]
 
     def test_table_profile_round_trips(self):
         doc = {"medium": {"beta": {"kind": "table",
@@ -174,6 +234,16 @@ class TestSerialisation:
 
     def test_minimal_config_round_trips(self):
         cfg = load_config("{}")
+        assert load_config(dumps_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("signal", [
+        {"wavelength": 100.0},
+        {"angular_frequency": 1000.0, "sound_speed": 343.0},
+    ])
+    def test_alternate_wave_parameters_round_trip(self, signal):
+        # the echo carries only the wave number; the fields derived from
+        # it must come out the same on reload, to the last bit
+        cfg = load({"signal": signal})
         assert load_config(dumps_config(cfg)) == cfg
 
 
@@ -264,8 +334,12 @@ class TestRun:
         assert len(ts) == 301
 
     def test_output_grid_spacing_adaptive(self):
-        doc = dict(OSCILLATORY_DOC, solver={"method": "adaptive"})
+        # the grid does not depend on the trajectory, so skip integrating
+        doc = dict(OSCILLATORY_DOC, solver={"method": "adaptive"},
+                   dynamical_params={"e_m": 0.1, "delta": 0.0, "tau": 0.08},
+                   outputs=["envelope"])
         result = run_scenario(load(doc))
+        assert result.trajectory is None
         ts = [s.t for s in result.envelope]
         np.testing.assert_allclose(np.diff(ts), 100 * DEFAULT_DT, rtol=1e-9)
 

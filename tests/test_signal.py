@@ -43,6 +43,11 @@ class TestSignalSpec:
             SignalSpec.from_wave_number(0.0, 1480.0, 0.1)
         with pytest.raises(ValueError):
             SignalSpec.from_wavelength(1.0, 1480.0, -5.0)
+        # zero must not slip through as a division error before the check
+        with pytest.raises(ValueError, match="wave_number must be positive"):
+            SignalSpec.from_wave_number(1.0, 1480.0, 0.0)
+        with pytest.raises(ValueError, match="sound_speed must be positive"):
+            SignalSpec.from_angular_frequency(1.0, 0.0, 148.0)
 
 
 class TestPressure:
