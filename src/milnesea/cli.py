@@ -26,11 +26,10 @@ from .environment import (BathymetrySpec, SurfaceSpectrumParams,
                           bathymetry_profile, surface_psd_series)
 from .errors import ConfigError, SingularityError
 from .milne import envelope_q
-from .scenario import (PRODUCTS, _output_grid, config_to_dict, export_csv,
-                       export_json, load_config, run_scenario)
+from .scenario import (PRODUCTS, config_to_dict, csv_text, export_csv,
+                       export_json, grid_sweep, load_config, run_scenario,
+                       spectrum_problem)
 from .transition import compare_forms
-
-_FMT = ".17g"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(lines, out: str):
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -128,9 +126,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_spectrum(args) -> int:
     params = SurfaceSpectrumParams(wind_speed=args.wind_speed)
     series = surface_psd_series(params, args.k_min, args.k_max, args.samples)
-    lines = ["k,S"]
-    lines += [f"{k:{_FMT}},{s:{_FMT}}" for k, s in zip(series.k, series.density)]
-    _emit(lines, args.out)
+    problem = spectrum_problem(series)
+    if problem is not None:
+        print(f"spectrum skipped: {problem}", file=sys.stderr)
+        return 2
+    _emit(csv_text("spectrum", series), args.out)
     return 0
 
 
@@ -138,28 +138,18 @@ def _cmd_bathymetry(args) -> int:
     spec = BathymetrySpec(zeta_max=args.zeta_max,
                           hill_spacing=args.hill_spacing,
                           length=args.length, dx=args.dx, seed=args.seed)
-    profile = bathymetry_profile(spec)
-    lines = ["x,zeta"]
-    lines += [f"{x:{_FMT}},{z:{_FMT}}" for x, z in zip(profile.x, profile.zeta)]
-    _emit(lines, args.out)
+    _emit(csv_text("bathymetry", bathymetry_profile(spec)), args.out)
     return 0
 
 
 def _cmd_envelope(args) -> int:
     config = _load(args.config)
-    lines = ["t,q_squared,magnitude,imaginary_branch"]
-    try:
-        for t in _output_grid(config):
-            s = envelope_q(args.em, args.tau, config.signal, config.medium,
-                           float(t))
-            flag = "true" if s.imaginary_branch else "false"
-            lines.append(f"{s.t:{_FMT}},{s.q_squared:{_FMT}},"
-                         f"{s.magnitude:{_FMT}},{flag}")
-    except SingularityError as exc:
-        _emit(lines, args.out)
-        print(f"envelope sweep stopped: {exc}", file=sys.stderr)
+    samples, error = grid_sweep(config, "envelope", lambda t: envelope_q(
+        args.em, args.tau, config.signal, config.medium, t))
+    _emit(csv_text("envelope", samples), args.out)
+    if error is not None:
+        print(f"envelope sweep stopped: {error}", file=sys.stderr)
         return 2
-    _emit(lines, args.out)
     return 0
 
 
@@ -194,10 +184,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .medium import MediumSpec, beta_at, omega_at
+from .medium import MediumSpec
 
 # Relative slack used to decide that beta is exactly at critical damping.
 _CRITICAL_TIE = 1e-12
@@ -40,8 +40,8 @@ def damped_rhs(state, beta: float, omega: float) -> np.ndarray:
 def parametric_rhs(state, medium: MediumSpec, t: float) -> np.ndarray:
     """Right-hand side with coefficients read from the medium at time t."""
     x, v = state[0], state[1]
-    b = beta_at(medium.beta_profile, t)
-    w = omega_at(medium.omega_profile, t)
+    b = medium.beta(t)
+    w = medium.omega(t)
     return np.array([v, -b * v - w * w * x])
 
 

@@ -13,9 +13,10 @@ products to produce:
 * ``bathymetry``  procedural seabed profile
 
 Products that cannot be produced at run time (estimation failed, envelope
-denominator hit zero) are recorded as skips with a reason instead of
-failing the whole run; configuration mistakes, by contrast, are rejected
-up front by ``load_config`` with an exhaustive problem list.
+denominator hit zero, a value came out non-finite) are recorded as skips
+with a reason instead of failing the whole run; configuration mistakes,
+by contrast, are rejected up front by ``load_config`` with an exhaustive
+problem list.
 
 All exports are deterministic: the same config yields byte-identical CSV
 and JSON files.
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
@@ -41,14 +44,10 @@ from .errors import ConfigError, InsufficientDataError, NotComputedError, \
     SingularityError
 from .medium import (_BUMP_KINDS, CONSTANT, TABLE, CoefficientProfile,
                      MediumSpec)
-from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
+from .milne import (MilneState, SignalSummary, envelope_q,
                     estimate_period_phase, integrate_milne, milne_energy)
 from .solver import Trajectory
 from .transition import TransitionMatrix, compare_forms
-
-PRODUCTS = ("trajectory", "summary", "envelope", "transition",
-            "spectrum", "bathymetry")
-
 
 class DynamicalParams(NamedTuple):
     e_m: float
@@ -120,18 +119,50 @@ class ScenarioResult:
     bathymetry: Optional[BathymetryProfile] = None
     skips: dict = field(default_factory=dict)
 
-    _ATTRS = {"trajectory": "trajectory", "summary": "summary",
-              "envelope": "envelope", "transition": "transition_samples",
-              "spectrum": "spectrum", "bathymetry": "bathymetry"}
-
     def data_for(self, product: str):
-        return getattr(self, self._ATTRS[product])
+        return getattr(self, _TABLE[product].attr)
 
     def status_of(self, product: str) -> str:
         """'computed' or 'skipped' for a requested product."""
         if product not in self.requested:
             raise NotComputedError(f"{product!r} was not requested")
         return "skipped" if product in self.skips else "computed"
+
+
+# Every product's CSV layout, shared by export_csv, result_to_dict, the
+# grid sweep's finiteness check and the CLI's table commands: the
+# ScenarioResult attribute holding the data, the CSV header, the
+# %-format of one line, data -> rows, and data -> row count. Rows are
+# generated one at a time and counted without being built.
+_Product = namedtuple("_Product", "attr header line rows count")
+_TABLE = {
+    "trajectory": _Product(
+        "trajectory", "t,p,p_dot", "%.17g,%.17g,%.17g",
+        lambda traj: zip(traj.times, *traj.states.T), len),
+    "summary": _Product(
+        "summary", "e_m,tau,delta,e_m_bound_violated", "%.17g,%.17g,%.17g,%s",
+        lambda s: [(s.e_m, s.tau, s.delta,
+                    str(s.e_m_bound_violated).lower())],
+        lambda s: 1),
+    "envelope": _Product(
+        "envelope", "t,q_squared,magnitude,imaginary_branch",
+        "%.17g,%.17g,%.17g,%s",
+        lambda samples: ((s.t, s.q_squared, s.magnitude,
+                          str(s.imaginary_branch).lower()) for s in samples),
+        len),
+    "transition": _Product(
+        "transition_samples", "t,m11,m12,m21,m22,provenance,discrepancy",
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g",
+        lambda samples: ((s.t, *m.entries.flat, m.provenance, s.discrepancy)
+                         for s in samples for m in (s.composed, s.expanded)),
+        lambda samples: 2 * len(samples)),
+    "spectrum": _Product("spectrum", "k,S", "%.17g,%.17g",
+                         lambda sp: zip(sp.k, sp.density),
+                         lambda sp: len(sp.k)),
+    "bathymetry": _Product("bathymetry", "x,zeta", "%.17g,%.17g",
+                           lambda b: zip(b.x, b.zeta), lambda b: len(b.x)),
+}
+PRODUCTS = tuple(_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +538,45 @@ def _estimation_window(medium: MediumSpec, t0: float,
     return (start, t1) if start > t0 else None
 
 
-def _output_grid(config: ScenarioConfig) -> np.ndarray:
+def grid_sweep(config: ScenarioConfig, product: str, point):
+    """point(t) at t0, t0 + h, ... <= t1, up to the first bad time.
+
+    h is `stride` solver steps (the default dt for the adaptive solver).
+    A time is bad where point raises SingularityError or returns a sample
+    that `product`'s CSV would write with a non-finite number. Returns the
+    samples before it and its SingularityError (None if there is none).
+    """
     base = config.dt if config.method == "fixed" else solver.DEFAULT_DT
     h = config.stride * base
-    return config.t0 + h * np.arange(_grid_points(config.t1 - config.t0, h))
+    grid = config.t0 + h * np.arange(_grid_points(config.t1 - config.t0, h))
+    rows = _TABLE[product].rows
+    samples = []
+    for t in grid.tolist():
+        try:
+            sample = point(t)
+        except SingularityError as exc:
+            return samples, exc
+        if not all(math.isfinite(v) for row in rows((sample,)) for v in row
+                   if not isinstance(v, str)):
+            return samples, SingularityError(
+                f"{product} is not finite at t={t!r}", t=t)
+        samples.append(sample)
+    return samples, None
+
+
+def _transition_sample(params: DynamicalParams, config: ScenarioConfig,
+                       t: float) -> TransitionSample:
+    cmp = compare_forms(params.e_m, params.delta, params.tau, config.signal,
+                        config.medium, t)
+    return TransitionSample(t, cmp.composed, cmp.expanded, cmp.discrepancy)
+
+
+def spectrum_problem(series: SpectrumSeries) -> Optional[str]:
+    """Why a spectrum cannot be written: its first non-finite density."""
+    bad = np.flatnonzero(~np.isfinite(series.density))
+    if bad.size:
+        return f"density is not finite at k={float(series.k[bad[0]])!r}"
+    return None
 
 
 def _estimate_summary(trajectory: Trajectory,
@@ -565,42 +631,30 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             result.summary = SignalSummary(e_m=params.e_m, tau=params.tau,
                                            delta=params.delta)
 
-    grid = _output_grid(config)
-
-    if "envelope" in requested:
-        if params is None:
-            result.skips["envelope"] = params_skip_reason
+    sweeps = {
+        "envelope": lambda t: envelope_q(params.e_m, params.tau,
+                                         config.signal, config.medium, t),
+        "transition": lambda t: _transition_sample(params, config, t),
+    }
+    for product, point in sweeps.items():
+        if product not in requested:
+            continue
+        samples, error = None, params_skip_reason
+        if params is not None:
+            samples, error = grid_sweep(config, product, point)
+        if error is None:
+            setattr(result, _TABLE[product].attr, samples)
         else:
-            samples = []
-            try:
-                for t in grid:
-                    samples.append(envelope_q(params.e_m, params.tau,
-                                              config.signal, config.medium,
-                                              float(t)))
-                result.envelope = samples
-            except SingularityError as exc:
-                result.skips["envelope"] = str(exc)
-
-    if "transition" in requested:
-        if params is None:
-            result.skips["transition"] = params_skip_reason
-        else:
-            samples = []
-            try:
-                for t in grid:
-                    cmp = compare_forms(params.e_m, params.delta, params.tau,
-                                        config.signal, config.medium, float(t))
-                    samples.append(TransitionSample(float(t), cmp.composed,
-                                                    cmp.expanded,
-                                                    cmp.discrepancy))
-                result.transition_samples = samples
-            except SingularityError as exc:
-                result.skips["transition"] = str(exc)
+            result.skips[product] = str(error)
 
     if "spectrum" in requested:
         sp = config.spectrum
-        result.spectrum = surface_psd_series(sp.params, sp.k_min, sp.k_max,
-                                             sp.samples)
+        series = surface_psd_series(sp.params, sp.k_min, sp.k_max, sp.samples)
+        reason = spectrum_problem(series)
+        if reason is None:
+            result.spectrum = series
+        else:
+            result.skips["spectrum"] = reason
 
     if "bathymetry" in requested:
         b = config.bathymetry
@@ -615,44 +669,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # exports
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
-def _csv_rows(result: ScenarioResult, product: str):
-    if product == "trajectory":
-        traj = result.trajectory
-        yield "t,p,p_dot"
-        for t, (p, pd) in zip(traj.times, traj.states):
-            yield f"{_fmt(t)},{_fmt(p)},{_fmt(pd)}"
-    elif product == "summary":
-        s = result.summary
-        yield "e_m,tau,delta,e_m_bound_violated"
-        flag = "true" if s.e_m_bound_violated else "false"
-        yield f"{_fmt(s.e_m)},{_fmt(s.tau)},{_fmt(s.delta)},{flag}"
-    elif product == "envelope":
-        yield "t,q_squared,magnitude,imaginary_branch"
-        for s in result.envelope:
-            flag = "true" if s.imaginary_branch else "false"
-            yield f"{_fmt(s.t)},{_fmt(s.q_squared)},{_fmt(s.magnitude)},{flag}"
-    elif product == "transition":
-        yield "t,m11,m12,m21,m22,provenance,discrepancy"
-        for s in result.transition_samples:
-            for mat in (s.composed, s.expanded):
-                m = mat.entries
-                yield (f"{_fmt(s.t)},{_fmt(m[0, 0])},{_fmt(m[0, 1])},"
-                       f"{_fmt(m[1, 0])},{_fmt(m[1, 1])},{mat.provenance},"
-                       f"{_fmt(s.discrepancy)}")
-    elif product == "spectrum":
-        yield "k,S"
-        for k, s in zip(result.spectrum.k, result.spectrum.density):
-            yield f"{_fmt(k)},{_fmt(s)}"
-    elif product == "bathymetry":
-        yield "x,zeta"
-        for x, z in zip(result.bathymetry.x, result.bathymetry.zeta):
-            yield f"{_fmt(x)},{_fmt(z)}"
-    else:
-        raise ValueError(f"unknown product {product!r}")
+def csv_text(product: str, data) -> str:
+    """One product's CSV text: the header, then one line per row."""
+    p = _TABLE[product]
+    lines = chain((p.header,), map(p.line.__mod__, p.rows(data)))
+    return "\n".join(lines) + "\n"
 
 
 def _require_product(result: ScenarioResult, product: str):
@@ -672,23 +693,8 @@ def export_csv(result: ScenarioResult, product: str, destination) -> Path:
     """
     _require_product(result, product)
     path = Path(destination)
-    text = "\n".join(_csv_rows(result, product)) + "\n"
-    path.write_text(text)
+    path.write_text(csv_text(product, result.data_for(product)))
     return path
-
-
-def _csv_row_count(result: ScenarioResult, product: str) -> int:
-    if product == "trajectory":
-        return len(result.trajectory)
-    if product == "summary":
-        return 1
-    if product == "envelope":
-        return len(result.envelope)
-    if product == "transition":
-        return 2 * len(result.transition_samples)
-    if product == "spectrum":
-        return len(result.spectrum.k)
-    return len(result.bathymetry.x)
 
 
 def result_to_dict(result: ScenarioResult) -> dict:
@@ -700,7 +706,8 @@ def result_to_dict(result: ScenarioResult) -> dict:
                               "reason": result.skips[name]}
         else:
             products[name] = {"status": "computed",
-                              "rows": _csv_row_count(result, name)}
+                              "rows": _TABLE[name].count(
+                                  result.data_for(name))}
     doc = {
         "schema_version": "1",
         "config": config_to_dict(result.config),
@@ -724,6 +731,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
 def export_json(result: ScenarioResult, destination) -> Path:
     """Write the run summary document (schema_version 1) as stable JSON."""
     path = Path(destination)
-    text = json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(result_to_dict(result), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     path.write_text(text)
     return path

@@ -121,8 +121,12 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    n_whole = int((t1 - t0) // dt)
-    grid = t0 + dt * np.arange(n_whole + 1)
+    n_whole = (t1 - t0) // dt
+    steps = n_whole + (t1 - (t0 + dt * n_whole) > 1e-12 * dt)
+    if steps > DEFAULT_MAX_STEPS:  # checked before the grid is allocated
+        raise ValueError(f"{steps:.0f} steps exceed the limit "
+                         f"{DEFAULT_MAX_STEPS}")
+    grid = t0 + dt * np.arange(int(n_whole) + 1)
     if t1 - grid[-1] > 1e-12 * dt:
         grid = np.append(grid, t1)
     else:

@@ -152,6 +152,95 @@ class TestEnvelopeCommand:
             "t,q_squared,magnitude,imaginary_branch"
 
 
+def strict_json(path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestSharedRegistry:
+    def test_table_commands_write_the_simulate_csv(self, tmp_path):
+        doc = {"medium": {"beta": {"kind": "constant", "base": 0.5}},
+               "time": {"t0": 0.5, "t1": 1.5, "stride": 7},
+               "dynamical_params": {"e_m": 1.25, "delta": 0.3, "tau": 0.7},
+               "environment": {
+                   "surface_spectrum": {"wind_speed": 7.5, "k_min": 0.002,
+                                        "k_max": 3.0, "samples": 50},
+                   "bathymetry": {"zeta_max": 4.0, "hill_spacing": 30.0,
+                                  "length": 200.0, "dx": 0.7, "seed": 11}},
+               "outputs": ["envelope", "spectrum", "bathymetry"]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", str(cfg), "--out-dir",
+                     str(tmp_path / "sim")]) == 0
+        commands = {
+            "spectrum": ["spectrum", "--wind-speed", "7.5", "--k-min",
+                         "0.002", "--k-max", "3.0", "--samples", "50"],
+            "bathymetry": ["bathymetry", "--zeta-max", "4.0",
+                           "--hill-spacing", "30.0", "--length", "200.0",
+                           "--dx", "0.7", "--seed", "11"],
+            "envelope": ["envelope", str(cfg), "--em", "1.25", "--tau", "0.7"],
+        }
+        for product, argv in commands.items():
+            out = tmp_path / f"cli-{product}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == \
+                (tmp_path / "sim" / f"{product}.csv").read_bytes(), product
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+class TestNonFinite:
+    def test_overflowing_energy_skips_envelope_and_transition(
+            self, tmp_path, capsys):
+        doc = {"dynamical_params": {"e_m": 1e308, "delta": 0.3, "tau": 1.0},
+               "medium": {"beta": {"kind": "constant", "base": 0.5}},
+               "outputs": ["summary", "envelope", "transition"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["result.json",
+                                                         "summary.csv"]
+        products = strict_json(out / "result.json")["products"]
+        for product in ("envelope", "transition"):
+            assert products[product]["status"] == "skipped"
+            assert "not finite at t=0.0" in products[product]["reason"]
+
+    def test_underflowing_wave_numbers_skip_the_spectrum(self, tmp_path,
+                                                         capsys):
+        doc = {"environment": {"surface_spectrum": {"wind_speed": 10.0,
+                                                    "k_min": 1e-200}},
+               "outputs": ["spectrum"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["result.json"]
+        spectrum = strict_json(out / "result.json")["products"]["spectrum"]
+        assert spectrum["status"] == "skipped"
+        assert "not finite at k=1e-200" in spectrum["reason"]
+        # the table command refuses the same spectrum
+        table = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--wind-speed", "10", "--k-min", "1e-200",
+                     "--out", str(table)]) == 2
+        assert not table.exists()
+        assert "not finite at k=1e-200" in capsys.readouterr().err
+
+    def test_envelope_command_stops_before_non_finite_point(self, tmp_path,
+                                                            capsys):
+        # beta = 0 leaves the denominator 148 t, so the envelope square
+        # overflows on the grid points nearest t = 0
+        cfg = write_config(tmp_path, {
+            "medium": {"beta": {"kind": "constant", "base": 0.0}},
+            "time": {"t0": -0.995, "t1": 1.0, "stride": 10}})
+        assert main(["envelope", str(cfg), "--em", "8.9e307",
+                     "--tau", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "not finite at t=-0.005" in captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 + 99
+        assert float(lines[-1].split(",")[0]) == pytest.approx(-0.015)
+        assert all("inf" not in line and "nan" not in line for line in lines)
+
+
 class TestTransitionCommand:
     def test_point_evaluation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"medium": {"beta": {"kind": "constant",

@@ -82,6 +82,20 @@ class TestFixed:
         assert "non-finite" in traj.message
         assert np.all(np.isfinite(traj.states))
 
+    def test_oversized_grid_rejected_before_allocation(self):
+        def never(t, y):
+            raise AssertionError("no step may be taken")
+
+        with pytest.raises(ValueError, match="1000000000000000 steps"):
+            integrate_fixed(never, [1.0], (0.0, 1e12), dt=1e-3)
+        # one step over the limit, counted exactly
+        with pytest.raises(ValueError, match="10000001 steps"):
+            integrate_fixed(never, [1.0], (0.0, solver.DEFAULT_MAX_STEPS + 1.0),
+                            dt=1.0)
+        with pytest.raises(ValueError, match="10000001 steps"):
+            integrate_fixed(never, [1.0], (0.0, solver.DEFAULT_MAX_STEPS + 0.5),
+                            dt=1.0)
+
     def test_rejects_bad_span_and_dt(self):
         with pytest.raises(ValueError):
             integrate_fixed(decay, [1.0], (1.0, 0.0))
