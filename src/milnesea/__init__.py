@@ -20,8 +20,7 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           surface_psd_series)
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidProfileError, NotComputedError, SingularityError)
-from .medium import (CoefficientProfile, MediumSpec, beta_at, omega_at,
-                     validate_asymptotics)
+from .medium import CoefficientProfile, MediumSpec, validate_asymptotics
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     eq9_residual, eq14_amplitude, estimate_period_phase,
                     hamiltonian_density, integrate_milne, lagrangian_density,

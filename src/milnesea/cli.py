@@ -26,10 +26,10 @@ from .environment import (BathymetrySpec, SurfaceSpectrumParams,
                           bathymetry_profile, surface_psd_series)
 from .errors import ConfigError, SingularityError
 from .milne import envelope_q
-from .scenario import (PRODUCTS, config_to_dict, csv_text, export_csv,
-                       export_json, grid_sweep, load_config, run_scenario,
-                       spectrum_problem)
-from .transition import compare_forms
+from .scenario import (PRODUCTS, DynamicalParams, config_to_dict, csv_text,
+                       export_csv, export_json, finite_point, grid_sweep,
+                       load_config, run_scenario, spectrum_problem,
+                       transition_sample)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,18 +155,19 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_transition(args) -> int:
     config = _load(args.config)
+    params = DynamicalParams(args.em, args.delta, args.tau)
     try:
-        cmp = compare_forms(args.em, args.delta, args.tau, config.signal,
-                            config.medium, args.t)
+        sample = finite_point("transition", lambda t: transition_sample(
+            params, config, t), args.t)
     except SingularityError as exc:
         print(f"transition undefined: {exc}", file=sys.stderr)
         return 2
-    for mat in (cmp.composed, cmp.expanded):
+    for mat in (sample.composed, sample.expanded):
         m = mat.entries
         print(f"{mat.provenance}:")
         print(f"  [{m[0, 0]:+.12e}  {m[0, 1]:+.12e}]")
         print(f"  [{m[1, 0]:+.12e}  {m[1, 1]:+.12e}]")
-    print(f"max entry gap: {cmp.discrepancy:.12e}")
+    print(f"max entry gap: {sample.discrepancy:.12e}")
     return 0
 
 

@@ -42,19 +42,28 @@ class SurfaceSpectrumParams:
         for name in ("wind_speed", "alpha", "beta", "gravity"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        try:
+            float(self.wind_speed) ** 4
+        except OverflowError:
+            raise ValueError(f"wind_speed {self.wind_speed!r} is too large: "
+                             "its 4th power overflows") from None
 
 
 def surface_psd(params: SurfaceSpectrumParams, k):
     """Spectral density S(k) = (alpha / 2 k^3) exp(-beta g^2 / (k^2 u^4)).
 
-    k is the surface wave number in rad/m, strictly positive.
+    k is the surface wave number in rad/m, strictly positive. The density
+    is 0 wherever the exponential factor is, even if alpha / 2 k^3 is inf.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise DomainError("surface wave number k must be positive")
     u = params.wind_speed
     g = params.gravity
-    s = (params.alpha / (2.0 * k ** 3)) * np.exp(-params.beta * g * g / (k * k * u ** 4))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        damping = np.exp(-params.beta * g * g / (k * k * u ** 4))
+        s = (params.alpha / (2.0 * k ** 3)) * damping
+    s = np.where(damping == 0.0, 0.0, s)
     return float(s) if s.ndim == 0 else s
 
 

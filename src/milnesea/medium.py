@@ -13,6 +13,9 @@ Supported profile kinds:
 * ``sech2-bump``     value(t) = base + amplitude / cosh((t-center)/width)^2
 * ``table``          linear interpolation through (t, value) knots, clamped
                      to the end values outside the knot range
+
+Ranges are proven once, when a MediumSpec is built, from extreme_values(),
+which value(t) never leaves for any t; coefficient reads check nothing.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ class CoefficientProfile:
             z = (t - self.center) / self.width
             out = self.base + self.amplitude / np.cosh(z) ** 2
         else:
-            ts = np.array([k[0] for k in self.table])
-            vs = np.array([k[1] for k in self.table])
-            out = np.interp(t, ts, vs)
+            ts, vs = np.array(self.table).T
+            # clamped: interpolation can round just past a knot value
+            out = np.clip(np.interp(t, ts, vs), vs.min(), vs.max())
         return float(out) if out.ndim == 0 else out
 
     def extreme_values(self) -> Tuple[float, float]:
@@ -86,22 +89,6 @@ class CoefficientProfile:
             return float(lo), float(hi)
         vs = [v for _, v in self.table]
         return float(min(vs)), float(max(vs))
-
-
-def omega_at(profile: CoefficientProfile, t):
-    """Natural frequency omega(t); must stay strictly positive."""
-    v = profile.value(t)
-    if np.any(np.asarray(v) <= 0):
-        raise InvalidProfileError(f"omega(t) must be positive, got {v!r} at t={t!r}")
-    return v
-
-
-def beta_at(profile: CoefficientProfile, t):
-    """Damping rate beta(t); must stay nonnegative."""
-    v = profile.value(t)
-    if np.any(np.asarray(v) < 0):
-        raise InvalidProfileError(f"beta(t) must be nonnegative, got {v!r} at t={t!r}")
-    return v
 
 
 def validate_asymptotics(profile: CoefficientProfile, horizon: float,
@@ -132,10 +119,12 @@ class MediumSpec:
 
     The omega profile must have unit background (the model is written in
     units where the asymptotic natural frequency is 1) and stay positive;
-    the beta profile must stay nonnegative. ``allow_degenerate_omega``
-    suspends the omega checks for deliberately degenerate test media
-    (for example omega identically zero); production configurations keep
-    it off.
+    the beta profile must stay nonnegative. Both ranges are proven here,
+    once, through ``extreme_values()``, which ``value(t)`` never leaves;
+    ``omega(t)`` and ``beta(t)`` just evaluate the profiles.
+    ``allow_degenerate_omega`` suspends the omega checks for deliberately
+    degenerate test media (for example omega identically zero);
+    production configurations keep it off.
     """
 
     omega_profile: CoefficientProfile
@@ -161,9 +150,7 @@ class MediumSpec:
             raise InvalidProfileError("; ".join(problems))
 
     def omega(self, t):
-        if self.allow_degenerate_omega:
-            return self.omega_profile.value(t)
-        return omega_at(self.omega_profile, t)
+        return self.omega_profile.value(t)
 
     def beta(self, t):
-        return beta_at(self.beta_profile, t)
+        return self.beta_profile.value(t)

@@ -28,7 +28,7 @@ import numpy as np
 from . import solver
 from .acoustic_signal import SignalSpec
 from .errors import DomainError, InsufficientDataError, SingularityError
-from .medium import MediumSpec, beta_at, omega_at
+from .medium import MediumSpec
 from .solver import Trajectory, integrate_adaptive, integrate_fixed
 
 
@@ -90,7 +90,7 @@ def _ck(spec: SignalSpec) -> float:
 def milne_rhs(state, spec: SignalSpec, medium: MediumSpec, t: float) -> np.ndarray:
     """Right-hand side (p', p'') of the pressure equation."""
     p, pd = state[0], state[1]
-    b = beta_at(medium.beta_profile, t)
+    b = medium.beta(t)
     w = medium.omega(t)
     ck = _ck(spec)
     pdd = (p * pd * pd - b * pd + b * ck * p
@@ -109,7 +109,7 @@ def eq9_residual(p: float, p_dot: float, p_ddot: float, spec: SignalSpec,
     a = spec.amplitude
     if abs(p) > a:
         raise DomainError(f"|p|={abs(p)} exceeds amplitude {a}")
-    b = beta_at(medium.beta_profile, t)
+    b = medium.beta(t)
     w = medium.omega(t)
     ck = _ck(spec)
     a2 = a * a
@@ -153,7 +153,7 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
 
 
 def _potential(p, spec: SignalSpec, medium: MediumSpec, t):
-    b = beta_at(medium.beta_profile, t)
+    b = medium.beta(t)
     w = medium.omega(t)
     ck = _ck(spec)
     return (0.5 * b * ck * p * p
@@ -190,7 +190,7 @@ def milne_energy(state, spec: SignalSpec, medium: MediumSpec, t):
 
 def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t: float) -> float:
     """beta(t) c k + omega(t)^2 c t k, the stiffness the envelope divides by."""
-    b = beta_at(medium.beta_profile, t)
+    b = medium.beta(t)
     w = medium.omega(t)
     return b * _ck(spec) + w * w * spec.sound_speed * t * spec.wave_number
 

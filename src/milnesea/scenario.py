@@ -549,23 +549,26 @@ def grid_sweep(config: ScenarioConfig, product: str, point):
     base = config.dt if config.method == "fixed" else solver.DEFAULT_DT
     h = config.stride * base
     grid = config.t0 + h * np.arange(_grid_points(config.t1 - config.t0, h))
-    rows = _TABLE[product].rows
     samples = []
     for t in grid.tolist():
         try:
-            sample = point(t)
+            samples.append(finite_point(product, point, t))
         except SingularityError as exc:
             return samples, exc
-        if not all(math.isfinite(v) for row in rows((sample,)) for v in row
-                   if not isinstance(v, str)):
-            return samples, SingularityError(
-                f"{product} is not finite at t={t!r}", t=t)
-        samples.append(sample)
     return samples, None
 
 
-def _transition_sample(params: DynamicalParams, config: ScenarioConfig,
-                       t: float) -> TransitionSample:
+def finite_point(product: str, point, t: float):
+    """point(t); SingularityError where `product`'s CSV would be non-finite."""
+    sample = point(t)
+    if not all(math.isfinite(v) for row in _TABLE[product].rows((sample,))
+               for v in row if not isinstance(v, str)):
+        raise SingularityError(f"{product} is not finite at t={t!r}", t=t)
+    return sample
+
+
+def transition_sample(params: DynamicalParams, config: ScenarioConfig,
+                      t: float) -> TransitionSample:
     cmp = compare_forms(params.e_m, params.delta, params.tau, config.signal,
                         config.medium, t)
     return TransitionSample(t, cmp.composed, cmp.expanded, cmp.discrepancy)
@@ -634,7 +637,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sweeps = {
         "envelope": lambda t: envelope_q(params.e_m, params.tau,
                                          config.signal, config.medium, t),
-        "transition": lambda t: _transition_sample(params, config, t),
+        "transition": lambda t: transition_sample(params, config, t),
     }
     for product, point in sweeps.items():
         if product not in requested:

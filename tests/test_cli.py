@@ -86,6 +86,34 @@ class TestSimulate:
         assert "seed: must be nonnegative, got -5" in capsys.readouterr().err
         assert not (out / "result.json").exists()
 
+    def test_table_rounding_below_a_zero_knot_runs(self, tmp_path, capsys):
+        # interpolating at the zero knot's own time rounds to -2.8e-17;
+        # the medium's range is proven at load time, not on each read
+        doc = {"medium": {"beta": {"kind": "table", "table": [
+                   [-12.756003041925396, 0.24438662939201053],
+                   [0.4396371841784763, 0.0]]}},
+               "time": {"t0": 0.43963718417847625, "t1": 1.0},
+               "outputs": ["trajectory"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 0
+        assert "trajectory: computed" in capsys.readouterr().out
+        products = strict_json(out / "result.json")["products"]
+        assert products["trajectory"]["status"] == "computed"
+        assert (out / "trajectory.csv").exists()
+
+    def test_overflowing_wind_speed_rejected(self, tmp_path, capsys):
+        doc = {"environment": {"surface_spectrum": {"wind_speed": 1e100}},
+               "outputs": ["spectrum"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration rejected" in err
+        assert ("environment.surface_spectrum: wind_speed 1e+100 is too "
+                "large: its 4th power overflows") in err
+        assert not out.exists()
+
     def test_seed_override_changes_bathymetry(self, tmp_path):
         doc = {"environment": {"bathymetry": {"zeta_max": 5.0,
                                               "hill_spacing": 100.0,
@@ -117,6 +145,11 @@ class TestTables:
         assert main(["spectrum", "--wind-speed", "10", "--samples", "8",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("k,S\n")
+
+    def test_spectrum_rejects_overflowing_wind_speed(self, capsys):
+        assert main(["spectrum", "--wind-speed", "1e100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: wind_speed 1e+100 is too large")
 
     def test_bathymetry_stdout(self, capsys):
         assert main(["bathymetry", "--length", "100", "--dx", "10"]) == 0
@@ -205,10 +238,30 @@ class TestNonFinite:
             assert products[product]["status"] == "skipped"
             assert "not finite at t=0.0" in products[product]["reason"]
 
-    def test_underflowing_wave_numbers_skip_the_spectrum(self, tmp_path,
-                                                         capsys):
+    def test_underflowing_wave_numbers_give_zero_density(self, tmp_path,
+                                                        capsys):
+        # k^3 underflows to 0, but so does the exponential factor: the
+        # density is 0, not inf * 0
         doc = {"environment": {"surface_spectrum": {"wind_speed": 10.0,
                                                     "k_min": 1e-200}},
+               "outputs": ["spectrum"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 0
+        spectrum = strict_json(out / "result.json")["products"]["spectrum"]
+        assert spectrum["status"] == "computed"
+        rows = (out / "spectrum.csv").read_text().splitlines()
+        assert rows[1] == "9.9999999999999998e-201,0"
+        # the table command writes the same bytes
+        table = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--wind-speed", "10", "--k-min", "1e-200",
+                     "--out", str(table)]) == 0
+        assert table.read_bytes() == (out / "spectrum.csv").read_bytes()
+
+    def test_overflowing_density_skips_the_spectrum(self, tmp_path, capsys):
+        # alpha / 2k^3 overflows where the exponential factor is still 1
+        doc = {"environment": {"surface_spectrum": {"wind_speed": 1e60,
+                                                    "k_min": 1e-105}},
                "outputs": ["spectrum"]}
         out = tmp_path / "out"
         assert main(["simulate", str(write_config(tmp_path, doc)),
@@ -216,13 +269,13 @@ class TestNonFinite:
         assert [p.name for p in out.iterdir()] == ["result.json"]
         spectrum = strict_json(out / "result.json")["products"]["spectrum"]
         assert spectrum["status"] == "skipped"
-        assert "not finite at k=1e-200" in spectrum["reason"]
+        assert "not finite at k=1e-105" in spectrum["reason"]
         # the table command refuses the same spectrum
         table = tmp_path / "spectrum.csv"
-        assert main(["spectrum", "--wind-speed", "10", "--k-min", "1e-200",
+        assert main(["spectrum", "--wind-speed", "1e60", "--k-min", "1e-105",
                      "--out", str(table)]) == 2
         assert not table.exists()
-        assert "not finite at k=1e-200" in capsys.readouterr().err
+        assert "not finite at k=1e-105" in capsys.readouterr().err
 
     def test_envelope_command_stops_before_non_finite_point(self, tmp_path,
                                                             capsys):
@@ -239,6 +292,16 @@ class TestNonFinite:
         assert len(lines) == 1 + 99
         assert float(lines[-1].split(",")[0]) == pytest.approx(-0.015)
         assert all("inf" not in line and "nan" not in line for line in lines)
+
+    def test_transition_command_rejects_non_finite_point(self, tmp_path,
+                                                         capsys):
+        cfg = write_config(tmp_path, {})
+        assert main(["transition", str(cfg), "--em", "1e308", "--delta",
+                     "0.3", "--tau", "1", "--t", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("transition undefined: transition is not "
+                                "finite at t=1.5\n")
 
 
 class TestTransitionCommand:

@@ -81,6 +81,17 @@ class TestSpectrum:
             SurfaceSpectrumParams(wind_speed=10.0, alpha=-1.0)
         with pytest.raises(ValueError):
             SurfaceSpectrumParams(wind_speed=10.0, gravity=0.0)
+        SurfaceSpectrumParams(wind_speed=1e77)
+        with pytest.raises(ValueError, match="4th power overflows"):
+            SurfaceSpectrumParams(wind_speed=1e78)
+
+    def test_underflowing_factor_gives_zero(self):
+        # at k = 1e-200, 2 k^3 underflows to 0 together with the
+        # exponential factor; at k = 1e-105, alpha / 2 k^3 overflows
+        p = SurfaceSpectrumParams(wind_speed=10.0)
+        assert surface_psd(p, 1e-200) == 0.0
+        np.testing.assert_array_equal(
+            surface_psd(p, np.array([1e-200, 1e-105, 1e-3])), np.zeros(3))
 
     def test_defaults(self):
         p = SurfaceSpectrumParams(wind_speed=7.0)

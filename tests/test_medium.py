@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from milnesea.errors import InvalidProfileError
-from milnesea.medium import (CoefficientProfile, MediumSpec, beta_at,
-                             omega_at, validate_asymptotics)
+from milnesea.medium import (CoefficientProfile, MediumSpec,
+                             validate_asymptotics)
 
 EXP_HALF = 0.6065306597126334      # exp(-1/2)
 SECH2_1 = 0.41997434161402614      # 1 / cosh(1)^2
@@ -60,25 +60,34 @@ class TestProfiles:
 
 
 class TestCoefficientAccess:
+    # the ranges are proven when the medium is built; omega(t) and beta(t)
+    # only evaluate the profiles
     def test_omega_positive_ok(self):
-        prof = gaussian(amplitude=-0.5)
-        assert omega_at(prof, 10.0) == 0.5
+        med = MediumSpec(gaussian(amplitude=-0.5),
+                         CoefficientProfile(kind="constant", base=0.0))
+        assert med.omega(10.0) == 0.5
 
     def test_omega_rejects_nonpositive(self):
-        prof = gaussian(amplitude=-1.5)
-        with pytest.raises(InvalidProfileError):
-            omega_at(prof, 10.0)
+        with pytest.raises(InvalidProfileError,
+                           match="omega profile dips to -0.5"):
+            MediumSpec(gaussian(amplitude=-1.5),
+                       CoefficientProfile(kind="constant", base=0.0))
 
     def test_beta_rejects_negative(self):
-        prof = gaussian(base=0.1, amplitude=-0.5)
-        with pytest.raises(InvalidProfileError):
-            beta_at(prof, 10.0)
-        # fine in the tails where the dip has decayed
-        assert beta_at(prof, 30.0) == pytest.approx(0.1)
+        one = CoefficientProfile(kind="constant", base=1.0)
+        with pytest.raises(InvalidProfileError,
+                           match="beta profile dips to -0.4"):
+            MediumSpec(one, gaussian(base=0.1, amplitude=-0.5))
+        # a dip that just touches zero is fine, and decays in the tails
+        med = MediumSpec(one, gaussian(base=0.1, amplitude=-0.1))
+        assert med.beta(10.0) == 0.0
+        assert med.beta(30.0) == pytest.approx(0.1)
 
     def test_array_access(self):
-        prof = CoefficientProfile(kind="constant", base=2.0)
-        np.testing.assert_array_equal(omega_at(prof, np.zeros(3)),
+        med = MediumSpec(CoefficientProfile(kind="constant", base=1.0),
+                         CoefficientProfile(kind="constant", base=2.0))
+        np.testing.assert_array_equal(med.omega(np.zeros(3)), np.ones(3))
+        np.testing.assert_array_equal(med.beta(np.zeros(3)),
                                       np.full(3, 2.0))
 
 
