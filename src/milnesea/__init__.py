@@ -33,7 +33,7 @@ from .scenario import (ScenarioConfig, ScenarioResult, config_to_dict,
 from .solver import (Trajectory, integrate_adaptive, integrate_fixed)
 from .transition import (FormComparison, RotationMatrix, TransitionMatrix,
                          compare_forms, composed_from_q, expanded_from_q,
-                         rotation, transition_composed, transition_expanded)
+                         rotation)
 
 __version__ = "0.1.0"
 

@@ -21,15 +21,17 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .environment import (BathymetrySpec, SurfaceSpectrumParams,
                           bathymetry_profile, surface_psd_series)
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError
 from .milne import envelope_q
-from .scenario import (PRODUCTS, DynamicalParams, config_to_dict, csv_text,
-                       export_csv, export_json, finite_point, grid_sweep,
-                       load_config, run_scenario, spectrum_problem,
-                       transition_sample)
+from .scenario import (PRODUCTS, config_to_dict, csv_text, export_csv,
+                       export_json, grid_sweep, load_config, output_grid,
+                       run_scenario, spectrum_problem)
+from .transition import compare_forms
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,9 +146,10 @@ def _cmd_bathymetry(args) -> int:
 
 def _cmd_envelope(args) -> int:
     config = _load(args.config)
-    samples, error = grid_sweep(config, "envelope", lambda t: envelope_q(
-        args.em, args.tau, config.signal, config.medium, t))
-    _emit(csv_text("envelope", samples), args.out)
+    envelope, error = grid_sweep("envelope", lambda t: envelope_q(
+        args.em, args.tau, config.signal, config.medium, t),
+        output_grid(config))
+    _emit(csv_text("envelope", envelope), args.out)
     if error is not None:
         print(f"envelope sweep stopped: {error}", file=sys.stderr)
         return 2
@@ -155,19 +158,17 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_transition(args) -> int:
     config = _load(args.config)
-    params = DynamicalParams(args.em, args.delta, args.tau)
-    try:
-        sample = finite_point("transition", lambda t: transition_sample(
-            params, config, t), args.t)
-    except SingularityError as exc:
-        print(f"transition undefined: {exc}", file=sys.stderr)
+    cmp, error = grid_sweep("transition", lambda t: compare_forms(
+        args.em, args.delta, args.tau, config.signal, config.medium, t),
+        np.array([args.t]))
+    if error is not None:
+        print(f"transition undefined: {error}", file=sys.stderr)
         return 2
-    for mat in (sample.composed, sample.expanded):
-        m = mat.entries
+    for mat in (cmp.composed, cmp.expanded):
         print(f"{mat.provenance}:")
-        print(f"  [{m[0, 0]:+.12e}  {m[0, 1]:+.12e}]")
-        print(f"  [{m[1, 0]:+.12e}  {m[1, 1]:+.12e}]")
-    print(f"max entry gap: {sample.discrepancy:.12e}")
+        for a, b in mat.entries[0]:
+            print(f"  [{a:+.12e}  {b:+.12e}]")
+    print(f"max entry gap: {cmp.discrepancy[0]:.12e}")
     return 0
 
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .solver import check_sample_budget, grid_points
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,19 @@ class SpectrumSeries(NamedTuple):
     density: np.ndarray
 
 
+def check_spectrum_grid(k_min: float, k_max: float, samples: int) -> None:
+    """Reject a wave-number grid surface_psd_series cannot sample."""
+    if not 0 < k_min < k_max:
+        raise ValueError(f"need 0 < k_min ({k_min}) < k_max ({k_max})")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    check_sample_budget(samples)
+
+
 def surface_psd_series(params: SurfaceSpectrumParams, k_min: float = 1e-3,
                        k_max: float = 10.0, samples: int = 512) -> SpectrumSeries:
     """Sample the spectrum on a log-spaced wave-number grid."""
-    if not 0 < k_min < k_max:
-        raise ValueError("need 0 < k_min < k_max")
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    check_spectrum_grid(k_min, k_max, samples)
     k = np.logspace(math.log10(k_min), math.log10(k_max), samples)
     return SpectrumSeries(k, surface_psd(params, k))
 
@@ -105,14 +112,12 @@ class BathymetrySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.zeta_max > 0:
-            raise ValueError("zeta_max must be positive")
-        if not self.hill_spacing > 0:
-            raise ValueError("hill_spacing must be positive")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
+        for name in ("zeta_max", "hill_spacing", "dx"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not self.length >= self.dx:
             raise ValueError("length must cover at least one sample step")
+        check_sample_budget(grid_points(self.length, self.dx))
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
@@ -147,10 +152,7 @@ def bathymetry_profile(spec: BathymetrySpec) -> BathymetryProfile:
     elevations sit in [0, zeta_max] and vanish exactly at hill
     boundaries x = n * hill_spacing.
     """
-    # tolerance-floored so an endpoint that divides evenly in exact
-    # arithmetic is kept even when length/dx lands just under an integer
-    n = int(math.floor(spec.length / spec.dx + 1e-9))
-    x = spec.dx * np.arange(n + 1)
+    x = spec.dx * np.arange(grid_points(spec.length, spec.dx))
     s = x / spec.hill_spacing
     index = np.floor(s).astype(int)
     frac = s - index

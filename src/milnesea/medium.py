@@ -71,8 +71,10 @@ class CoefficientProfile:
             z = (t - self.center) / self.width
             out = self.base + self.amplitude * np.exp(-0.5 * z * z)
         elif self.kind == SECH2_BUMP:
-            z = (t - self.center) / self.width
-            out = self.base + self.amplitude / np.cosh(z) ** 2
+            # c * c rounds scalar and array t alike; inf far out gives base
+            with np.errstate(over="ignore"):
+                c = np.cosh((t - self.center) / self.width)
+                out = self.base + self.amplitude / (c * c)
         else:
             ts, vs = np.array(self.table).T
             # clamped: interpolation can round just past a knot value

@@ -39,12 +39,12 @@ class MilneState(NamedTuple):
 
 @dataclass(frozen=True)
 class EnvelopeSample:
-    """Envelope-square value at one time.
+    """Envelope-square values at the times ``t``, with ``t``'s shape.
 
     ``q_squared`` may come out positive or negative; ``magnitude`` is
     sqrt(|q_squared|) either way, and ``imaginary_branch`` records which
     side the sample is on (see envelope_q and eq14_amplitude for the two
-    polarity conventions in use).
+    polarity conventions in use). Scalar t gives Python floats and bools.
     """
 
     t: float
@@ -188,7 +188,7 @@ def milne_energy(state, spec: SignalSpec, medium: MediumSpec, t):
     return hamiltonian_density(state, spec, medium, t)
 
 
-def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t: float) -> float:
+def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t):
     """beta(t) c k + omega(t)^2 c t k, the stiffness the envelope divides by."""
     b = medium.beta(t)
     w = medium.omega(t)
@@ -196,31 +196,34 @@ def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t: float) -> floa
 
 
 def envelope_q(e_m: float, tau: float, spec: SignalSpec, medium: MediumSpec,
-               t: float) -> EnvelopeSample:
+               t) -> EnvelopeSample:
     """Envelope square 2 E_M cos(2t - tau) / (beta c k + omega^2 c t k).
 
-    The returned q_squared is the radicand of the envelope's square root.
-    The envelope itself carries a +-i prefactor, so a positive radicand
-    is the imaginary branch here: ``imaginary_branch`` is True when
-    q_squared > 0. Raises SingularityError where the denominator
-    vanishes.
+    Broadcasts over t. The returned q_squared is the radicand of the
+    envelope's square root. The envelope itself carries a +-i prefactor,
+    so a positive radicand is the imaginary branch here:
+    ``imaginary_branch`` is True when q_squared > 0. Raises
+    SingularityError at the first t where the denominator vanishes.
     """
+    t = np.asarray(t, dtype=float)
     den = envelope_denominator(spec, medium, t)
-    if den == 0.0:
+    zeros = np.flatnonzero(den == 0.0)
+    if zeros.size:
+        t0 = float(t.flat[zeros[0]])
         raise SingularityError(
-            f"envelope denominator vanishes at t={t!r}", t=float(t))
-    q2 = 2.0 * e_m * math.cos(2.0 * t - tau) / den
-    return EnvelopeSample(t=float(t), q_squared=float(q2),
-                          magnitude=math.sqrt(abs(q2)),
-                          imaginary_branch=bool(q2 > 0))
+            f"envelope denominator vanishes at t={t0!r}", t=t0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q2 = 2.0 * e_m * np.cos(2.0 * t - tau) / den
+    fields = (t, q2, np.sqrt(np.abs(q2)), q2 > 0)
+    return EnvelopeSample(*(f.item() if t.ndim == 0 else f for f in fields))
 
 
 def q_plus_minus_squared(e_m: float, tau: float, spec: SignalSpec,
-                         medium: MediumSpec, t: float) -> Tuple[float, float]:
+                         medium: MediumSpec, t) -> Tuple[float, float]:
     """The opposite-sign envelope-square pair (q_plus^2, q_minus^2).
 
     q_minus^2 is the envelope radicand, q_plus^2 its negation, so the two
-    always sum to exactly zero.
+    always sum to exactly zero. Broadcasts over t like envelope_q.
     """
     q_minus = envelope_q(e_m, tau, spec, medium, t).q_squared
     return -q_minus, q_minus

@@ -39,15 +39,15 @@ from . import solver
 from .acoustic_signal import SignalSpec
 from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           SurfaceSpectrumParams, bathymetry_profile,
-                          surface_psd_series)
+                          check_spectrum_grid, surface_psd_series)
 from .errors import ConfigError, InsufficientDataError, NotComputedError, \
     SingularityError
 from .medium import (_BUMP_KINDS, CONSTANT, TABLE, CoefficientProfile,
                      MediumSpec)
-from .milne import (MilneState, SignalSummary, envelope_q,
+from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     estimate_period_phase, integrate_milne, milne_energy)
-from .solver import Trajectory
-from .transition import TransitionMatrix, compare_forms
+from .solver import Trajectory, check_sample_budget, grid_points
+from .transition import COMPOSED, EXPANDED, FormComparison, compare_forms
 
 class DynamicalParams(NamedTuple):
     e_m: float
@@ -75,7 +75,6 @@ class BathymetryRequest:
         # the spec's range checks; the seed may still come from the scenario
         BathymetrySpec(self.zeta_max, self.hill_spacing, self.length,
                        self.dx, self.seed or 0)
-        _within_budget(_grid_points(self.length, self.dx))
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,6 @@ class ScenarioConfig:
     outputs: Tuple[str, ...]
 
 
-class TransitionSample(NamedTuple):
-    t: float
-    composed: TransitionMatrix
-    expanded: TransitionMatrix
-    discrepancy: float
-
-
 @dataclass
 class ScenarioResult:
     """Everything one run produced, plus skip records for what it could not."""
@@ -113,14 +105,11 @@ class ScenarioResult:
     requested: Tuple[str, ...]
     trajectory: Optional[Trajectory] = None
     summary: Optional[SignalSummary] = None
-    envelope: Optional[list] = None
-    transition_samples: Optional[list] = None
+    envelope: Optional[EnvelopeSample] = None
+    transition: Optional[FormComparison] = None
     spectrum: Optional[SpectrumSeries] = None
     bathymetry: Optional[BathymetryProfile] = None
     skips: dict = field(default_factory=dict)
-
-    def data_for(self, product: str):
-        return getattr(self, _TABLE[product].attr)
 
     def status_of(self, product: str) -> str:
         """'computed' or 'skipped' for a requested product."""
@@ -129,37 +118,49 @@ class ScenarioResult:
         return "skipped" if product in self.skips else "computed"
 
 
-# Every product's CSV layout, shared by export_csv, result_to_dict, the
-# grid sweep's finiteness check and the CLI's table commands: the
-# ScenarioResult attribute holding the data, the CSV header, the
-# %-format of one line, data -> rows, and data -> row count. Rows are
-# generated one at a time and counted without being built.
-_Product = namedtuple("_Product", "attr header line rows count")
+# the numbers a swept product's CSV writes, as columns over its grid
+_WRITTEN = {"envelope": lambda e: (e.t, e.q_squared, e.magnitude),
+            "transition": lambda c: (c.composed.params[3], c.discrepancy,
+                                     c.composed.entries.reshape(-1, 4),
+                                     c.expanded.entries.reshape(-1, 4))}
+
+
+def _transition_rows(cmp: FormComparison):
+    """Two rows per grid time, the composed form's first."""
+    columns = (c.tolist() for c in _WRITTEN["transition"](cmp))
+    for t, gap, comp, expa in zip(*columns):
+        yield (t, *comp, COMPOSED, gap)
+        yield (t, *expa, EXPANDED, gap)
+
+
+# Every product's CSV layout, shared by export_csv, result_to_dict and the
+# CLI's table commands: the CSV header, the %-format of one line, data ->
+# rows, and data -> row count. A product's data is the ScenarioResult
+# attribute of its name; rows are zipped one at a time from its columns
+# (as lists: Python floats format faster) and counted without being built.
+_Product = namedtuple("_Product", "header line rows count")
 _TABLE = {
     "trajectory": _Product(
-        "trajectory", "t,p,p_dot", "%.17g,%.17g,%.17g",
+        "t,p,p_dot", "%.17g,%.17g,%.17g",
         lambda traj: zip(traj.times, *traj.states.T), len),
     "summary": _Product(
-        "summary", "e_m,tau,delta,e_m_bound_violated", "%.17g,%.17g,%.17g,%s",
+        "e_m,tau,delta,e_m_bound_violated", "%.17g,%.17g,%.17g,%s",
         lambda s: [(s.e_m, s.tau, s.delta,
                     str(s.e_m_bound_violated).lower())],
         lambda s: 1),
     "envelope": _Product(
-        "envelope", "t,q_squared,magnitude,imaginary_branch",
-        "%.17g,%.17g,%.17g,%s",
-        lambda samples: ((s.t, s.q_squared, s.magnitude,
-                          str(s.imaginary_branch).lower()) for s in samples),
-        len),
+        "t,q_squared,magnitude,imaginary_branch", "%.17g,%.17g,%.17g,%s",
+        lambda env: zip(*(c.tolist() for c in _WRITTEN["envelope"](env)),
+                        np.where(env.imaginary_branch, "true", "false")),
+        lambda env: len(env.t)),
     "transition": _Product(
-        "transition_samples", "t,m11,m12,m21,m22,provenance,discrepancy",
-        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g",
-        lambda samples: ((s.t, *m.entries.flat, m.provenance, s.discrepancy)
-                         for s in samples for m in (s.composed, s.expanded)),
-        lambda samples: 2 * len(samples)),
-    "spectrum": _Product("spectrum", "k,S", "%.17g,%.17g",
+        "t,m11,m12,m21,m22,provenance,discrepancy",
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g", _transition_rows,
+        lambda cmp: 2 * len(cmp.discrepancy)),
+    "spectrum": _Product("k,S", "%.17g,%.17g",
                          lambda sp: zip(sp.k, sp.density),
                          lambda sp: len(sp.k)),
-    "bathymetry": _Product("bathymetry", "x,zeta", "%.17g,%.17g",
+    "bathymetry": _Product("x,zeta", "%.17g,%.17g",
                            lambda b: zip(b.x, b.zeta), lambda b: len(b.x)),
 }
 PRODUCTS = tuple(_TABLE)
@@ -356,29 +357,10 @@ def _profile(medium: dict, path: str, problems: list,
     return values and _build(problems, path, CoefficientProfile, **values)
 
 
-def _grid_points(span: float, step: float):
-    """Points of the grid 0, step, 2 step, ... <= span (inf if unbounded)."""
-    # the tolerance keeps an endpoint that divides evenly in exact arithmetic
-    n = span / step + 1e-9
-    return math.floor(n) + 1 if math.isfinite(n) else math.inf
-
-
-def _within_budget(samples):
-    # the adaptive solver's step limit also caps every sample count a
-    # config asks for, so nothing oversized is allocated at run time
-    if samples > solver.DEFAULT_MAX_STEPS:
-        raise ValueError(f"{samples} samples exceed the sample budget of "
-                         f"{solver.DEFAULT_MAX_STEPS}")
-
-
 def _spectrum_request(wind_speed, alpha, beta, gravity, k_min, k_max,
                       samples) -> SpectrumRequest:
     params = SurfaceSpectrumParams(wind_speed, alpha, beta, gravity)
-    if not 0 < k_min < k_max:
-        raise ValueError(f"need 0 < k_min ({k_min}) < k_max ({k_max})")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    _within_budget(samples)
+    check_spectrum_grid(k_min, k_max, samples)
     return SpectrumRequest(params, k_min, k_max, samples)
 
 
@@ -442,7 +424,8 @@ def load_config(text: str) -> ScenarioConfig:
         # a fixed run records every step, finer than the output grid
         step = (run["dt"] if run["method"] == "fixed"
                 else stride * solver.DEFAULT_DT)
-        _build(problems, "time", _within_budget, _grid_points(t1 - t0, step))
+        _build(problems, "time", check_sample_budget,
+               grid_points(t1 - t0, step))
 
     ic = _optional(raw, "initial_condition", problems, MilneState)
     dyn = _optional(raw, "dynamical_params", problems, DynamicalParams)
@@ -538,40 +521,33 @@ def _estimation_window(medium: MediumSpec, t0: float,
     return (start, t1) if start > t0 else None
 
 
-def grid_sweep(config: ScenarioConfig, product: str, point):
-    """point(t) at t0, t0 + h, ... <= t1, up to the first bad time.
-
-    h is `stride` solver steps (the default dt for the adaptive solver).
-    A time is bad where point raises SingularityError or returns a sample
-    that `product`'s CSV would write with a non-finite number. Returns the
-    samples before it and its SingularityError (None if there is none).
-    """
+def output_grid(config: ScenarioConfig) -> np.ndarray:
+    """t0, t0 + h, ... <= t1; h is `stride` steps (adaptive: of default dt)."""
     base = config.dt if config.method == "fixed" else solver.DEFAULT_DT
     h = config.stride * base
-    grid = config.t0 + h * np.arange(_grid_points(config.t1 - config.t0, h))
-    samples = []
-    for t in grid.tolist():
-        try:
-            samples.append(finite_point(product, point, t))
-        except SingularityError as exc:
-            return samples, exc
-    return samples, None
+    return config.t0 + h * np.arange(grid_points(config.t1 - config.t0, h))
 
 
-def finite_point(product: str, point, t: float):
-    """point(t); SingularityError where `product`'s CSV would be non-finite."""
-    sample = point(t)
-    if not all(math.isfinite(v) for row in _TABLE[product].rows((sample,))
-               for v in row if not isinstance(v, str)):
-        raise SingularityError(f"{product} is not finite at t={t!r}", t=t)
-    return sample
+def grid_sweep(product: str, point, grid: np.ndarray):
+    """point(grid) in one call, cut before the first bad time.
 
-
-def transition_sample(params: DynamicalParams, config: ScenarioConfig,
-                      t: float) -> TransitionSample:
-    cmp = compare_forms(params.e_m, params.delta, params.tau, config.signal,
-                        config.medium, t)
-    return TransitionSample(t, cmp.composed, cmp.expanded, cmp.discrepancy)
+    A time is bad where point raises SingularityError or `product`'s CSV
+    would write a non-finite number. Returns point of the times before it
+    and that time's SingularityError (None if there is none).
+    """
+    error = None
+    try:
+        data = point(grid)
+    except SingularityError as exc:
+        error, grid = exc, grid[:np.searchsorted(grid, exc.t)]
+        data = point(grid)
+    finite = np.isfinite(np.column_stack(_WRITTEN[product](data))).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        t = float(grid[i])
+        error = SingularityError(f"{product} is not finite at t={t!r}", t=t)
+        data = point(grid[:i])
+    return data, error
 
 
 def spectrum_problem(series: SpectrumSeries) -> Optional[str]:
@@ -637,16 +613,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     sweeps = {
         "envelope": lambda t: envelope_q(params.e_m, params.tau,
                                          config.signal, config.medium, t),
-        "transition": lambda t: transition_sample(params, config, t),
+        "transition": lambda t: compare_forms(
+            params.e_m, params.delta, params.tau, config.signal,
+            config.medium, t),
     }
     for product, point in sweeps.items():
         if product not in requested:
             continue
-        samples, error = None, params_skip_reason
+        data, error = None, params_skip_reason
         if params is not None:
-            samples, error = grid_sweep(config, product, point)
+            data, error = grid_sweep(product, point, output_grid(config))
         if error is None:
-            setattr(result, _TABLE[product].attr, samples)
+            setattr(result, product, data)
         else:
             result.skips[product] = str(error)
 
@@ -696,7 +674,7 @@ def export_csv(result: ScenarioResult, product: str, destination) -> Path:
     """
     _require_product(result, product)
     path = Path(destination)
-    path.write_text(csv_text(product, result.data_for(product)))
+    path.write_text(csv_text(product, getattr(result, product)))
     return path
 
 
@@ -710,7 +688,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
         else:
             products[name] = {"status": "computed",
                               "rows": _TABLE[name].count(
-                                  result.data_for(name))}
+                                  getattr(result, name))}
     doc = {
         "schema_version": "1",
         "config": config_to_dict(result.config),

@@ -19,6 +19,7 @@ exception. Callers inspect ``Trajectory.status``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +35,19 @@ DEFAULT_ATOL = 1e-12
 DEFAULT_MAX_STEPS = 10_000_000
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
+
+
+def grid_points(span: float, step: float):
+    """Points of the grid 0, step, 2 step, ... <= span (inf if unbounded)."""
+    n = span / step + 1e-9  # keeps an endpoint that divides evenly
+    return math.floor(n) + 1 if math.isfinite(n) else math.inf
+
+
+def check_sample_budget(samples) -> None:
+    """Reject more than DEFAULT_MAX_STEPS samples; call before allocating."""
+    if samples > DEFAULT_MAX_STEPS:
+        raise ValueError(f"{samples} samples exceed the sample budget of "
+                         f"{DEFAULT_MAX_STEPS}")
 
 
 @dataclass

@@ -9,6 +9,7 @@ Two closed forms are provided for the transition matrix:
 The two are NOT algebraically equal and are deliberately kept as written;
 ``compare_forms`` measures the gap between them entrywise so downstream
 users can see exactly how far apart they sit for given parameters.
+Both broadcast: envelope squares of shape S give matrices S + (2, 2).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ EXPANDED = "expanded"
 
 def _freeze(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
-    if arr.shape != (2, 2):
-        raise ValueError("entries must be 2x2")
+    if arr.shape[-2:] != (2, 2):
+        raise ValueError("entries must be 2x2 matrices")
     arr.setflags(write=False)
     return arr
 
@@ -53,7 +54,7 @@ class RotationMatrix:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """One evaluated transition matrix with its provenance.
+    """Transition matrices evaluated at one or more times, with provenance.
 
     ``provenance`` records which closed form produced the entries
     ("composed" or "expanded"); ``params`` is the evaluation point
@@ -78,7 +79,13 @@ def rotation(tau: float) -> RotationMatrix:
     return RotationMatrix(np.array([[c, -s], [s, c]]), tau)
 
 
-def composed_from_q(q_plus_sq: float, q_minus_sq: float, delta: float,
+def _matrices(m11, m12, m21, m22) -> np.ndarray:
+    """2x2 matrices from broadcastable entries: shape S + (2, 2)."""
+    entries = np.broadcast_arrays(m11, m12, m21, m22)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
+def composed_from_q(q_plus_sq, q_minus_sq, delta: float,
                     tau: float) -> np.ndarray:
     """Rotation-sandwich form D(tau) . K(2 delta) . D(tau).
 
@@ -91,43 +98,26 @@ def composed_from_q(q_plus_sq: float, q_minus_sq: float, delta: float,
     d = rotation(tau).entries
     c2 = math.cos(2.0 * delta)
     s2 = math.sin(2.0 * delta)
-    kernel = np.array([[c2, q_minus_sq * s2],
-                       [-q_plus_sq * s2, c2]])
+    kernel = _matrices(c2, q_minus_sq * s2, -q_plus_sq * s2, c2)
     return d @ kernel @ d
 
 
-def expanded_from_q(q_plus_sq: float, q_minus_sq: float, delta: float,
+def expanded_from_q(q_plus_sq, q_minus_sq, delta: float,
                     tau: float) -> np.ndarray:
     """Direct single-angle form of the transition matrix."""
     ct = math.cos(tau)
     st = math.sin(tau)
     cd = math.cos(delta)
     sd = math.sin(delta)
-    return np.array([
-        [ct * cd + q_minus_sq * st * sd, q_minus_sq * sd * ct - st * cd],
-        [st * cd - q_plus_sq * sd * ct, cd * ct + q_plus_sq * st * sd],
-    ])
-
-
-def transition_composed(e_m: float, delta: float, tau: float, spec: SignalSpec,
-                        medium: MediumSpec, t: float) -> TransitionMatrix:
-    """Composed-form transition matrix with envelope squares from the medium."""
-    qp, qm = q_plus_minus_squared(e_m, tau, spec, medium, t)
-    return TransitionMatrix(composed_from_q(qp, qm, delta, tau), COMPOSED,
-                            (e_m, delta, tau, t), rotation(tau))
-
-
-def transition_expanded(e_m: float, delta: float, tau: float, spec: SignalSpec,
-                        medium: MediumSpec, t: float) -> TransitionMatrix:
-    """Expanded-form transition matrix with envelope squares from the medium."""
-    qp, qm = q_plus_minus_squared(e_m, tau, spec, medium, t)
-    return TransitionMatrix(expanded_from_q(qp, qm, delta, tau), EXPANDED,
-                            (e_m, delta, tau, t), rotation(tau))
+    return _matrices(ct * cd + q_minus_sq * st * sd,
+                     q_minus_sq * sd * ct - st * cd,
+                     st * cd - q_plus_sq * sd * ct,
+                     cd * ct + q_plus_sq * st * sd)
 
 
 @dataclass(frozen=True)
 class FormComparison:
-    """Entrywise gap between the two transition-matrix forms."""
+    """Both transition-matrix forms and their entrywise gap per time."""
 
     discrepancy: float
     composed: TransitionMatrix
@@ -135,9 +125,18 @@ class FormComparison:
 
 
 def compare_forms(e_m: float, delta: float, tau: float, spec: SignalSpec,
-                  medium: MediumSpec, t: float) -> FormComparison:
-    """Evaluate both forms at the same point and report max |difference|."""
-    comp = transition_composed(e_m, delta, tau, spec, medium, t)
-    expa = transition_expanded(e_m, delta, tau, spec, medium, t)
-    gap = float(np.max(np.abs(comp.entries - expa.entries)))
-    return FormComparison(gap, comp, expa)
+                  medium: MediumSpec, t) -> FormComparison:
+    """Both forms at scalar or array t and their max |difference| per time.
+
+    The forms share one evaluation of the envelope squares; where those
+    overflow the entries come out non-finite, without a warning.
+    """
+    qp, qm = q_plus_minus_squared(e_m, tau, spec, medium, t)
+    params, outer = (e_m, delta, tau, t), rotation(tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = TransitionMatrix(composed_from_q(qp, qm, delta, tau), COMPOSED,
+                                params, outer)
+        expa = TransitionMatrix(expanded_from_q(qp, qm, delta, tau), EXPANDED,
+                                params, outer)
+        gap = np.max(np.abs(comp.entries - expa.entries), axis=(-2, -1))
+    return FormComparison(gap.item() if gap.ndim == 0 else gap, comp, expa)

@@ -151,6 +151,22 @@ class TestTables:
         err = capsys.readouterr().err
         assert err.startswith("error: wind_speed 1e+100 is too large")
 
+    def test_sample_budget_checked_before_allocating(self, capsys,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr("numpy.logspace", refuse)
+        monkeypatch.setattr("milnesea.cli.bathymetry_profile", refuse)
+        for argv in (["spectrum", "--wind-speed", "10",
+                      "--samples", "10000001"],
+                     ["bathymetry", "--length", "10000000", "--dx", "1"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: 10000001 samples exceed the "
+                                    "sample budget of 10000000\n")
+
     def test_bathymetry_stdout(self, capsys):
         assert main(["bathymetry", "--length", "100", "--dx", "10"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -221,7 +237,6 @@ class TestSharedRegistry:
                 (tmp_path / "sim" / f"{product}.csv").read_bytes(), product
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
 class TestNonFinite:
     def test_overflowing_energy_skips_envelope_and_transition(
             self, tmp_path, capsys):

@@ -8,10 +8,13 @@ import pytest
 
 from milnesea import default_config_path
 from milnesea.errors import ConfigError, NotComputedError
+from milnesea.milne import envelope_q
 from milnesea.scenario import (DynamicalParams, ScenarioResult, dumps_config,
-                               export_csv, export_json, load_config,
-                               result_to_dict, run_scenario)
+                               csv_text, export_csv, export_json, grid_sweep,
+                               load_config, output_grid, result_to_dict,
+                               run_scenario)
 from milnesea.solver import DEFAULT_DT, DEFAULT_MAX_STEPS, Trajectory
+from milnesea.transition import compare_forms
 
 
 def load(doc: dict):
@@ -322,12 +325,12 @@ class TestRun:
                                            oscillatory_result):
         for result in (blowup_result, oscillatory_result):
             for product in result.requested:
-                got = result.data_for(product)
+                got = getattr(result, product)
                 assert (got is not None) != (product in result.skips)
 
     def test_output_grid_spacing_fixed(self, oscillatory_result):
         result = oscillatory_result
-        ts = [s.t for s in result.envelope]
+        ts = result.envelope.t
         h = OSCILLATORY_DOC["time"]["stride"] * 1e-3
         assert ts[0] == pytest.approx(-60.0)
         np.testing.assert_allclose(np.diff(ts), h, rtol=1e-9)
@@ -340,16 +343,19 @@ class TestRun:
                    outputs=["envelope"])
         result = run_scenario(load(doc))
         assert result.trajectory is None
-        ts = [s.t for s in result.envelope]
+        ts = result.envelope.t
         np.testing.assert_allclose(np.diff(ts), 100 * DEFAULT_DT, rtol=1e-9)
 
     def test_transition_samples_carry_both_forms(self, oscillatory_result):
-        sample = oscillatory_result.transition_samples[0]
-        assert sample.composed.provenance == "composed"
-        assert sample.expanded.provenance == "expanded"
-        gap = np.max(np.abs(sample.composed.entries -
-                            sample.expanded.entries))
-        assert sample.discrepancy == gap
+        cmp = oscillatory_result.transition
+        assert cmp.composed.provenance == "composed"
+        assert cmp.expanded.provenance == "expanded"
+        n = len(oscillatory_result.envelope.t)
+        assert cmp.composed.entries.shape == cmp.expanded.entries.shape \
+            == (n, 2, 2)
+        gap = np.max(np.abs(cmp.composed.entries[0] -
+                            cmp.expanded.entries[0]))
+        assert cmp.discrepancy[0] == gap
 
     def test_environment_products(self):
         doc = {"environment": {
@@ -370,6 +376,110 @@ class TestRun:
                                       other.bathymetry.zeta)
 
 
+SWEPT_MEDIA = {
+    "gaussian-bump": {"omega": {"kind": "gaussian-bump", "base": 1.0,
+                                "amplitude": 0.5, "center": 1.2,
+                                "width": 0.3},
+                      "beta": {"kind": "constant", "base": 0.2}},
+    # narrow enough that cosh overflows on most of the grid
+    "sech2-bump": {"beta": {"kind": "sech2-bump", "base": 0.2,
+                            "amplitude": 0.3, "center": 1.0,
+                            "width": 0.002}},
+    "table": {"omega": {"kind": "table",
+                        "table": [[0.0, 1.0], [1.0, 1.5], [2.0, 0.8]]},
+              "beta": {"kind": "table", "table": [[0.0, 0.1], [3.0, 0.4]]}},
+}
+
+
+def point_of(product, config):
+    e_m, delta, tau = config.dynamical_params
+    if product == "envelope":
+        return lambda t: envelope_q(e_m, tau, config.signal, config.medium, t)
+    return lambda t: compare_forms(e_m, delta, tau, config.signal,
+                                   config.medium, t)
+
+
+def beta_zero_config(t0, dt, e_m):
+    # beta = 0 leaves the envelope denominator 148 t: zero at t = 0
+    return load({"medium": {"beta": {"kind": "constant", "base": 0.0}},
+                 "time": {"t0": t0, "t1": 1.0, "stride": 1},
+                 "solver": {"dt": dt},
+                 "dynamical_params": {"e_m": e_m, "delta": 0.3,
+                                      "tau": math.pi},
+                 "outputs": ["envelope", "transition"]})
+
+
+class TestArraySweep:
+    @pytest.mark.parametrize("medium", sorted(SWEPT_MEDIA))
+    def test_columns_equal_the_scalar_kernels(self, medium):
+        config = load({"medium": SWEPT_MEDIA[medium],
+                       "time": {"t0": 0.25, "t1": 2.75, "stride": 1},
+                       "dynamical_params": {"e_m": 1.3, "delta": 0.4,
+                                            "tau": 0.9},
+                       "outputs": ["envelope", "transition"]})
+        result = run_scenario(config)
+        assert not result.skips
+        env, cmp = result.envelope, result.transition
+        grid = output_grid(config)
+        assert len(grid) == 2501
+        np.testing.assert_array_equal(env.t, grid)
+        e_m, delta, tau = config.dynamical_params
+        for i, t in enumerate(grid.tolist()):
+            one = envelope_q(e_m, tau, config.signal, config.medium, t)
+            assert (env.t[i], env.q_squared[i], env.magnitude[i],
+                    env.imaginary_branch[i]) == (
+                one.t, one.q_squared, one.magnitude, one.imaginary_branch)
+            forms = compare_forms(e_m, delta, tau, config.signal,
+                                  config.medium, t)
+            assert cmp.composed.entries[i].tolist() == \
+                forms.composed.entries.tolist()
+            assert cmp.expanded.entries[i].tolist() == \
+                forms.expanded.entries.tolist()
+            assert cmp.discrepancy[i] == forms.discrepancy
+
+    @pytest.mark.parametrize("product", ["envelope", "transition"])
+    def test_zero_denominator_mid_grid(self, product):
+        config = beta_zero_config(-1.0, 0.125, 1.0)
+        grid = output_grid(config)
+        assert grid.tolist()[8] == 0.0
+        point = point_of(product, config)
+        data, error = grid_sweep(product, point, grid)
+        assert str(error) == "envelope denominator vanishes at t=0.0"
+        assert error.t == 0.0
+        # exactly the rows of the times before t = 0
+        lines = csv_text(product, data).splitlines()
+        assert lines == csv_text(product, point(grid[:8])).splitlines()
+        per_time = 1 if product == "envelope" else 2
+        assert [float(line.split(",")[0]) for line in lines[1:]] == \
+            np.repeat(grid[:8], per_time).tolist()
+        assert run_scenario(config).skips[product] == str(error)
+
+    @pytest.mark.parametrize("product", ["envelope", "transition"])
+    def test_first_of_two_bad_times_is_reported(self, product):
+        # the envelope square overflows on the grid times just before the
+        # zero of the denominator at t = 0; both products go non-finite
+        # where the square does
+        config = beta_zero_config(-1.0, 2.0 ** -10, 8.9e307)
+        grid = output_grid(config)
+        envelope = point_of("envelope", config)
+        first = next(t for t in grid.tolist()
+                     if not math.isfinite(envelope(t).q_squared))
+        assert -0.01 < first < 0.0
+        point = point_of(product, config)
+        data, error = grid_sweep(product, point, grid)
+        assert str(error) == f"{product} is not finite at t={first!r}"
+        assert error.t == first
+        n = int(np.searchsorted(grid, first))
+        text = csv_text(product, data)
+        assert text == csv_text(product, point(grid[:n]))
+        assert len(text.splitlines()) == 1 + n * (
+            1 if product == "envelope" else 2)
+        words = ("true", "false", "composed", "expanded")
+        assert all(math.isfinite(float(v)) for line in text.splitlines()[1:]
+                   for v in line.split(",") if v not in words)
+        assert run_scenario(config).skips[product] == str(error)
+
+
 class TestExports:
     def test_csv_products(self, tmp_path, oscillatory_result):
         result = oscillatory_result
@@ -385,7 +495,7 @@ class TestExports:
         assert tr[0] == "t,m11,m12,m21,m22,provenance,discrepancy"
         assert tr[1].split(",")[5] == "composed"
         assert tr[2].split(",")[5] == "expanded"
-        assert len(tr) == 1 + 2 * len(result.transition_samples)
+        assert len(tr) == 1 + 2 * len(result.transition.discrepancy)
 
     def test_csv_full_precision(self, tmp_path, oscillatory_result):
         result = oscillatory_result

@@ -10,8 +10,7 @@ from milnesea.medium import CoefficientProfile, MediumSpec
 from milnesea.milne import q_plus_minus_squared
 from milnesea.transition import (FormComparison, RotationMatrix,
                                  TransitionMatrix, compare_forms,
-                                 composed_from_q, expanded_from_q, rotation,
-                                 transition_composed, transition_expanded)
+                                 composed_from_q, expanded_from_q, rotation)
 
 ANGLES = [-3.0, -1.2, -0.3, 0.0, 0.4, 1.0, 2.7]
 
@@ -92,22 +91,38 @@ class TestExpandedRoute:
 
 class TestEnvelopeDriven:
     def test_wrappers_agree_with_direct_construction(self):
+        # compare_forms feeds the medium's envelope squares to both forms
         e_m, delta, tau, t = 1.0, 0.2, 0.3, 1.5
         qp, qm = q_plus_minus_squared(e_m, tau, SPEC, MEDIUM, t)
-        comp = transition_composed(e_m, delta, tau, SPEC, MEDIUM, t)
-        np.testing.assert_array_equal(comp.entries,
+        cmp = compare_forms(e_m, delta, tau, SPEC, MEDIUM, t)
+        np.testing.assert_array_equal(cmp.composed.entries,
                                       composed_from_q(qp, qm, delta, tau))
-        expa = transition_expanded(e_m, delta, tau, SPEC, MEDIUM, t)
-        np.testing.assert_array_equal(expa.entries,
+        np.testing.assert_array_equal(cmp.expanded.entries,
                                       expanded_from_q(qp, qm, delta, tau))
 
     def test_metadata_recorded(self):
-        m = transition_composed(1.0, 0.2, 0.9, SPEC, MEDIUM, 1.5)
-        assert m.provenance == "composed"
-        assert m.params == (1.0, 0.2, 0.9, 1.5)
-        assert m.rotation.angle == pytest.approx(0.9, rel=1e-12)
-        assert transition_expanded(1.0, 0.2, 0.9, SPEC, MEDIUM,
-                                   1.5).provenance == "expanded"
+        cmp = compare_forms(1.0, 0.2, 0.9, SPEC, MEDIUM, 1.5)
+        for m, provenance in ((cmp.composed, "composed"),
+                              (cmp.expanded, "expanded")):
+            assert m.provenance == provenance
+            assert m.params == (1.0, 0.2, 0.9, 1.5)
+            assert m.rotation.angle == pytest.approx(0.9, rel=1e-12)
+
+    def test_array_times_give_stacked_matrices(self):
+        # each time of an array evaluation is the scalar evaluation, bit
+        # for bit, and the forms stay apart
+        ts = np.array([[0.5, 1.5], [2.5, -3.0]])
+        cmp = compare_forms(1.0, 0.2, 0.9, SPEC, MEDIUM, ts)
+        assert cmp.composed.entries.shape == (2, 2, 2, 2)
+        assert cmp.discrepancy.shape == (2, 2)
+        for idx in np.ndindex(ts.shape):
+            one = compare_forms(1.0, 0.2, 0.9, SPEC, MEDIUM, float(ts[idx]))
+            np.testing.assert_array_equal(cmp.composed.entries[idx],
+                                          one.composed.entries)
+            np.testing.assert_array_equal(cmp.expanded.entries[idx],
+                                          one.expanded.entries)
+            assert cmp.discrepancy[idx] == one.discrepancy
+            assert one.discrepancy > 0
 
 
 class TestFormDiscrepancy:
@@ -133,9 +148,13 @@ class TestContainers:
         m = rotation(0.3)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
-        t = transition_composed(1.0, 0.1, 0.2, SPEC, MEDIUM, 1.0)
+        cmp = compare_forms(1.0, 0.1, 0.2, SPEC, MEDIUM, 1.0)
+        for t in (cmp.composed, cmp.expanded):
+            with pytest.raises(ValueError):
+                t.entries[1, 1] = 0.0
+        stacked = compare_forms(1.0, 0.1, 0.2, SPEC, MEDIUM, np.ones(3))
         with pytest.raises(ValueError):
-            t.entries[1, 1] = 0.0
+            stacked.composed.entries[2, 1, 1] = 0.0
 
     def test_bad_provenance_rejected(self):
         with pytest.raises(ValueError):
