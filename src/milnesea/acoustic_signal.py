@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_REL = 1e-12
-
 # Courant number for the space-time residual stencil below. Deliberate:
 # at exactly 1.0 the discrete operator annihilates travelling waves
 # (zero residual up to roundoff, so nothing converges), while small
@@ -33,59 +31,48 @@ _RESIDUAL_COURANT = 0.9
 class SignalSpec:
     """Parameters of a monochromatic travelling wave.
 
-    All five fields are stored; the redundancy is checked rather than
-    trusted (angular_frequency = sound_speed * wave_number and
-    wavelength = 2 pi / wave_number to 1e-12 relative). Build instances
-    through the classmethods, which compute the dependent fields.
+    Stores amplitude, sound speed and wave number; the angular frequency
+    (sound_speed * wave_number) and the wavelength (2 pi / wave_number)
+    are derived from them. The classmethods build an instance from any
+    one of the three wave parameters.
     """
 
     amplitude: float
     sound_speed: float
     wave_number: float
-    angular_frequency: float
-    wavelength: float
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
-        if not self.sound_speed > 0:
-            raise ValueError("sound_speed must be positive")
-        if not self.wave_number > 0:
-            raise ValueError("wave_number must be positive")
-        w = self.sound_speed * self.wave_number
-        if abs(self.angular_frequency - w) > _REL * abs(w):
-            raise ValueError(
-                f"angular_frequency {self.angular_frequency} inconsistent with "
-                f"sound_speed * wave_number = {w}")
-        lam = 2.0 * math.pi / self.wave_number
-        if abs(self.wavelength - lam) > _REL * abs(lam):
-            raise ValueError(
-                f"wavelength {self.wavelength} inconsistent with "
-                f"2 pi / wave_number = {lam}")
+        for name in ("amplitude", "sound_speed", "wave_number"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
+    @property
+    def angular_frequency(self) -> float:
+        return self.sound_speed * self.wave_number
+
+    @property
+    def wavelength(self) -> float:
+        return 2.0 * math.pi / self.wave_number
 
     @classmethod
     def from_wave_number(cls, amplitude: float, sound_speed: float, wave_number: float):
-        # __post_init__ rejects a nonpositive wave number after checking
-        # amplitude and sound speed; only keep it from dividing by zero first
-        lam = 2.0 * math.pi / wave_number if wave_number > 0 else math.nan
-        return cls(amplitude, sound_speed, wave_number,
-                   sound_speed * wave_number, lam)
+        return cls(amplitude, sound_speed, wave_number)
 
     @classmethod
     def from_wavelength(cls, amplitude: float, sound_speed: float, wavelength: float):
         if not wavelength > 0:
             raise ValueError("wavelength must be positive")
-        k = 2.0 * math.pi / wavelength
-        return cls(amplitude, sound_speed, k, sound_speed * k, wavelength)
+        return cls(amplitude, sound_speed, 2.0 * math.pi / wavelength)
 
     @classmethod
     def from_angular_frequency(cls, amplitude: float, sound_speed: float,
                                angular_frequency: float):
         if not angular_frequency > 0:
             raise ValueError("angular_frequency must be positive")
-        # as in from_wave_number, a zero sound speed is left to __post_init__
+        # __post_init__ rejects a zero sound speed; only keep it from
+        # dividing by zero first
         k = angular_frequency / sound_speed if sound_speed > 0 else math.nan
-        return cls(amplitude, sound_speed, k, angular_frequency, 2.0 * math.pi / k)
+        return cls(amplitude, sound_speed, k)
 
 
 def pressure_at(spec: SignalSpec, x, t):

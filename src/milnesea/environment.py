@@ -24,6 +24,16 @@ from .errors import DomainError
 from .solver import check_sample_budget, grid_points
 
 
+def _check_positive_finite(params, names) -> None:
+    """Reject a named field of params that is not a positive finite number."""
+    for name in names:
+        value = getattr(params, name)
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SurfaceSpectrumParams:
     """Constants of the wind-wave spectrum.
@@ -40,9 +50,7 @@ class SurfaceSpectrumParams:
     gravity: float = 9.82
 
     def __post_init__(self):
-        for name in ("wind_speed", "alpha", "beta", "gravity"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _check_positive_finite(self, ("wind_speed", "alpha", "beta", "gravity"))
         try:
             float(self.wind_speed) ** 4
         except OverflowError:
@@ -82,6 +90,8 @@ def check_spectrum_grid(k_min: float, k_max: float, samples: int) -> None:
     """Reject a wave-number grid surface_psd_series cannot sample."""
     if not 0 < k_min < k_max:
         raise ValueError(f"need 0 < k_min ({k_min}) < k_max ({k_max})")
+    if not math.isfinite(k_max):
+        raise ValueError(f"k_max must be finite, got {k_max}")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     check_sample_budget(samples)
@@ -112,9 +122,7 @@ class BathymetrySpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("zeta_max", "hill_spacing", "dx"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _check_positive_finite(self, ("zeta_max", "hill_spacing", "dx"))
         if not self.length >= self.dx:
             raise ValueError("length must cover at least one sample step")
         check_sample_budget(grid_points(self.length, self.dx))

@@ -83,17 +83,12 @@ def _wrap_angle(a: float) -> float:
     return w
 
 
-def _ck(spec: SignalSpec) -> float:
-    return spec.sound_speed * spec.wave_number
-
-
 def milne_rhs(state, spec: SignalSpec, medium: MediumSpec, t: float) -> np.ndarray:
     """Right-hand side (p', p'') of the pressure equation."""
     p, pd = state[0], state[1]
     b = medium.beta(t)
     w = medium.omega(t)
-    ck = _ck(spec)
-    pdd = (p * pd * pd - b * pd + b * ck * p
+    pdd = (p * pd * pd - b * pd + b * spec.angular_frequency * p
            + w * w * spec.sound_speed * t * spec.wave_number * p)
     return np.array([pd, pdd])
 
@@ -111,12 +106,11 @@ def eq9_residual(p: float, p_dot: float, p_ddot: float, spec: SignalSpec,
         raise DomainError(f"|p|={abs(p)} exceeds amplitude {a}")
     b = medium.beta(t)
     w = medium.omega(t)
-    ck = _ck(spec)
     a2 = a * a
     return (p_ddot * p * p / a2
             - p * p_dot * p_dot
             + b * p_dot * p * p / a2
-            - b * ck * p
+            - b * spec.angular_frequency * p
             - w * w * p * math.acos(p / a)
             - w * w * spec.sound_speed * t * spec.wave_number * p)
 
@@ -126,9 +120,7 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
                     dt: float = solver.DEFAULT_DT,
                     rtol: float = solver.DEFAULT_RTOL,
                     atol: float = solver.DEFAULT_ATOL,
-                    blowup_threshold: Optional[float] = None,
-                    t_eval=None,
-                    max_steps: int = solver.DEFAULT_MAX_STEPS) -> Trajectory:
+                    blowup_threshold: Optional[float] = None) -> Trajectory:
     """Integrate the pressure equation over t_span.
 
     The default initial condition is the wave crest at rest,
@@ -147,7 +139,6 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
                                blowup_threshold=blowup_threshold)
     if method == "adaptive":
         return integrate_adaptive(rhs, ic, t_span, rtol=rtol, atol=atol,
-                                  t_eval=t_eval, max_steps=max_steps,
                                   blowup_threshold=blowup_threshold)
     raise ValueError(f"unknown method {method!r}; use 'fixed' or 'adaptive'")
 
@@ -155,8 +146,7 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
 def _potential(p, spec: SignalSpec, medium: MediumSpec, t):
     b = medium.beta(t)
     w = medium.omega(t)
-    ck = _ck(spec)
-    return (0.5 * b * ck * p * p
+    return (0.5 * b * spec.angular_frequency * p * p
             + 0.5 * w * w * spec.sound_speed * t * spec.wave_number * p * p)
 
 
@@ -192,7 +182,8 @@ def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t):
     """beta(t) c k + omega(t)^2 c t k, the stiffness the envelope divides by."""
     b = medium.beta(t)
     w = medium.omega(t)
-    return b * _ck(spec) + w * w * spec.sound_speed * t * spec.wave_number
+    return (b * spec.angular_frequency
+            + w * w * spec.sound_speed * t * spec.wave_number)
 
 
 def envelope_q(e_m: float, tau: float, spec: SignalSpec, medium: MediumSpec,

@@ -394,12 +394,8 @@ def load_config(text: str) -> ScenarioConfig:
                         f"wavelength, angular_frequency (got {got})")
     else:
         key = given[0] if given else "wave_number"
-        spec = _build(problems, "signal", getattr(SignalSpec, f"from_{key}"),
-                      sig["amplitude"], sig["sound_speed"], sig[key])
-        # the echo stores only the wave number; rebuilding from it makes
-        # the echo load back bit for bit
-        signal = spec and SignalSpec.from_wave_number(
-            spec.amplitude, spec.sound_speed, spec.wave_number)
+        signal = _build(problems, "signal", getattr(SignalSpec, f"from_{key}"),
+                        sig["amplitude"], sig["sound_speed"], sig[key])
 
     # the medium shares the signal's sound speed; configuring it twice
     # would only invite contradictions
@@ -420,12 +416,16 @@ def load_config(text: str) -> ScenarioConfig:
         problems.append(f"time.stride: must be >= 1, got {stride}")
 
     run = _read(_block(raw, "solver", problems) or {}, "solver", problems)
-    if run is not None and run["dt"] > 0 and t1 > t0 and stride >= 1:
-        # a fixed run records every step, finer than the output grid
-        step = (run["dt"] if run["method"] == "fixed"
-                else stride * solver.DEFAULT_DT)
-        _build(problems, "time", check_sample_budget,
-               grid_points(t1 - t0, step))
+    if run is not None and run["dt"] > 0 and stride >= 1:
+        h = _output_step(run["method"], run["dt"], stride)
+        if not math.isfinite(h):
+            problems.append("time.stride: too large, the output step "
+                            "overflows a float")
+        elif t1 > t0:
+            # a fixed run records every step, finer than the output grid
+            step = run["dt"] if run["method"] == "fixed" else h
+            _build(problems, "time", check_sample_budget,
+                   grid_points(t1 - t0, step))
 
     ic = _optional(raw, "initial_condition", problems, MilneState)
     dyn = _optional(raw, "dynamical_params", problems, DynamicalParams)
@@ -521,10 +521,18 @@ def _estimation_window(medium: MediumSpec, t0: float,
     return (start, t1) if start > t0 else None
 
 
+def _output_step(method: str, dt: float, stride: int) -> float:
+    """`stride` steps (adaptive: of default dt); inf where that overflows."""
+    base = dt if method == "fixed" else solver.DEFAULT_DT
+    try:
+        return stride * base
+    except OverflowError:  # the stride itself is beyond the float range
+        return math.inf
+
+
 def output_grid(config: ScenarioConfig) -> np.ndarray:
-    """t0, t0 + h, ... <= t1; h is `stride` steps (adaptive: of default dt)."""
-    base = config.dt if config.method == "fixed" else solver.DEFAULT_DT
-    h = config.stride * base
+    """t0, t0 + h, ... <= t1, h the output step."""
+    h = _output_step(config.method, config.dt, config.stride)
     return config.t0 + h * np.arange(grid_points(config.t1 - config.t0, h))
 
 

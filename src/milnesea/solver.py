@@ -5,7 +5,7 @@ y' = f(t, y). Two integrators are provided:
 
 * ``integrate_fixed``    classic fourth-order Runge-Kutta on a uniform grid,
 * ``integrate_adaptive`` embedded Dormand-Prince 5(4) pair with proportional
-  step control and cubic Hermite dense output.
+  step control, recording every accepted step.
 
 They are deliberately independent code paths: the adaptive integrator acts
 as the accuracy oracle for the fixed one in the test suite, so neither may
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -194,16 +194,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _hermite(t, y0, f0, t1, y1, f1, s):
-    """Cubic Hermite interpolant over [t, t1] evaluated at s."""
-    h = t1 - t
-    theta = (s - t) / h
-    t2 = theta * theta
-    t3 = t2 * theta
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + theta) * h * f0
-            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * h * f1)
-
-
 def _initial_step(t0, t1, y0, f0, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
@@ -217,17 +207,13 @@ def _initial_step(t0, t1, y0, f0, rtol, atol):
 
 def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL,
-                       t_eval: Optional[Sequence[float]] = None,
                        max_steps: int = DEFAULT_MAX_STEPS,
                        blowup_threshold: Optional[float] = None) -> Trajectory:
     """Integrate y' = rhs(t, y) with an embedded Dormand-Prince 5(4) pair.
 
     Step sizes follow the standard proportional controller on the RMS of
-    the scaled local error estimate (scale = atol + rtol*|y|). Without
-    ``t_eval`` the accepted step points are recorded; with it, samples at
-    the requested times are produced by cubic Hermite interpolation over
-    each accepted step (exact at step endpoints). ``t_eval`` must be
-    increasing and lie inside ``t_span``.
+    the scaled local error estimate (scale = atol + rtol*|y|). The initial
+    point and every accepted step point are recorded.
 
     Aborts with ABORTED_BLOWUP when an accepted state exceeds the guard
     or the step size underflows near a finite-time singularity, and with
@@ -238,39 +224,16 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
 
-    eval_mode = t_eval is not None
-    if eval_mode:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval[0] < t0 or t_eval[-1] > t1):
-            raise ValueError("t_eval must lie within t_span")
-        if t_eval.size > 1 and not np.all(np.diff(t_eval) > 0):
-            raise ValueError("t_eval must be strictly increasing")
-
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    eval_idx = 0
-
-    def record_initial():
-        nonlocal eval_idx
-        if eval_mode:
-            if t_eval.size and t_eval[0] == t0:
-                times.append(t0)
-                states.append(y.copy())
-                eval_idx = 1
-        else:
-            times.append(t0)
-            states.append(y.copy())
-
-    def finish(status, message=None):
-        n = len(times)
-        arr_t = np.array(times) if n else np.empty(0)
-        arr_y = np.array(states) if n else np.empty((0, y.size))
-        return Trajectory(arr_t, arr_y, status, message)
-
     f = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):
-        return finish(ABORTED_BLOWUP, f"non-finite right-hand side at t={t0:.6g}")
-    record_initial()
+        return Trajectory(np.empty(0), np.empty((0, y.size)), ABORTED_BLOWUP,
+                          f"non-finite right-hand side at t={t0:.6g}")
+    times = [t0]
+    states = [y.copy()]
+
+    def finish(status, message=None):
+        return Trajectory(np.array(times), np.array(states), status, message)
+
     if np.max(np.abs(y)) > threshold:
         return finish(ABORTED_BLOWUP,
                       f"initial state already exceeds guard {threshold:g}")
@@ -317,15 +280,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
         t_new = t + h
         f_new = k[6]  # FSAL: already rhs(t_new, y_new)
-        if eval_mode:
-            while eval_idx < t_eval.size and t_eval[eval_idx] <= t_new:
-                s = t_eval[eval_idx]
-                times.append(float(s))
-                states.append(_hermite(t, y, k[0], t_new, y_new, f_new, s))
-                eval_idx += 1
-        else:
-            times.append(t_new)
-            states.append(y_new.copy())
+        times.append(t_new)
+        states.append(y_new.copy())
 
         if np.max(np.abs(y_new)) > threshold:
             return finish(ABORTED_BLOWUP,

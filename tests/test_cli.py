@@ -178,6 +178,29 @@ class TestTables:
         assert main(["bathymetry", "--zeta-max", "-3"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bathymetry", "--zeta-max", "inf", "--length", "300", "--dx", "50"],
+         "zeta_max must be finite, got inf"),
+        (["bathymetry", "--hill-spacing", "inf"],
+         "hill_spacing must be finite, got inf"),
+        (["bathymetry", "--dx", "inf"], "dx must be finite, got inf"),
+        (["spectrum", "--wind-speed", "inf"],
+         "wind_speed must be finite, got inf"),
+        (["spectrum", "--wind-speed", "10", "--k-max", "inf"],
+         "k_max must be finite, got inf"),
+    ], ids=["zeta_max", "hill_spacing", "dx", "wind_speed", "k_max"])
+    def test_non_finite_arguments_rejected_before_allocating(
+            self, argv, message, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr("numpy.logspace", refuse)
+        monkeypatch.setattr("milnesea.cli.bathymetry_profile", refuse)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestEnvelopeCommand:
     def test_sweep(self, tmp_path, capsys):

@@ -218,6 +218,19 @@ class TestValidation:
         assert problems_of(run) == ["time: 10000001 samples exceed the "
                                     "sample budget of 10000000"]
 
+    @pytest.mark.parametrize("doc", [
+        {"time": {"stride": 10 ** 400}, "solver": {"method": "adaptive"}},
+        {"time": {"stride": 10 ** 400}, "outputs": ["envelope"],
+         "dynamical_params": {"e_m": 1.0, "delta": 0.0, "tau": 1.0}},
+        # the stride fits a float, the output step stride * dt does not
+        {"time": {"stride": 10 ** 308}, "solver": {"dt": 10.0},
+         "outputs": ["envelope"],
+         "dynamical_params": {"e_m": 1.0, "delta": 0.0, "tau": 1.0}},
+    ], ids=["adaptive", "fixed", "fixed-step-product"])
+    def test_overflowing_stride_is_a_problem(self, doc):
+        assert problems_of(doc) == ["time.stride: too large, the output "
+                                    "step overflows a float"]
+
     def test_table_profile_round_trips(self):
         doc = {"medium": {"beta": {"kind": "table",
                                    "table": [[0.0, 0.1], [5.0, 0.4]]}}}

@@ -32,12 +32,6 @@ class TestSignalSpec:
         assert spec.angular_frequency == 148.0
         assert spec.wavelength == pytest.approx(62.83185307179586, rel=1e-15)
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            SignalSpec(1.0, 1480.0, 0.1, 150.0, 62.83185307179586)
-        with pytest.raises(ValueError):
-            SignalSpec(1.0, 1480.0, 0.1, 148.0, 60.0)
-
     def test_positivity(self):
         with pytest.raises(ValueError):
             SignalSpec.from_wave_number(0.0, 1480.0, 0.1)

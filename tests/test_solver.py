@@ -114,42 +114,35 @@ class TestAdaptive:
         assert traj.last_time == 1.0
         assert traj.last_state[0] == pytest.approx(EXP_DECAY_AT_1, rel=1e-8)
 
-    def test_dense_output_matches_analytic(self):
-        t_eval = np.linspace(0.0, 2.6, 301)
-        traj = integrate_adaptive(harmonic, [1.0, 0.0], (0.0, 2.6),
-                                  rtol=1e-9, atol=1e-12, t_eval=t_eval)
-        assert traj.completed
-        np.testing.assert_array_equal(traj.times, t_eval)
-        np.testing.assert_allclose(traj.states[:, 0], np.cos(t_eval),
-                                   atol=1e-7)
-        np.testing.assert_allclose(traj.states[:, 1], -np.sin(t_eval),
-                                   atol=1e-7)
-
     def test_agrees_with_fixed_solver(self):
-        # dual-route check: two independent steppers, same problem. A
-        # dyadic step keeps the two time grids exactly aligned. The
-        # tolerance allows for the adaptive controller's per-step error
-        # accumulating over a few hundred steps.
-        dt = 2.0 ** -10
-        t_eval = np.linspace(0.0, 5.0, 11)  # multiples of 0.5, on both grids
-        fixed = integrate_fixed(harmonic, [0.3, -0.2], (0.0, 5.0), dt=dt)
-        adap = integrate_adaptive(harmonic, [0.3, -0.2], (0.0, 5.0),
-                                  rtol=1e-9, atol=1e-12, t_eval=t_eval)
-        idx = np.searchsorted(fixed.times, t_eval)
-        np.testing.assert_array_equal(fixed.times[idx], t_eval)
-        gap = np.abs(fixed.states[idx] - adap.states)
-        assert np.max(gap) < 5e-7
-        # and both routes sit on the closed form itself
-        exact = np.stack([0.3 * np.cos(t_eval) - 0.2 * np.sin(t_eval),
-                          -0.3 * np.sin(t_eval) - 0.2 * np.cos(t_eval)], axis=1)
-        assert np.max(np.abs(fixed.states[idx] - exact)) < 1e-10
-        assert np.max(np.abs(adap.states - exact)) < 5e-7
+        # dual-route check: two independent steppers, same problem. Each
+        # route is held to the closed form at its own points, and both land
+        # on t1, where their end states must agree. The adaptive bound
+        # allows for the controller's per-step error accumulating over a
+        # few hundred steps.
+        def exact(t):
+            return np.stack([0.3 * np.cos(t) - 0.2 * np.sin(t),
+                             -0.3 * np.sin(t) - 0.2 * np.cos(t)], axis=-1)
 
-    def test_t_eval_validation(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(decay, [1.0], (0.0, 1.0), t_eval=[0.0, 1.5])
-        with pytest.raises(ValueError):
-            integrate_adaptive(decay, [1.0], (0.0, 1.0), t_eval=[0.5, 0.25])
+        fixed = integrate_fixed(harmonic, [0.3, -0.2], (0.0, 5.0),
+                                dt=2.0 ** -10)
+        adap = integrate_adaptive(harmonic, [0.3, -0.2], (0.0, 5.0),
+                                  rtol=1e-9, atol=1e-12)
+        assert fixed.completed and adap.completed
+        assert np.max(np.abs(fixed.states - exact(fixed.times))) < 1e-10
+        assert np.max(np.abs(adap.states - exact(adap.times))) < 5e-7
+        assert fixed.last_time == adap.last_time == 5.0
+        assert np.max(np.abs(fixed.last_state - adap.last_state)) < 5e-7
+
+    @pytest.mark.xfail(strict=True, reason="FSAL stage aliases the stage "
+                       "buffer: after a rejected attempt the next step "
+                       "starts from the rejected trial's last stage")
+    def test_steps_after_rejections_stay_accurate(self):
+        traj = integrate_adaptive(harmonic, [1.0, 0.0], (0.0, 50.0),
+                                  rtol=1e-9, atol=1e-12)
+        assert traj.completed
+        exact = np.stack([np.cos(traj.times), -np.sin(traj.times)], axis=1)
+        assert np.max(np.abs(traj.states - exact)) < 1e-7
 
     def test_blowup_time_close_to_truth(self):
         traj = integrate_adaptive(lambda t, y: y * y, [1.0], (0.0, 2.0),
