@@ -31,7 +31,7 @@ from .milne import envelope_q
 from .scenario import (PRODUCTS, config_to_dict, csv_text, export_csv,
                        export_json, grid_sweep, load_config, output_grid,
                        run_scenario, spectrum_problem)
-from .transition import compare_forms
+from .transition import COMPOSED, EXPANDED, compare_forms
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,18 +93,23 @@ def _emit(text: str, out: str):
         Path(out).write_text(text)
 
 
-def _load(path: str):
-    return load_config(Path(path).read_text())
+def _load(path: str, **blocks):
+    """The config at `path`, top-level `blocks` replaced by options.
+
+    The options are validated like the file's own keys, so a simulate
+    run's result.json echoes a config that loads back.
+    """
+    config = load_config(Path(path).read_text())
+    if not blocks:
+        return config
+    doc = config_to_dict(config)
+    doc.update(blocks)
+    return load_config(json.dumps(doc))
 
 
 def _cmd_simulate(args) -> int:
-    config = _load(args.config)
-    if args.seed is not None:
-        # validated like a seed in the file, so result.json echoes a
-        # config that loads back
-        doc = config_to_dict(config)
-        doc["seed"] = args.seed
-        config = load_config(json.dumps(doc))
+    seed = {} if args.seed is None else {"seed": args.seed}
+    config = _load(args.config, **seed)
     result = run_scenario(config)
 
     out_dir = Path(args.out_dir)
@@ -145,10 +150,12 @@ def _cmd_bathymetry(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    config = _load(args.config)
+    # the envelope reads no phase shift; 0 only fills the required key
+    config = _load(args.config, dynamical_params={
+        "e_m": args.em, "delta": 0.0, "tau": args.tau})
+    e_m, _, tau = config.dynamical_params
     envelope, error = grid_sweep("envelope", lambda t: envelope_q(
-        args.em, args.tau, config.signal, config.medium, t),
-        output_grid(config))
+        e_m, tau, config.signal, config.medium, t), output_grid(config))
     _emit(csv_text("envelope", envelope), args.out)
     if error is not None:
         print(f"envelope sweep stopped: {error}", file=sys.stderr)
@@ -157,16 +164,18 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_transition(args) -> int:
-    config = _load(args.config)
+    config = _load(args.config, dynamical_params={
+        "e_m": args.em, "delta": args.delta, "tau": args.tau})
     cmp, error = grid_sweep("transition", lambda t: compare_forms(
-        args.em, args.delta, args.tau, config.signal, config.medium, t),
+        *config.dynamical_params, config.signal, config.medium, t),
         np.array([args.t]))
     if error is not None:
         print(f"transition undefined: {error}", file=sys.stderr)
         return 2
-    for mat in (cmp.composed, cmp.expanded):
-        print(f"{mat.provenance}:")
-        for a, b in mat.entries[0]:
+    for label, entries in ((COMPOSED, cmp.composed),
+                           (EXPANDED, cmp.expanded)):
+        print(f"{label}:")
+        for a, b in entries[0]:
             print(f"  [{a:+.12e}  {b:+.12e}]")
     print(f"max entry gap: {cmp.discrepancy[0]:.12e}")
     return 0

@@ -68,8 +68,10 @@ class CoefficientProfile:
         if self.kind == CONSTANT:
             out = np.full(t.shape, float(self.base))
         elif self.kind == GAUSSIAN_BUMP:
-            z = (t - self.center) / self.width
-            out = self.base + self.amplitude * np.exp(-0.5 * z * z)
+            # z * z overflows to inf far out, and exp(-inf) gives base
+            with np.errstate(over="ignore"):
+                z = (t - self.center) / self.width
+                out = self.base + self.amplitude * np.exp(-0.5 * z * z)
         elif self.kind == SECH2_BUMP:
             # c * c rounds scalar and array t alike; inf far out gives base
             with np.errstate(over="ignore"):

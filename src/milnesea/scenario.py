@@ -118,50 +118,34 @@ class ScenarioResult:
         return "skipped" if product in self.skips else "computed"
 
 
-# the numbers a swept product's CSV writes, as columns over its grid
-_WRITTEN = {"envelope": lambda e: (e.t, e.q_squared, e.magnitude),
-            "transition": lambda c: (c.composed.params[3], c.discrepancy,
-                                     c.composed.entries.reshape(-1, 4),
-                                     c.expanded.entries.reshape(-1, 4))}
-
-
-def _transition_rows(cmp: FormComparison):
-    """Two rows per grid time, the composed form's first."""
-    columns = (c.tolist() for c in _WRITTEN["transition"](cmp))
-    for t, gap, comp, expa in zip(*columns):
-        yield (t, *comp, COMPOSED, gap)
-        yield (t, *expa, EXPANDED, gap)
-
-
-# Every product's CSV layout, shared by export_csv, result_to_dict and the
-# CLI's table commands: the CSV header, the %-format of one line, data ->
-# rows, and data -> row count. A product's data is the ScenarioResult
-# attribute of its name; rows are zipped one at a time from its columns
-# (as lists: Python floats format faster) and counted without being built.
-_Product = namedtuple("_Product", "header line rows count")
+# Every product's CSV layout, shared by export_csv, result_to_dict,
+# grid_sweep and the CLI's table commands: the CSV header, the %-format of
+# one record, and data -> columns, one entry per record. A product's data
+# is the ScenarioResult attribute of its name; a record is one line,
+# except a transition record: one grid time, two lines.
+_Product = namedtuple("_Product", "header line columns")
 _TABLE = {
     "trajectory": _Product(
         "t,p,p_dot", "%.17g,%.17g,%.17g",
-        lambda traj: zip(traj.times, *traj.states.T), len),
+        lambda traj: (traj.times, *traj.states.T)),
     "summary": _Product(
         "e_m,tau,delta,e_m_bound_violated", "%.17g,%.17g,%.17g,%s",
-        lambda s: [(s.e_m, s.tau, s.delta,
-                    str(s.e_m_bound_violated).lower())],
-        lambda s: 1),
+        lambda s: ([s.e_m], [s.tau], [s.delta],
+                   [str(s.e_m_bound_violated).lower()])),
     "envelope": _Product(
         "t,q_squared,magnitude,imaginary_branch", "%.17g,%.17g,%.17g,%s",
-        lambda env: zip(*(c.tolist() for c in _WRITTEN["envelope"](env)),
-                        np.where(env.imaginary_branch, "true", "false")),
-        lambda env: len(env.t)),
+        lambda env: (env.t, env.q_squared, env.magnitude,
+                     np.where(env.imaginary_branch, "true", "false"))),
     "transition": _Product(
         "t,m11,m12,m21,m22,provenance,discrepancy",
-        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g", _transition_rows,
-        lambda cmp: 2 * len(cmp.discrepancy)),
+        f"%.17g,%.17g,%.17g,%.17g,%.17g,{COMPOSED},%.17g\n"
+        f"%.17g,%.17g,%.17g,%.17g,%.17g,{EXPANDED},%.17g",
+        lambda c: (c.t, *c.composed.reshape(-1, 4).T, c.discrepancy,
+                   c.t, *c.expanded.reshape(-1, 4).T, c.discrepancy)),
     "spectrum": _Product("k,S", "%.17g,%.17g",
-                         lambda sp: zip(sp.k, sp.density),
-                         lambda sp: len(sp.k)),
+                         lambda sp: (sp.k, sp.density)),
     "bathymetry": _Product("x,zeta", "%.17g,%.17g",
-                           lambda b: zip(b.x, b.zeta), lambda b: len(b.x)),
+                           lambda b: (b.x, b.zeta)),
 }
 PRODUCTS = tuple(_TABLE)
 
@@ -549,7 +533,8 @@ def grid_sweep(product: str, point, grid: np.ndarray):
     except SingularityError as exc:
         error, grid = exc, grid[:np.searchsorted(grid, exc.t)]
         data = point(grid)
-    finite = np.isfinite(np.column_stack(_WRITTEN[product](data))).all(axis=1)
+    floats = [c for c in _TABLE[product].columns(data) if c.dtype.kind == "f"]
+    finite = np.isfinite(np.column_stack(floats)).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         t = float(grid[i])
@@ -659,9 +644,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 
 def csv_text(product: str, data) -> str:
-    """One product's CSV text: the header, then one line per row."""
+    """One product's CSV text: the header, then each record's lines."""
     p = _TABLE[product]
-    lines = chain((p.header,), map(p.line.__mod__, p.rows(data)))
+    lines = chain((p.header,), map(p.line.__mod__, zip(*p.columns(data))))
     return "\n".join(lines) + "\n"
 
 
@@ -694,9 +679,10 @@ def result_to_dict(result: ScenarioResult) -> dict:
             products[name] = {"status": "skipped",
                               "reason": result.skips[name]}
         else:
+            p = _TABLE[name]
+            records = len(p.columns(getattr(result, name))[0])
             products[name] = {"status": "computed",
-                              "rows": _TABLE[name].count(
-                                  getattr(result, name))}
+                              "rows": records * (p.line.count("\n") + 1)}
     doc = {
         "schema_version": "1",
         "config": config_to_dict(result.config),

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -50,26 +49,6 @@ class RotationMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _freeze(self.entries))
         object.__setattr__(self, "angle", _wrap_angle(float(self.angle)))
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Transition matrices evaluated at one or more times, with provenance.
-
-    ``provenance`` records which closed form produced the entries
-    ("composed" or "expanded"); ``params`` is the evaluation point
-    (e_m, delta, tau, t) and ``rotation`` the outer rotation factor.
-    """
-
-    entries: np.ndarray
-    provenance: str
-    params: Tuple[float, float, float, float]
-    rotation: RotationMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
-        if self.provenance not in (COMPOSED, EXPANDED):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def rotation(tau: float) -> RotationMatrix:
@@ -117,11 +96,18 @@ def expanded_from_q(q_plus_sq, q_minus_sq, delta: float,
 
 @dataclass(frozen=True)
 class FormComparison:
-    """Both transition-matrix forms and their entrywise gap per time."""
+    """Both transition-matrix forms at the times ``t`` and their gap.
 
+    ``composed`` and ``expanded`` are read-only arrays of shape S + (2, 2)
+    for times of shape S; ``discrepancy`` is the max |difference| of their
+    entries per time. Scalar t gives Python floats ``t`` and
+    ``discrepancy``.
+    """
+
+    t: float
+    composed: np.ndarray
+    expanded: np.ndarray
     discrepancy: float
-    composed: TransitionMatrix
-    expanded: TransitionMatrix
 
 
 def compare_forms(e_m: float, delta: float, tau: float, spec: SignalSpec,
@@ -131,12 +117,12 @@ def compare_forms(e_m: float, delta: float, tau: float, spec: SignalSpec,
     The forms share one evaluation of the envelope squares; where those
     overflow the entries come out non-finite, without a warning.
     """
+    t = np.asarray(t, dtype=float)
     qp, qm = q_plus_minus_squared(e_m, tau, spec, medium, t)
-    params, outer = (e_m, delta, tau, t), rotation(tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        comp = TransitionMatrix(composed_from_q(qp, qm, delta, tau), COMPOSED,
-                                params, outer)
-        expa = TransitionMatrix(expanded_from_q(qp, qm, delta, tau), EXPANDED,
-                                params, outer)
-        gap = np.max(np.abs(comp.entries - expa.entries), axis=(-2, -1))
-    return FormComparison(gap.item() if gap.ndim == 0 else gap, comp, expa)
+        comp = _freeze(composed_from_q(qp, qm, delta, tau))
+        expa = _freeze(expanded_from_q(qp, qm, delta, tau))
+        gap = np.max(np.abs(comp - expa), axis=(-2, -1))
+    if t.ndim == 0:
+        t, gap = t.item(), gap.item()
+    return FormComparison(t, comp, expa, gap)

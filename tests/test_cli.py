@@ -231,6 +231,29 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+class TestPointOptions:
+    @pytest.mark.parametrize("argv, problem", [
+        (["envelope", "--em", "1", "--tau", "0"],
+         "dynamical_params.tau: must be positive, got 0.0"),
+        (["transition", "--em", "1", "--delta", "0.3", "--tau", "-1",
+          "--t", "1"], "dynamical_params.tau: must be positive, got -1.0"),
+        (["envelope", "--em", "nan", "--tau", "1"],
+         "dynamical_params.e_m: must be finite"),
+        (["transition", "--em", "1", "--delta", "inf", "--tau", "1",
+          "--t", "1"], "dynamical_params.delta: must be finite"),
+    ], ids=["envelope-tau-zero", "transition-tau-negative",
+            "envelope-em-nan", "transition-delta-inf"])
+    def test_checked_like_dynamical_params(self, tmp_path, capsys, argv,
+                                           problem):
+        cfg = write_config(tmp_path, {
+            "medium": {"beta": {"kind": "constant", "base": 0.5}},
+            "time": {"t0": 0.5, "t1": 0.52}})
+        assert main([argv[0], str(cfg), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration rejected:\n  - {problem}\n"
+
+
 class TestSharedRegistry:
     def test_table_commands_write_the_simulate_csv(self, tmp_path):
         doc = {"medium": {"beta": {"kind": "constant", "base": 0.5}},
@@ -323,7 +346,7 @@ class TestNonFinite:
             "medium": {"beta": {"kind": "constant", "base": 0.0}},
             "time": {"t0": -0.995, "t1": 1.0, "stride": 10}})
         assert main(["envelope", str(cfg), "--em", "8.9e307",
-                     "--tau", "0"]) == 2
+                     "--tau", "3.141592653589793"]) == 2
         captured = capsys.readouterr()
         assert "not finite at t=-0.005" in captured.err
         lines = captured.out.splitlines()

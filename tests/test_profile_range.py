@@ -22,6 +22,9 @@ ROUNDING_T = 0.43963718417847625
 # cosh((t - center) / width) overflows for |t| past ~7.1
 NARROW_SECH2 = CoefficientProfile(kind="sech2-bump", base=0.2,
                                   amplitude=0.3, width=0.01)
+# (t - center)^2 / width^2 overflows for |t - center| past ~1e-6
+NARROW_GAUSSIAN = CoefficientProfile(kind="gaussian-bump", base=0.2,
+                                     amplitude=0.3, width=1e-160)
 
 
 def reals(lo, hi):
@@ -50,6 +53,7 @@ def profiles(draw):
 @given(profile=profiles(), t=times, ts=st.lists(times, max_size=20))
 @example(profile=ROUNDING_TABLE, t=ROUNDING_T, ts=[ROUNDING_T, 0.0])
 @example(profile=NARROW_SECH2, t=5.0, ts=[5.0, 3.55, 0.0, -100.0])
+@example(profile=NARROW_GAUSSIAN, t=5.0, ts=[5.0, 1e-200, 0.0, -100.0])
 def test_value_stays_within_extreme_values(profile, t, ts):
     lo, hi = profile.extreme_values()
     assert lo <= profile.value(t) <= hi

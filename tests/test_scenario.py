@@ -361,13 +361,10 @@ class TestRun:
 
     def test_transition_samples_carry_both_forms(self, oscillatory_result):
         cmp = oscillatory_result.transition
-        assert cmp.composed.provenance == "composed"
-        assert cmp.expanded.provenance == "expanded"
-        n = len(oscillatory_result.envelope.t)
-        assert cmp.composed.entries.shape == cmp.expanded.entries.shape \
-            == (n, 2, 2)
-        gap = np.max(np.abs(cmp.composed.entries[0] -
-                            cmp.expanded.entries[0]))
+        ts = oscillatory_result.envelope.t
+        np.testing.assert_array_equal(cmp.t, ts)
+        assert cmp.composed.shape == cmp.expanded.shape == (len(ts), 2, 2)
+        gap = np.max(np.abs(cmp.composed[0] - cmp.expanded[0]))
         assert cmp.discrepancy[0] == gap
 
     def test_environment_products(self):
@@ -444,10 +441,8 @@ class TestArraySweep:
                 one.t, one.q_squared, one.magnitude, one.imaginary_branch)
             forms = compare_forms(e_m, delta, tau, config.signal,
                                   config.medium, t)
-            assert cmp.composed.entries[i].tolist() == \
-                forms.composed.entries.tolist()
-            assert cmp.expanded.entries[i].tolist() == \
-                forms.expanded.entries.tolist()
+            assert cmp.composed[i].tolist() == forms.composed.tolist()
+            assert cmp.expanded[i].tolist() == forms.expanded.tolist()
             assert cmp.discrepancy[i] == forms.discrepancy
 
     @pytest.mark.parametrize("product", ["envelope", "transition"])
@@ -556,6 +551,24 @@ class TestExports:
         path = export_json(result, tmp_path / "result.json")
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(doc))
+
+    def test_json_rows_count_the_csv_lines(self, tmp_path):
+        doc = {"medium": {"beta": {"kind": "constant", "base": 0.5}},
+               "time": {"t0": 0.5, "t1": 0.6, "stride": 7},
+               "dynamical_params": {"e_m": 1.25, "delta": 0.3, "tau": 0.7},
+               "environment": {
+                   "surface_spectrum": {"wind_speed": 7.5, "samples": 50},
+                   "bathymetry": {"zeta_max": 4.0, "hill_spacing": 30.0,
+                                  "length": 200.0, "dx": 0.7}},
+               "outputs": ["trajectory", "summary", "envelope",
+                           "transition", "spectrum", "bathymetry"]}
+        result = run_scenario(load(doc))
+        assert not result.skips
+        products = result_to_dict(result)["products"]
+        for product in doc["outputs"]:
+            path = export_csv(result, product, tmp_path / f"{product}.csv")
+            lines = path.read_text().count("\n")
+            assert products[product]["rows"] == lines - 1, product
 
     def test_json_records_skips(self, blowup_result):
         doc = result_to_dict(blowup_result)
