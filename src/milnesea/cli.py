@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -164,6 +165,8 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_transition(args) -> int:
+    if not math.isfinite(args.t):
+        raise ValueError(f"t must be finite, got {args.t}")
     config = _load(args.config, dynamical_params={
         "e_m": args.em, "delta": args.delta, "tau": args.tau})
     cmp, error = grid_sweep("transition", lambda t: compare_forms(

@@ -16,10 +16,16 @@ Supported profile kinds:
 
 Ranges are proven once, when a MediumSpec is built, from extreme_values(),
 which value(t) never leaves for any t; coefficient reads check nothing.
+
+Each profile builds its scalar kernel once, at construction: a float t
+is evaluated by that kernel without an array round trip, and an array t
+by the same numpy expressions over whole arrays. Both give the same
+value, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -34,6 +40,32 @@ TABLE = "table"
 
 _KINDS = (CONSTANT, GAUSSIAN_BUMP, SECH2_BUMP, TABLE)
 _BUMP_KINDS = (GAUSSIAN_BUMP, SECH2_BUMP)
+
+
+# Kernels: the profile's parameters come first, t last. The bump formulas
+# serve float and array t alike; they keep numpy's exp and cosh, whose
+# results math.exp and math.cosh do not always match in the last bit.
+def _constant(base, t):
+    return base
+
+
+def _gaussian(base, amplitude, center, width, t):
+    # z * z overflows to inf far out, and exp(-inf) gives base
+    with np.errstate(over="ignore"):
+        z = (t - center) / width
+        return base + amplitude * np.exp(-0.5 * z * z)
+
+
+def _sech2(base, amplitude, center, width, t):
+    # c * c rounds scalar and array t alike; inf far out gives base
+    with np.errstate(over="ignore"):
+        c = np.cosh((t - center) / width)
+        return base + amplitude / (c * c)
+
+
+def _table(ts, vs, lo, hi, t):
+    # clamped: interpolation can round just past a knot value
+    return min(max(float(np.interp(t, ts, vs)), lo), hi)
 
 
 @dataclass(frozen=True)
@@ -61,26 +93,37 @@ class CoefficientProfile:
             ts = [t for t, _ in knots]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise InvalidProfileError("table knot times must be strictly increasing")
+        # not a field: equality, hashing and the config echo ignore it
+        object.__setattr__(self, "_kernel", self._build_kernel())
+
+    def _build_kernel(self):
+        if self.kind == CONSTANT:
+            return functools.partial(_constant, float(self.base))
+        if self.kind == TABLE:
+            ts, vs = np.array(self.table).T
+            return functools.partial(_table, ts, vs, float(vs.min()),
+                                     float(vs.max()))
+        bump = _gaussian if self.kind == GAUSSIAN_BUMP else _sech2
+        return functools.partial(bump, self.base, self.amplitude,
+                                 self.center, self.width)
 
     def value(self, t):
-        """Evaluate the profile at scalar or array t."""
+        """Evaluate the profile at float or array t.
+
+        A float t (np.float64 included) gives a float from the scalar
+        kernel; any other t is evaluated as an array, and a 0-d one
+        gives a float too.
+        """
+        if isinstance(t, float):
+            return float(self._kernel(t))
         t = np.asarray(t, dtype=float)
         if self.kind == CONSTANT:
             out = np.full(t.shape, float(self.base))
-        elif self.kind == GAUSSIAN_BUMP:
-            # z * z overflows to inf far out, and exp(-inf) gives base
-            with np.errstate(over="ignore"):
-                z = (t - self.center) / self.width
-                out = self.base + self.amplitude * np.exp(-0.5 * z * z)
-        elif self.kind == SECH2_BUMP:
-            # c * c rounds scalar and array t alike; inf far out gives base
-            with np.errstate(over="ignore"):
-                c = np.cosh((t - self.center) / self.width)
-                out = self.base + self.amplitude / (c * c)
+        elif self.kind == TABLE:
+            ts, vs, lo, hi = self._kernel.args  # knots and clamps, built once
+            out = np.clip(np.interp(t, ts, vs), lo, hi)
         else:
-            ts, vs = np.array(self.table).T
-            # clamped: interpolation can round just past a knot value
-            out = np.clip(np.interp(t, ts, vs), vs.min(), vs.max())
+            out = self._kernel(t)
         return float(out) if out.ndim == 0 else out
 
     def extreme_values(self) -> Tuple[float, float]:

@@ -83,14 +83,15 @@ def _wrap_angle(a: float) -> float:
     return w
 
 
-def milne_rhs(state, spec: SignalSpec, medium: MediumSpec, t: float) -> np.ndarray:
-    """Right-hand side (p', p'') of the pressure equation."""
+def milne_rhs(state, spec: SignalSpec, medium: MediumSpec,
+              t: float) -> Tuple[float, float]:
+    """Right-hand side (p', p'') of the pressure equation, as a tuple."""
     p, pd = state[0], state[1]
     b = medium.beta(t)
     w = medium.omega(t)
     pdd = (p * pd * pd - b * pd + b * spec.angular_frequency * p
            + w * w * spec.sound_speed * t * spec.wave_number * p)
-    return np.array([pd, pdd])
+    return pd, pdd
 
 
 def eq9_residual(p: float, p_dot: float, p_ddot: float, spec: SignalSpec,

@@ -12,7 +12,7 @@ as the reference the integrators are checked against.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,22 +27,22 @@ class OscillatorState(NamedTuple):
     v: float
 
 
-def damped_rhs(state, beta: float, omega: float) -> np.ndarray:
-    """Right-hand side of the constant-coefficient damped oscillator."""
+def damped_rhs(state, beta: float, omega: float) -> Tuple[float, float]:
+    """Right-hand side (x', v') of the constant-coefficient damped oscillator."""
     if not omega > 0:
         raise ValueError("omega must be positive")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     x, v = state[0], state[1]
-    return np.array([v, -beta * v - omega * omega * x])
+    return v, -beta * v - omega * omega * x
 
 
-def parametric_rhs(state, medium: MediumSpec, t: float) -> np.ndarray:
-    """Right-hand side with coefficients read from the medium at time t."""
+def parametric_rhs(state, medium: MediumSpec, t: float) -> Tuple[float, float]:
+    """Right-hand side (x', v') with coefficients read from the medium at t."""
     x, v = state[0], state[1]
     b = medium.beta(t)
     w = medium.omega(t)
-    return np.array([v, -b * v - w * w * x])
+    return v, -b * v - w * w * x
 
 
 def analytic_constant_solution(beta: float, omega: float, x0: float, v0: float, t):

@@ -11,6 +11,11 @@ They are deliberately independent code paths: the adaptive integrator acts
 as the accuracy oracle for the fixed one in the test suite, so neither may
 be expressed in terms of the other.
 
+A right-hand side ``rhs(t, y)`` indexes its state ``y`` and returns a
+length-n sequence of floats (a tuple is cheapest). ``integrate_fixed``
+passes ``y`` as a tuple of Python floats, ``integrate_adaptive`` as a
+float ndarray, so an RHS must not rely on array arithmetic on ``y``.
+
 Divergence is an expected physical regime here (the medium can pump energy
 into a signal until the pressure grows without bound), so hitting the
 blow-up guard is reported as a trajectory status instead of raised as an
@@ -19,9 +24,10 @@ exception. Callers inspect ``Trajectory.status``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +40,9 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 DEFAULT_MAX_STEPS = 10_000_000
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
+# rhs(t, y): y is indexed, never used in array arithmetic; the result is a
+# length-n sequence of floats (see the module docstring)
+RHS = Callable[[float, Sequence[float]], Sequence[float]]
 
 
 def grid_points(span: float, step: float):
@@ -129,9 +137,14 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     recorded (it is still finite) and integration stops with status
     ABORTED_BLOWUP; a non-finite right-hand side aborts the same way
     without recording.
+
+    The state is a tuple of Python floats, and ``rhs`` receives it as
+    one. Each component is updated in the order of the array form
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the result is the same to the
+    last bit.
     """
     t0, t1 = _check_span(t_span)
-    y, threshold = _prepare(y0, blowup_threshold)
+    y0, threshold = _prepare(y0, blowup_threshold)
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -145,32 +158,39 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
         grid = np.append(grid, t1)
     else:
         grid[-1] = t1
+    grid = grid.tolist()
 
+    y = tuple(y0.tolist())
     times = [t0]
-    states = [y.copy()]
-    if np.max(np.abs(y)) > threshold:
-        return Trajectory(np.array(times), np.array(states), ABORTED_BLOWUP,
-                          f"initial state already exceeds guard {threshold:g}")
+    states = [y]
 
-    for i in range(len(grid) - 1):
-        t = grid[i]
-        h = grid[i + 1] - t
-        k1 = np.asarray(rhs(t, y), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_new)):
-            return Trajectory(np.array(times), np.array(states), ABORTED_BLOWUP,
-                              f"non-finite state near t={grid[i + 1]:.6g}")
-        times.append(grid[i + 1])
-        states.append(y_new)
-        if np.max(np.abs(y_new)) > threshold:
-            return Trajectory(np.array(times), np.array(states), ABORTED_BLOWUP,
-                              f"|state| exceeded {threshold:g} at t={grid[i + 1]:.6g}")
-        y = y_new
+    def finish(status, message=None):
+        return Trajectory(np.array(times), np.array(states), status, message)
 
-    return Trajectory(np.array(times), np.array(states), COMPLETED)
+    if max(map(abs, y)) > threshold:
+        return finish(ABORTED_BLOWUP,
+                      f"initial state already exceeds guard {threshold:g}")
+
+    for t, t_next in zip(grid, itertools.islice(grid, 1, None)):
+        h = t_next - t
+        hh = 0.5 * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
+        k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
+        k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        h6 = h / 6.0
+        y = tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        if not all(map(math.isfinite, y)):
+            return finish(ABORTED_BLOWUP,
+                          f"non-finite state near t={t_next:.6g}")
+        times.append(t_next)
+        states.append(y)
+        if max(map(abs, y)) > threshold:
+            return finish(ABORTED_BLOWUP,
+                          f"|state| exceeded {threshold:g} at t={t_next:.6g}")
+
+    return finish(COMPLETED)
 
 
 # Dormand-Prince 5(4) tableau. _B is the fifth-order weight row, _E the
@@ -218,6 +238,9 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     Aborts with ABORTED_BLOWUP when an accepted state exceeds the guard
     or the step size underflows near a finite-time singularity, and with
     ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted.
+
+    The state is a float ndarray, and ``rhs`` receives it as one; its
+    result, any length-n sequence of floats, fills one stage row.
     """
     t0, t1 = _check_span(t_span)
     y, threshold = _prepare(y0, blowup_threshold)

@@ -366,6 +366,19 @@ class TestNonFinite:
 
 
 class TestTransitionCommand:
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_rejected_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch, t):
+        def refuse(*args, **kwargs):
+            raise AssertionError("config loaded")
+
+        monkeypatch.setattr("milnesea.cli.load_config", refuse)
+        assert main(["transition", str(write_config(tmp_path, {})), "--em",
+                     "1", "--delta", "0.3", "--tau", "1", "--t", t]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: t must be finite, got {t}\n"
+
     def test_point_evaluation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"medium": {"beta": {"kind": "constant",
                                                           "base": 0.5}}})

@@ -2,7 +2,9 @@
 
 MediumSpec proves the omega and beta ranges once, at construction, from
 extreme_values(); coefficient reads carry no checks of their own, so
-value(t) must stay inside that range for every t.
+value(t) must stay inside that range for every t. A float t goes through
+the profile's scalar kernel and an array t through numpy expressions;
+both must agree bit for bit.
 """
 
 import numpy as np
@@ -60,5 +62,10 @@ def test_value_stays_within_extreme_values(profile, t, ts):
     values = profile.value(np.array(ts))
     assert values.shape == (len(ts),)
     assert np.all((lo <= values) & (values <= hi))
-    # a scalar t gives the array's value, bit for bit
-    assert values.tolist() == [profile.value(x) for x in ts]
+    # a scalar t gives the array's value, bit for bit, whether it is a
+    # float or a numpy scalar (the adaptive integrator's times are)
+    scalars = [profile.value(x) for x in ts]
+    assert values.tolist() == scalars
+    assert [profile.value(np.float64(x)) for x in ts] == scalars
+    assert all(type(v) is float for v in scalars)
+    assert profile.value(np.float64(t)) == profile.value(t)

@@ -4,12 +4,15 @@ Oracle values are frozen from independent high-precision evaluation of
 the closed forms, not from the code under test.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from milnesea import solver
+from milnesea import default_config_path, solver
+from milnesea.milne import integrate_milne, milne_rhs
+from milnesea.scenario import load_config
 from milnesea.solver import (Trajectory, integrate_adaptive, integrate_fixed)
 
 # y' = -y, y(0) = 1  =>  y(1) = 1/e
@@ -20,7 +23,7 @@ MSIN_2_6 = -0.5155013718214642
 
 
 def decay(t, y):
-    return -y
+    return (-y[0],)
 
 
 def harmonic(t, y):
@@ -58,7 +61,8 @@ class TestFixed:
 
     def test_blowup_recorded_and_reported(self):
         # y' = y^2 from 1 diverges at t = 1
-        traj = integrate_fixed(lambda t, y: y * y, [1.0], (0.0, 2.0), dt=1e-4)
+        traj = integrate_fixed(lambda t, y: (y[0] * y[0],), [1.0], (0.0, 2.0),
+                               dt=1e-4)
         assert traj.status == solver.ABORTED_BLOWUP
         assert "exceeded" in traj.message
         assert np.all(np.isfinite(traj.states))
@@ -75,7 +79,7 @@ class TestFixed:
 
     def test_nonfinite_rhs_aborts_without_poisoning(self):
         def bad(t, y):
-            return np.array([math.nan]) if t > 0.5 else -y
+            return (math.nan,) if t > 0.5 else (-y[0],)
 
         traj = integrate_fixed(bad, [1.0], (0.0, 1.0), dt=1e-2)
         assert traj.status == solver.ABORTED_BLOWUP
@@ -103,6 +107,105 @@ class TestFixed:
             integrate_fixed(decay, [1.0], (0.0, 1.0), dt=-0.1)
         with pytest.raises(ValueError):
             integrate_fixed(decay, [math.inf], (0.0, 1.0))
+
+
+def array_rk4(rhs, y0, t_span, dt, blowup_threshold):
+    """RK4 with ndarray states and whole-array stage expressions.
+
+    integrate_fixed updates a tuple of floats component by component in
+    the same order, so it must reproduce this loop bit for bit.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.array(y0, dtype=float)
+    threshold = (solver.default_blowup_threshold(y) if blowup_threshold
+                 is None else blowup_threshold)
+    n_whole = (t1 - t0) // dt
+    grid = t0 + dt * np.arange(int(n_whole) + 1)
+    if t1 - grid[-1] > 1e-12 * dt:
+        grid = np.append(grid, t1)
+    else:
+        grid[-1] = t1
+
+    times = [t0]
+    states = [y.copy()]
+    if np.max(np.abs(y)) > threshold:
+        return Trajectory(np.array(times), np.array(states),
+                          solver.ABORTED_BLOWUP,
+                          f"initial state already exceeds guard {threshold:g}")
+
+    for i in range(len(grid) - 1):
+        t = grid[i]
+        h = grid[i + 1] - t
+        k1 = np.asarray(rhs(t, y), dtype=float)
+        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
+        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y_new)):
+            return Trajectory(np.array(times), np.array(states),
+                              solver.ABORTED_BLOWUP,
+                              f"non-finite state near t={grid[i + 1]:.6g}")
+        times.append(grid[i + 1])
+        states.append(y_new)
+        if np.max(np.abs(y_new)) > threshold:
+            return Trajectory(
+                np.array(times), np.array(states), solver.ABORTED_BLOWUP,
+                f"|state| exceeded {threshold:g} at t={grid[i + 1]:.6g}")
+        y = y_new
+
+    return Trajectory(np.array(times), np.array(states), solver.COMPLETED)
+
+
+OSCILLATORY = {"signal": {"amplitude": 0.01, "wave_number": 0.1},
+               "medium": {"beta": {"kind": "constant", "base": 0.1}},
+               "time": {"t0": -60.0, "t1": -58.0},
+               "solver": {"dt": 1e-3},
+               "initial_condition": {"p0": 0.0101}}
+BUMPS = {"signal": {"amplitude": 1.0, "wave_number": 0.1},
+         "medium": {"omega": {"kind": "gaussian-bump", "base": 1.0,
+                              "amplitude": 0.5, "center": 0.5, "width": 0.1},
+                    "beta": {"kind": "sech2-bump", "base": 0.3,
+                             "amplitude": 0.4, "center": 0.4,
+                             "width": 0.05}},
+         "time": {"t0": 0.0, "t1": 1.0},
+         "solver": {"dt": 1e-3},
+         "initial_condition": {"p0": 0.01}}
+TABLE_BETA = {"signal": {"amplitude": 0.01, "wave_number": 0.1},
+              "medium": {"beta": {"kind": "table",
+                                  "table": [[-60.0, 0.1], [-59.3, 0.45],
+                                            [-58.7, 0.0], [-58.0, 0.2]]}},
+              "time": {"t0": -60.0, "t1": -57.5},
+              "solver": {"dt": 1e-3},
+              "initial_condition": {"p0": 0.01}}
+
+
+class TestFixedMatchesArrayForm:
+    @pytest.mark.parametrize("text, status", [
+        (json.dumps(OSCILLATORY), solver.COMPLETED),
+        (json.dumps(BUMPS), solver.ABORTED_BLOWUP),
+        (json.dumps(TABLE_BETA), solver.COMPLETED),
+        # blows up at t = 0.1321
+        (default_config_path().read_text(), solver.ABORTED_BLOWUP)],
+        ids=["constant", "bumps", "table-beta", "default-scenario"])
+    def test_trajectory_bytes_match(self, text, status):
+        config = load_config(text)
+        span = (config.t0, config.t1)
+        traj = integrate_milne(config.signal, config.medium, span,
+                               ic=config.initial_condition, method="fixed",
+                               dt=config.dt,
+                               blowup_threshold=config.blowup_threshold)
+        # a 0-d time reads the coefficients through the array path, not
+        # the scalar kernels
+        oracle = array_rk4(
+            lambda t, y: milne_rhs(y, config.signal, config.medium,
+                                   np.asarray(t)),
+            config.initial_condition, span, config.dt,
+            config.blowup_threshold)
+        assert np.array_equal(traj.times, oracle.times)
+        assert np.array_equal(traj.states, oracle.states)
+        assert (traj.status, traj.message) == (oracle.status, oracle.message)
+        assert traj.status == status
+        assert len(traj) > 500
 
 
 class TestAdaptive:
