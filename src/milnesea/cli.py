@@ -25,14 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .environment import (BathymetrySpec, SurfaceSpectrumParams,
-                          bathymetry_profile, surface_psd_series)
 from .errors import ConfigError
-from .milne import envelope_q
-from .scenario import (PRODUCTS, config_to_dict, csv_text, export_csv,
-                       export_json, grid_sweep, load_config, output_grid,
-                       run_scenario, spectrum_problem)
-from .transition import COMPOSED, EXPANDED, compare_forms
+from .scenario import (config_to_dict, csv_text, export_csv, export_json,
+                       grid_sweep, load_config, output_grid, run_scenario)
+from .transition import COMPOSED, EXPANDED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,47 +112,48 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_json(result, out_dir / "result.json")
-    for product in PRODUCTS:
-        if product in result.requested and product not in result.skips:
-            export_csv(result, product, out_dir / f"{product}.csv")
-
-    for product in result.requested:
+    for product in config.outputs:
         if product in result.skips:
             print(f"{product}: skipped ({result.skips[product]})")
         else:
-            print(f"{product}: computed -> {out_dir / (product + '.csv')}")
+            path = export_csv(result, product, out_dir / f"{product}.csv")
+            print(f"{product}: computed -> {path}")
     if result.trajectory is not None and not result.trajectory.completed:
         print(f"note: integration ended early, {result.trajectory.message}")
     print(f"result summary -> {out_dir / 'result.json'}")
     return 2 if result.skips else 0
 
 
-def _cmd_spectrum(args) -> int:
-    params = SurfaceSpectrumParams(wind_speed=args.wind_speed)
-    series = surface_psd_series(params, args.k_min, args.k_max, args.samples)
-    problem = spectrum_problem(series)
-    if problem is not None:
-        print(f"spectrum skipped: {problem}", file=sys.stderr)
+def _table(product: str, block: str, options: dict, out: str) -> int:
+    """One environment product of a scenario holding only its options."""
+    config = load_config(json.dumps({"environment": {block: options},
+                                     "outputs": [product]}))
+    result = run_scenario(config)
+    if product in result.skips:
+        print(f"{product} skipped: {result.skips[product]}", file=sys.stderr)
         return 2
-    _emit(csv_text("spectrum", series), args.out)
+    _emit(csv_text(product, getattr(result, product)), out)
     return 0
+
+
+def _cmd_spectrum(args) -> int:
+    return _table("spectrum", "surface_spectrum", {
+        "wind_speed": args.wind_speed, "k_min": args.k_min,
+        "k_max": args.k_max, "samples": args.samples}, args.out)
 
 
 def _cmd_bathymetry(args) -> int:
-    spec = BathymetrySpec(zeta_max=args.zeta_max,
-                          hill_spacing=args.hill_spacing,
-                          length=args.length, dx=args.dx, seed=args.seed)
-    _emit(csv_text("bathymetry", bathymetry_profile(spec)), args.out)
-    return 0
+    return _table("bathymetry", "bathymetry", {
+        "zeta_max": args.zeta_max, "hill_spacing": args.hill_spacing,
+        "length": args.length, "dx": args.dx, "seed": args.seed}, args.out)
 
 
 def _cmd_envelope(args) -> int:
     # the envelope reads no phase shift; 0 only fills the required key
     config = _load(args.config, dynamical_params={
         "e_m": args.em, "delta": 0.0, "tau": args.tau})
-    e_m, _, tau = config.dynamical_params
-    envelope, error = grid_sweep("envelope", lambda t: envelope_q(
-        e_m, tau, config.signal, config.medium, t), output_grid(config))
+    envelope, error = grid_sweep("envelope", config, config.dynamical_params,
+                                 output_grid(config))
     _emit(csv_text("envelope", envelope), args.out)
     if error is not None:
         print(f"envelope sweep stopped: {error}", file=sys.stderr)
@@ -169,9 +166,8 @@ def _cmd_transition(args) -> int:
         raise ValueError(f"t must be finite, got {args.t}")
     config = _load(args.config, dynamical_params={
         "e_m": args.em, "delta": args.delta, "tau": args.tau})
-    cmp, error = grid_sweep("transition", lambda t: compare_forms(
-        *config.dynamical_params, config.signal, config.medium, t),
-        np.array([args.t]))
+    cmp, error = grid_sweep("transition", config, config.dynamical_params,
+                            np.array([args.t]))
     if error is not None:
         print(f"transition undefined: {error}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -102,7 +102,6 @@ class ScenarioResult:
     """Everything one run produced, plus skip records for what it could not."""
 
     config: ScenarioConfig
-    requested: Tuple[str, ...]
     trajectory: Optional[Trajectory] = None
     summary: Optional[SignalSummary] = None
     envelope: Optional[EnvelopeSample] = None
@@ -111,18 +110,12 @@ class ScenarioResult:
     bathymetry: Optional[BathymetryProfile] = None
     skips: dict = field(default_factory=dict)
 
-    def status_of(self, product: str) -> str:
-        """'computed' or 'skipped' for a requested product."""
-        if product not in self.requested:
-            raise NotComputedError(f"{product!r} was not requested")
-        return "skipped" if product in self.skips else "computed"
-
 
 # Every product's CSV layout, shared by export_csv, result_to_dict,
-# grid_sweep and the CLI's table commands: the CSV header, the %-format of
-# one record, and data -> columns, one entry per record. A product's data
-# is the ScenarioResult attribute of its name; a record is one line,
-# except a transition record: one grid time, two lines.
+# _first_nonfinite and the CLI's table commands: the CSV header, the
+# %-format of one record, and data -> columns, one entry per record. A
+# product's data is the ScenarioResult attribute of its name; a record is
+# one line, except a transition record: one grid time, two lines.
 _Product = namedtuple("_Product", "header line columns")
 _TABLE = {
     "trajectory": _Product(
@@ -410,6 +403,13 @@ def load_config(text: str) -> ScenarioConfig:
             step = run["dt"] if run["method"] == "fixed" else h
             _build(problems, "time", check_sample_budget,
                    grid_points(t1 - t0, step))
+            # a step within a few float spacings of the times would round
+            # to repeated grid times
+            far = max(abs(t0), abs(t1))
+            if step < 4 * math.ulp(far):
+                problems.append(f"time: step {step!r} is finer than 4 float "
+                                f"spacings at |t| = {far!r} "
+                                f"({4 * math.ulp(far)!r})")
 
     ic = _optional(raw, "initial_condition", problems, MilneState)
     dyn = _optional(raw, "dynamical_params", problems, DynamicalParams)
@@ -440,12 +440,12 @@ def load_config(text: str) -> ScenarioConfig:
                                 f"choose from {', '.join(PRODUCTS)}")
         if len(set(outputs)) != len(outputs):
             problems.append("outputs: duplicate product names")
-        if "spectrum" in outputs and spectrum is None:
-            problems.append("outputs: 'spectrum' requested but "
-                            "environment.surface_spectrum is missing")
-        if "bathymetry" in outputs and bathymetry is None:
-            problems.append("outputs: 'bathymetry' requested but "
-                            "environment.bathymetry is missing")
+        for product, key in (("spectrum", "surface_spectrum"),
+                             ("bathymetry", "bathymetry")):
+            # a present but invalid block has reported its own problems
+            if product in outputs and (eblock or {}).get(key) is None:
+                problems.append(f"outputs: {product!r} requested but "
+                                f"environment.{key} is missing")
 
     if problems:
         raise ConfigError(problems)
@@ -520,48 +520,59 @@ def output_grid(config: ScenarioConfig) -> np.ndarray:
     return config.t0 + h * np.arange(grid_points(config.t1 - config.t0, h))
 
 
-def grid_sweep(product: str, point, grid: np.ndarray):
-    """point(grid) in one call, cut before the first bad time.
+def _evaluate(product: str, config: ScenarioConfig, params: DynamicalParams,
+              t):
+    """The envelope or the transition forms of `params` at time(s) t."""
+    if product == "envelope":
+        return envelope_q(params.e_m, params.tau, config.signal,
+                          config.medium, t)
+    return compare_forms(*params, config.signal, config.medium, t)
 
-    A time is bad where point raises SingularityError or `product`'s CSV
-    would write a non-finite number. Returns point of the times before it
+
+def _first_nonfinite(product: str, data) -> Optional[int]:
+    """Index of the first record whose CSV would write a non-finite number."""
+    # one boolean per value, never a stacked copy of the float columns:
+    # that copy adds ~5 MiB to the peak RSS of a 100,000-sample spectrum
+    finite = np.logical_and.reduce([np.isfinite(c) for c in
+                                    _TABLE[product].columns(data)
+                                    if c.dtype.kind == "f"])
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def grid_sweep(product: str, config: ScenarioConfig, params: DynamicalParams,
+               grid: np.ndarray):
+    """`product` over the grid in one call, cut before the first bad time.
+
+    A time is bad where _evaluate raises SingularityError or the CSV would
+    write a non-finite number. Returns the product at the times before it
     and that time's SingularityError (None if there is none).
     """
     error = None
     try:
-        data = point(grid)
+        data = _evaluate(product, config, params, grid)
     except SingularityError as exc:
         error, grid = exc, grid[:np.searchsorted(grid, exc.t)]
-        data = point(grid)
-    floats = [c for c in _TABLE[product].columns(data) if c.dtype.kind == "f"]
-    finite = np.isfinite(np.column_stack(floats)).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
+        data = _evaluate(product, config, params, grid)
+    i = _first_nonfinite(product, data)
+    if i is not None:
         t = float(grid[i])
         error = SingularityError(f"{product} is not finite at t={t!r}", t=t)
-        data = point(grid[:i])
+        data = _evaluate(product, config, params, grid[:i])
     return data, error
-
-
-def spectrum_problem(series: SpectrumSeries) -> Optional[str]:
-    """Why a spectrum cannot be written: its first non-finite density."""
-    bad = np.flatnonzero(~np.isfinite(series.density))
-    if bad.size:
-        return f"density is not finite at k={float(series.k[bad[0]])!r}"
-    return None
 
 
 def _estimate_summary(trajectory: Trajectory,
                       config: ScenarioConfig) -> SignalSummary:
     window = _estimation_window(config.medium, config.t0, config.t1)
-    tau, delta = estimate_period_phase(trajectory, window=window)
-    times = trajectory.times
-    states = trajectory.states
     if window is not None:
+        times = trajectory.times
         mask = (times >= window[0]) & (times <= window[1])
-        times, states = times[mask], states[mask]
+        trajectory = replace(trajectory, times=times[mask],
+                             states=trajectory.states[mask])
+    tau, delta = estimate_period_phase(trajectory)
+    states = trajectory.states
     energy = milne_energy((states[:, 0], states[:, 1]), config.signal,
-                          config.medium, times)
+                          config.medium, trajectory.times)
     return SignalSummary(e_m=float(np.mean(energy)), tau=tau, delta=delta)
 
 
@@ -573,7 +584,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     says so).
     """
     requested = config.outputs
-    result = ScenarioResult(config=config, requested=requested)
+    result = ScenarioResult(config=config)
 
     needs_params = bool({"summary", "envelope", "transition"} & set(requested))
     must_estimate = needs_params and config.dynamical_params is None
@@ -603,19 +614,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             result.summary = SignalSummary(e_m=params.e_m, tau=params.tau,
                                            delta=params.delta)
 
-    sweeps = {
-        "envelope": lambda t: envelope_q(params.e_m, params.tau,
-                                         config.signal, config.medium, t),
-        "transition": lambda t: compare_forms(
-            params.e_m, params.delta, params.tau, config.signal,
-            config.medium, t),
-    }
-    for product, point in sweeps.items():
+    for product in ("envelope", "transition"):
         if product not in requested:
             continue
         data, error = None, params_skip_reason
         if params is not None:
-            data, error = grid_sweep(product, point, output_grid(config))
+            data, error = grid_sweep(product, config, params,
+                                     output_grid(config))
         if error is None:
             setattr(result, product, data)
         else:
@@ -624,11 +629,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     if "spectrum" in requested:
         sp = config.spectrum
         series = surface_psd_series(sp.params, sp.k_min, sp.k_max, sp.samples)
-        reason = spectrum_problem(series)
-        if reason is None:
+        i = _first_nonfinite("spectrum", series)
+        if i is None:
             result.spectrum = series
         else:
-            result.skips["spectrum"] = reason
+            result.skips["spectrum"] = ("spectrum is not finite at "
+                                        f"k={float(series.k[i])!r}")
 
     if "bathymetry" in requested:
         b = config.bathymetry
@@ -653,7 +659,7 @@ def csv_text(product: str, data) -> str:
 def _require_product(result: ScenarioResult, product: str):
     if product not in PRODUCTS:
         raise ValueError(f"unknown product {product!r}")
-    if product not in result.requested:
+    if product not in result.config.outputs:
         raise NotComputedError(f"{product} was not requested by the scenario")
     if product in result.skips:
         raise NotComputedError(f"{product} was skipped: {result.skips[product]}")
@@ -674,7 +680,7 @@ def export_csv(result: ScenarioResult, product: str, destination) -> Path:
 def result_to_dict(result: ScenarioResult) -> dict:
     """JSON-ready summary document for a scenario run."""
     products = {}
-    for name in result.requested:
+    for name in result.config.outputs:
         if name in result.skips:
             products[name] = {"status": "skipped",
                               "reason": result.skips[name]}

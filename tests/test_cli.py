@@ -148,8 +148,11 @@ class TestTables:
 
     def test_spectrum_rejects_overflowing_wind_speed(self, capsys):
         assert main(["spectrum", "--wind-speed", "1e100"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: wind_speed 1e+100 is too large")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration rejected:\n  - environment.surface_spectrum: "
+            "wind_speed 1e+100 is too large: its 4th power overflows\n")
 
     def test_sample_budget_checked_before_allocating(self, capsys,
                                                     monkeypatch):
@@ -157,15 +160,17 @@ class TestTables:
             raise AssertionError("grid allocated")
 
         monkeypatch.setattr("numpy.logspace", refuse)
-        monkeypatch.setattr("milnesea.cli.bathymetry_profile", refuse)
-        for argv in (["spectrum", "--wind-speed", "10",
-                      "--samples", "10000001"],
-                     ["bathymetry", "--length", "10000000", "--dx", "1"]):
+        monkeypatch.setattr("milnesea.scenario.bathymetry_profile", refuse)
+        for argv, block in ((["spectrum", "--wind-speed", "10",
+                              "--samples", "10000001"], "surface_spectrum"),
+                            (["bathymetry", "--length", "10000000",
+                              "--dx", "1"], "bathymetry")):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == ("error: 10000001 samples exceed the "
-                                    "sample budget of 10000000\n")
+            assert captured.err == (
+                f"configuration rejected:\n  - environment.{block}: "
+                "10000001 samples exceed the sample budget of 10000000\n")
 
     def test_bathymetry_stdout(self, capsys):
         assert main(["bathymetry", "--length", "100", "--dx", "10"]) == 0
@@ -176,18 +181,21 @@ class TestTables:
 
     def test_bathymetry_invalid_args(self, capsys):
         assert main(["bathymetry", "--zeta-max", "-3"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "configuration rejected:\n"
+            "  - environment.bathymetry: zeta_max must be positive\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["bathymetry", "--zeta-max", "inf", "--length", "300", "--dx", "50"],
-         "zeta_max must be finite, got inf"),
+         "environment.bathymetry.zeta_max: must be finite"),
         (["bathymetry", "--hill-spacing", "inf"],
-         "hill_spacing must be finite, got inf"),
-        (["bathymetry", "--dx", "inf"], "dx must be finite, got inf"),
+         "environment.bathymetry.hill_spacing: must be finite"),
+        (["bathymetry", "--dx", "inf"],
+         "environment.bathymetry.dx: must be finite"),
         (["spectrum", "--wind-speed", "inf"],
-         "wind_speed must be finite, got inf"),
+         "environment.surface_spectrum.wind_speed: must be finite"),
         (["spectrum", "--wind-speed", "10", "--k-max", "inf"],
-         "k_max must be finite, got inf"),
+         "environment.surface_spectrum.k_max: must be finite"),
     ], ids=["zeta_max", "hill_spacing", "dx", "wind_speed", "k_max"])
     def test_non_finite_arguments_rejected_before_allocating(
             self, argv, message, capsys, monkeypatch):
@@ -195,11 +203,11 @@ class TestTables:
             raise AssertionError("grid allocated")
 
         monkeypatch.setattr("numpy.logspace", refuse)
-        monkeypatch.setattr("milnesea.cli.bathymetry_profile", refuse)
+        monkeypatch.setattr("milnesea.scenario.bathymetry_profile", refuse)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"configuration rejected:\n  - {message}\n"
 
 
 class TestEnvelopeCommand:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ import pytest
 from milnesea import default_config_path
 from milnesea.errors import ConfigError, NotComputedError
 from milnesea.milne import envelope_q
-from milnesea.scenario import (DynamicalParams, ScenarioResult, dumps_config,
-                               csv_text, export_csv, export_json, grid_sweep,
-                               load_config, output_grid, result_to_dict,
-                               run_scenario)
+from milnesea.scenario import (DynamicalParams, ScenarioResult, _evaluate,
+                               csv_text, dumps_config, export_csv,
+                               export_json, grid_sweep, load_config,
+                               output_grid, result_to_dict, run_scenario)
 from milnesea.solver import DEFAULT_DT, DEFAULT_MAX_STEPS, Trajectory
 from milnesea.transition import compare_forms
 
@@ -231,6 +232,43 @@ class TestValidation:
         assert problems_of(doc) == ["time.stride: too large, the output "
                                     "step overflows a float"]
 
+    @pytest.mark.parametrize("doc", [
+        # once integrated, the repeated step times broke the trajectory
+        {"outputs": ["trajectory"]},
+        # once swept, every envelope row sat at t = 1e17
+        {"outputs": ["envelope"],
+         "dynamical_params": {"e_m": 1.0, "delta": 0.3, "tau": 1.0},
+         "medium": {"beta": {"kind": "constant", "base": 0.5}}},
+    ], ids=["trajectory", "envelope"])
+    def test_step_below_the_float_spacing_is_a_problem(self, doc):
+        # a window 640 wide at 1e17, where floats are 16 apart
+        window = {"time": {"t0": 1e17, "t1": 1.0000000000000064e17,
+                           "stride": 1}}
+        assert problems_of({**doc, **window, "solver": {"dt": 1.0}}) == [
+            "time: step 1.0 is finer than 4 float spacings at |t| = "
+            "1.0000000000000064e+17 (64.0)"]
+        config = load({**doc, **window, "solver": {"dt": 64.0}})
+        assert np.diff(output_grid(config)).tolist() == [64.0] * 10
+
+    @pytest.mark.parametrize("environment", [
+        {"surface_spectrum": {"wind_speed": 1e100}},
+        {"bathymetry": {"zeta_max": -1.0, "hill_spacing": 100.0,
+                        "length": 400.0, "dx": 1.0}},
+    ], ids=["spectrum", "bathymetry"])
+    def test_invalid_environment_block_is_not_also_missing(self,
+                                                          environment):
+        [block] = environment
+        product = "spectrum" if block == "surface_spectrum" else "bathymetry"
+        probs = problems_of({"environment": environment,
+                             "outputs": [product]})
+        assert len(probs) == 1
+        assert probs[0].startswith(f"environment.{block}: ")
+        assert "missing" not in probs[0]
+        # an absent block is still reported as missing
+        assert problems_of({"environment": {}, "outputs": [product]}) == [
+            f"outputs: {product!r} requested but environment.{block} is "
+            "missing"]
+
     def test_table_profile_round_trips(self):
         doc = {"medium": {"beta": {"kind": "table",
                                    "table": [[0.0, 0.1], [5.0, 0.4]]}}}
@@ -298,7 +336,6 @@ class TestRun:
         assert result.trajectory is None
         assert result.envelope is not None
         assert not result.skips
-        assert result.status_of("envelope") == "computed"
 
     def test_estimated_summary_in_oscillatory_regime(self, oscillatory_result):
         result = oscillatory_result
@@ -319,8 +356,8 @@ class TestRun:
         for product in ("summary", "envelope", "transition"):
             assert product in result.skips
             assert "estimation failed" in result.skips[product]
-            assert result.status_of(product) == "skipped"
-        assert result.status_of("trajectory") == "computed"
+            assert getattr(result, product) is None
+        assert "trajectory" not in result.skips
 
     def test_singular_envelope_skipped_with_location(self):
         doc = {"medium": {"beta": {"kind": "constant", "base": 0.0}},
@@ -337,7 +374,7 @@ class TestRun:
     def test_requested_products_partition(self, blowup_result,
                                            oscillatory_result):
         for result in (blowup_result, oscillatory_result):
-            for product in result.requested:
+            for product in result.config.outputs:
                 got = getattr(result, product)
                 assert (got is not None) != (product in result.skips)
 
@@ -402,11 +439,7 @@ SWEPT_MEDIA = {
 
 
 def point_of(product, config):
-    e_m, delta, tau = config.dynamical_params
-    if product == "envelope":
-        return lambda t: envelope_q(e_m, tau, config.signal, config.medium, t)
-    return lambda t: compare_forms(e_m, delta, tau, config.signal,
-                                   config.medium, t)
+    return partial(_evaluate, product, config, config.dynamical_params)
 
 
 def beta_zero_config(t0, dt, e_m):
@@ -451,7 +484,8 @@ class TestArraySweep:
         grid = output_grid(config)
         assert grid.tolist()[8] == 0.0
         point = point_of(product, config)
-        data, error = grid_sweep(product, point, grid)
+        data, error = grid_sweep(product, config, config.dynamical_params,
+                                 grid)
         assert str(error) == "envelope denominator vanishes at t=0.0"
         assert error.t == 0.0
         # exactly the rows of the times before t = 0
@@ -474,7 +508,8 @@ class TestArraySweep:
                      if not math.isfinite(envelope(t).q_squared))
         assert -0.01 < first < 0.0
         point = point_of(product, config)
-        data, error = grid_sweep(product, point, grid)
+        data, error = grid_sweep(product, config, config.dynamical_params,
+                                 grid)
         assert str(error) == f"{product} is not finite at t={first!r}"
         assert error.t == first
         n = int(np.searchsorted(grid, first))
@@ -491,7 +526,7 @@ class TestArraySweep:
 class TestExports:
     def test_csv_products(self, tmp_path, oscillatory_result):
         result = oscillatory_result
-        for product in result.requested:
+        for product in result.config.outputs:
             path = export_csv(result, product, tmp_path / f"{product}.csv")
             lines = path.read_text().splitlines()
             assert "," in lines[0]
@@ -518,8 +553,7 @@ class TestExports:
         cfg = load_config("{}")
         empty = Trajectory(np.array([]), np.zeros((0, 2)),
                            status="aborted-blowup", message="bad start")
-        result = ScenarioResult(config=cfg, requested=("trajectory",),
-                                trajectory=empty)
+        result = ScenarioResult(config=cfg, trajectory=empty)
         path = export_csv(result, "trajectory", tmp_path / "e.csv")
         assert path.read_text() == "t,p,p_dot\n"
 
@@ -541,8 +575,8 @@ class TestExports:
         result = oscillatory_result
         doc = result_to_dict(result)
         assert doc["schema_version"] == "1"
-        assert set(doc["products"]) == set(result.requested)
-        for name in result.requested:
+        assert set(doc["products"]) == set(result.config.outputs)
+        for name in result.config.outputs:
             assert doc["products"][name]["status"] == "computed"
             assert doc["products"][name]["rows"] >= 1
         assert doc["summary"]["flags"]["e_m_bound_violated"] is True

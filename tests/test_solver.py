@@ -208,6 +208,31 @@ class TestFixedMatchesArrayForm:
         assert len(traj) > 500
 
 
+class TestFixedAgainstScipy:
+    def test_oscillatory_regime_tracks_dop853(self):
+        # an independent eighth-order integrator run near machine precision
+        integrate = pytest.importorskip("scipy.integrate")
+        config = load_config(json.dumps({
+            **OSCILLATORY, "time": {"t0": -60.0, "t1": -48.0},
+            "initial_condition": {"p0": 0.01}}))
+
+        def rhs(t, y):
+            return milne_rhs(y, config.signal, config.medium, t)
+
+        span = (config.t0, config.t1)
+        traj = integrate_fixed(rhs, config.initial_condition, span,
+                               dt=config.dt)
+        assert traj.completed and len(traj) == 12001
+        ref = integrate.solve_ivp(rhs, span, config.initial_condition,
+                                  method="DOP853", t_eval=traj.times,
+                                  rtol=1e-13, atol=1e-16)
+        assert ref.success
+        # measured 3.3e-4 for p and 3.0e-4 for p', relative to the largest
+        # |component| of each
+        error = np.max(np.abs(traj.states - ref.y.T), axis=0)
+        assert np.all(error / np.max(np.abs(ref.y), axis=1) < 1e-3)
+
+
 class TestAdaptive:
     def test_exponential_decay_tracks_tolerance(self):
         traj = integrate_adaptive(decay, [1.0], (0.0, 1.0),
