@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .scenario import (config_to_dict, csv_text, export_csv, export_json,
+from .scenario import (config_to_dict, csv_chunks, export_csv, export_json,
                        grid_sweep, load_config, output_grid, run_scenario)
 from .transition import COMPOSED, EXPANDED
 
@@ -83,11 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str):
+def _emit(chunks, out: str):
+    """Write CSV text chunks to stdout ("-") or to the file at `out`."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
 
 
 def _load(path: str, **blocks):
@@ -132,7 +134,7 @@ def _table(product: str, block: str, options: dict, out: str) -> int:
     if product in result.skips:
         print(f"{product} skipped: {result.skips[product]}", file=sys.stderr)
         return 2
-    _emit(csv_text(product, getattr(result, product)), out)
+    _emit(csv_chunks(product, getattr(result, product)), out)
     return 0
 
 
@@ -154,7 +156,7 @@ def _cmd_envelope(args) -> int:
         "e_m": args.em, "delta": 0.0, "tau": args.tau})
     envelope, error = grid_sweep("envelope", config, config.dynamical_params,
                                  output_grid(config))
-    _emit(csv_text("envelope", envelope), args.out)
+    _emit(csv_chunks("envelope", envelope), args.out)
     if error is not None:
         print(f"envelope sweep stopped: {error}", file=sys.stderr)
         return 2

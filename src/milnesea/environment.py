@@ -126,6 +126,12 @@ class BathymetrySpec:
         if not self.length >= self.dx:
             raise ValueError("length must cover at least one sample step")
         check_sample_budget(grid_points(self.length, self.dx))
+        # hill indices are floats floored to integers: above 2**53 they
+        # are no longer exact, and far above it they overflow the cast
+        hills = self.length / self.hill_spacing
+        if not hills < 2.0 ** 53:
+            raise ValueError("length / hill_spacing must be below 2**53, "
+                             f"got {hills!r}")
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
@@ -167,5 +173,9 @@ def bathymetry_profile(spec: BathymetrySpec) -> BathymetryProfile:
     # evaluating the sine at the reduced phase keeps the hill ends exact:
     # frac = 0 gives sin(-pi/2) = -1 and the bracket vanishes identically
     shape = 0.5 * spec.zeta_max * (np.sin(-0.5 * math.pi + 2.0 * math.pi * frac) + 1.0)
-    scales = np.array([_hill_scale(spec.seed, int(i)) for i in index])
+    # index is nondecreasing, so each hill is one run of equal indices:
+    # hash the hill at each run's head once and repeat it over the run
+    heads = np.flatnonzero(np.diff(index, prepend=-1))  # index >= 0
+    table = [_hill_scale(spec.seed, i) for i in index[heads].tolist()]
+    scales = np.repeat(table, np.diff(heads, append=len(index)))
     return BathymetryProfile(x, scales * shape)

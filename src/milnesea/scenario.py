@@ -245,6 +245,7 @@ _SCHEMA = {
 }
 _POSITIVE = {"solver": ("dt", "rtol", "atol", "blowup_threshold"),
              "dynamical_params": ("tau",)}
+_NONNEGATIVE = {"": ("seed",), "environment.bathymetry": ("seed",)}
 
 
 def _block(doc: dict, path: str, problems: list) -> Optional[dict]:
@@ -291,6 +292,10 @@ def _values(block: dict, path: str, problems: list,
     for key in _POSITIVE.get(path, ()):
         if values[key] is not None and values[key] <= 0:
             problems.append(f"{where}.{key}: must be positive, "
+                            f"got {values[key]}")
+    for key in _NONNEGATIVE.get(path, ()):
+        if values[key] is not None and values[key] < 0:
+            problems.append(f"{where}.{key}: must be nonnegative, "
                             f"got {values[key]}")
     return values if built else None
 
@@ -424,10 +429,6 @@ def load_config(text: str) -> ScenarioConfig:
                                BathymetryRequest)
 
     top = _values(raw, "", problems)
-    seed = top["seed"]
-    if seed < 0:
-        problems.append(f"seed: must be nonnegative, got {seed}")
-
     outputs = top["outputs"]
     if (not isinstance(outputs, list)
             or not all(isinstance(o, str) for o in outputs)):
@@ -453,7 +454,7 @@ def load_config(text: str) -> ScenarioConfig:
         signal=signal, medium=medium, **time, **run,
         initial_condition=ic or MilneState(signal.amplitude, 0.0),
         dynamical_params=dyn, spectrum=spectrum, bathymetry=bathymetry,
-        seed=seed, outputs=tuple(outputs))
+        seed=top["seed"], outputs=tuple(outputs))
 
 
 def _plain(value):
@@ -649,11 +650,27 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # exports
 
 
+# records per %-operation: enough to amortise each chunk's slicing, few
+# enough that a chunk of the widest records (transition) is ~1.3 MB of text
+_CHUNK = 4096
+
+
+def csv_chunks(product: str, data):
+    """One product's CSV text in pieces: the header line, then the lines of
+    each run of _CHUNK records, formatted by one %-operation per run."""
+    p = _TABLE[product]
+    yield p.header + "\n"
+    columns = p.columns(data)
+    line = p.line + "\n"
+    for start in range(0, len(columns[0]), _CHUNK):
+        # Python floats and strs format faster than numpy scalars
+        cols = [np.asarray(c[start:start + _CHUNK]).tolist() for c in columns]
+        yield line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+
+
 def csv_text(product: str, data) -> str:
     """One product's CSV text: the header, then each record's lines."""
-    p = _TABLE[product]
-    lines = chain((p.header,), map(p.line.__mod__, zip(*p.columns(data))))
-    return "\n".join(lines) + "\n"
+    return "".join(csv_chunks(product, data))
 
 
 def _require_product(result: ScenarioResult, product: str):
@@ -673,7 +690,8 @@ def export_csv(result: ScenarioResult, product: str, destination) -> Path:
     """
     _require_product(result, product)
     path = Path(destination)
-    path.write_text(csv_text(product, getattr(result, product)))
+    with path.open("w") as f:
+        f.writelines(csv_chunks(product, getattr(result, product)))
     return path
 
 

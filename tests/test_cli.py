@@ -186,6 +186,24 @@ class TestTables:
             "  - environment.bathymetry: zeta_max must be positive\n")
 
     @pytest.mark.parametrize("argv, message", [
+        (["--zeta-max", "1", "--hill-spacing", "1e-300", "--length", "3",
+          "--dx", "1"], "environment.bathymetry: length / hill_spacing must "
+                        "be below 2**53, got 3e+300"),
+        (["--seed", "-1"],
+         "environment.bathymetry.seed: must be nonnegative, got -1"),
+    ], ids=["hill-index-overflow", "negative-seed"])
+    def test_bathymetry_rejected_before_allocating(self, argv, message,
+                                                   capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("profile computed")
+
+        monkeypatch.setattr("milnesea.scenario.bathymetry_profile", refuse)
+        assert main(["bathymetry", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration rejected:\n  - {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
         (["bathymetry", "--zeta-max", "inf", "--length", "300", "--dx", "50"],
          "environment.bathymetry.zeta_max: must be finite"),
         (["bathymetry", "--hill-spacing", "inf"],

@@ -77,7 +77,7 @@ def documents(draw):
                              "hill_spacing": draw(reals(1, 500)),
                              "length": dx + draw(reals(0, 1000)), "dx": dx}
         if draw(st.booleans()):
-            env["bathymetry"]["seed"] = draw(st.integers(-2 ** 70, 2 ** 70))
+            env["bathymetry"]["seed"] = draw(st.integers(0, 2 ** 70))
     if env:
         doc["environment"] = env
     products = ["trajectory", "summary", "envelope", "transition"]

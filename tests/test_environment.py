@@ -9,10 +9,13 @@ import math
 import numpy as np
 import pytest
 
+from milnesea import environment
 from milnesea.environment import (BathymetrySpec, SurfaceSpectrumParams,
-                                  bathymetry_profile, psd_peak_wavenumber,
-                                  surface_psd, surface_psd_series)
+                                  _hill_scale, bathymetry_profile,
+                                  psd_peak_wavenumber, surface_psd,
+                                  surface_psd_series)
 from milnesea.errors import DomainError
+from milnesea.solver import grid_points
 
 # S(k=0.1, u=10) with alpha=0.0081, beta=0.74, g=9.82
 S_AT_01_U10 = 1.9840041907198667
@@ -149,7 +152,6 @@ class TestBathymetry:
         np.testing.assert_allclose(b.zeta, 3.0 * a.zeta, rtol=1e-12)
 
     def test_hill_scales_fill_unit_interval(self):
-        from milnesea.environment import _hill_scale
         draws = np.array([_hill_scale(123, i) for i in range(4000)])
         assert np.all(draws > 0.0)
         assert np.all(draws <= 1.0)
@@ -179,3 +181,61 @@ class TestBathymetry:
         with pytest.raises(ValueError):
             BathymetrySpec(zeta_max=1.0, hill_spacing=10.0, length=100.0,
                            dx=-0.5)
+
+    def test_last_hill_index_below_2_53(self):
+        # 2**53 hills is one too many; 2**52 still floors to exact indices
+        with pytest.raises(ValueError, match=r"must be below 2\*\*53, "
+                                             r"got 3e\+300"):
+            BathymetrySpec(zeta_max=1.0, hill_spacing=1e-300, length=3.0,
+                           dx=1.0)
+        with pytest.raises(ValueError, match="length / hill_spacing"):
+            BathymetrySpec(zeta_max=1.0, hill_spacing=1.0, length=2.0 ** 53,
+                           dx=2.0 ** 51)
+        spec = BathymetrySpec(zeta_max=1.0, hill_spacing=2.0,
+                              length=2.0 ** 53, dx=2.0 ** 51)
+        prof = bathymetry_profile(spec)
+        assert len(prof.x) == 5
+        assert prof.zeta.tolist() == [0.0] * 5  # every x is a hill boundary
+
+
+def _per_sample_reference(spec: BathymetrySpec) -> np.ndarray:
+    """zeta with each sample's hill hashed on its own."""
+    x = spec.dx * np.arange(grid_points(spec.length, spec.dx))
+    s = x / spec.hill_spacing
+    index = np.floor(s).astype(int)
+    frac = s - index
+    shape = 0.5 * spec.zeta_max * (
+        np.sin(-0.5 * math.pi + 2.0 * math.pi * frac) + 1.0)
+    scales = np.array([_hill_scale(spec.seed, int(i)) for i in index])
+    return scales * shape
+
+
+HILL_SPECS = {
+    name: BathymetrySpec(zeta_max=3.0, hill_spacing=spacing, length=length,
+                         dx=dx, seed=seed)
+    for name, (spacing, length, dx, seed) in {
+        "spacing-a-multiple-of-dx": (10.0, 100.0, 0.5, 7),
+        "spacing-below-dx": (0.3, 40.0, 1.0, 3),
+        "spacing-far-below-dx": (1e-3, 40.0, 1.0, 5),
+        "spacing-not-a-multiple-of-dx": (0.7, 30.0, 0.25, 11),
+        "largest-seed": (100.0, 1000.0, 0.5, 2 ** 64 - 1),
+    }.items()}
+
+
+@pytest.mark.parametrize("spec", HILL_SPECS.values(), ids=HILL_SPECS.keys())
+class TestHillsHashedOnce:
+    def test_bit_identical_to_per_sample_hashing(self, spec):
+        zeta = bathymetry_profile(spec).zeta
+        assert zeta.tobytes() == _per_sample_reference(spec).tobytes()
+
+    def test_each_hill_hashed_at_most_once(self, spec, monkeypatch):
+        calls = []
+
+        def counted(seed, index):
+            calls.append(index)
+            return _hill_scale(seed, index)
+
+        monkeypatch.setattr(environment, "_hill_scale", counted)
+        prof = bathymetry_profile(spec)
+        hills = np.unique(np.floor(prof.x / spec.hill_spacing))
+        assert 0 < len(calls) <= len(hills)

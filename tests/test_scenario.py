@@ -2,20 +2,23 @@
 
 import json
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from milnesea import default_config_path
+from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
-from milnesea.milne import envelope_q
-from milnesea.scenario import (DynamicalParams, ScenarioResult, _evaluate,
-                               csv_text, dumps_config, export_csv,
-                               export_json, grid_sweep, load_config,
-                               output_grid, result_to_dict, run_scenario)
+from milnesea.milne import EnvelopeSample, SignalSummary, envelope_q
+from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
+                               ScenarioResult, _evaluate, csv_text,
+                               dumps_config, export_csv, export_json,
+                               grid_sweep, load_config, output_grid,
+                               result_to_dict, run_scenario)
 from milnesea.solver import DEFAULT_DT, DEFAULT_MAX_STEPS, Trajectory
-from milnesea.transition import compare_forms
+from milnesea.transition import FormComparison, compare_forms
 
 
 def load(doc: dict):
@@ -178,6 +181,15 @@ class TestValidation:
 
     def test_negative_seed_rejected(self):
         assert any("seed" in p for p in problems_of({"seed": -1}))
+
+    def test_negative_bathymetry_seed_rejected(self):
+        bathymetry = {"zeta_max": 1.0, "hill_spacing": 10.0, "length": 100.0,
+                      "dx": 1.0, "seed": -1}
+        assert problems_of({"environment": {"bathymetry": bathymetry}}) == [
+            "environment.bathymetry.seed: must be nonnegative, got -1"]
+        bathymetry["seed"] = 0
+        assert load({"environment": {"bathymetry": bathymetry}}) \
+            .bathymetry.seed == 0
 
     def test_spectrum_block_ranges(self):
         doc = {"environment": {"surface_spectrum": {"wind_speed": 10.0,
@@ -615,3 +627,66 @@ class TestExports:
         cfg = oscillatory_result.config
         doc = result_to_dict(oscillatory_result)
         assert load_config(json.dumps(doc["config"])) == cfg
+
+
+def _records(product: str, n: int):
+    """Synthetic data of `n` records for `product`, varied magnitudes."""
+    rng = np.random.default_rng(n)
+
+    def floats(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
+                                                                  shape)
+
+    t = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e-3
+    if product == "trajectory":
+        return Trajectory(t, floats(n, 2))
+    if product == "envelope":
+        return EnvelopeSample(t, floats(n), np.abs(floats(n)),
+                              rng.integers(0, 2, n).astype(bool))
+    if product == "transition":
+        return FormComparison(t, floats(n, 2, 2), floats(n, 2, 2),
+                              np.abs(floats(n)))
+    if product == "spectrum":
+        return SpectrumSeries(t, np.abs(floats(n)))
+    return BathymetryProfile(t, np.abs(floats(n)))
+
+
+def _reference_csv(product: str, data) -> str:
+    """The CSV written one record at a time."""
+    p = _TABLE[product]
+    return "\n".join([p.header, *(p.line % rec
+                                  for rec in zip(*p.columns(data)))]) + "\n"
+
+
+class TestChunkedCsv:
+    """CSV text is formatted in chunks of _CHUNK records; the bytes must
+    equal those of a per-record writer on both sides of a chunk edge."""
+
+    @staticmethod
+    def check(tmp_path, product, data):
+        expected = _reference_csv(product, data)
+        assert csv_text(product, data) == expected
+        config = replace(load_config("{}"), outputs=(product,))
+        result = ScenarioResult(config=config, **{product: data})
+        path = export_csv(result, product, tmp_path / f"{product}.csv")
+        assert path.read_bytes() == expected.encode()
+        return expected
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("product", ["trajectory", "envelope",
+                                         "transition", "spectrum",
+                                         "bathymetry"])
+    def test_record_counts_around_a_chunk(self, tmp_path, product, n):
+        text = self.check(tmp_path, product, _records(product, n))
+        per_record = 2 if product == "transition" else 1
+        assert text.count("\n") == 1 + n * per_record
+
+    @pytest.mark.parametrize("e_m", [0.5, 2.0])
+    def test_summary_record(self, tmp_path, e_m):
+        text = self.check(tmp_path, "summary", SignalSummary(e_m, 0.7, 0.3))
+        assert text.splitlines()[1].endswith(str(e_m < 1.0).lower())
+
+    def test_empty_trajectory(self, tmp_path):
+        empty = Trajectory(np.array([]), np.zeros((0, 2)),
+                           status="aborted-blowup", message="bad start")
+        assert self.check(tmp_path, "trajectory", empty) == "t,p,p_dot\n"
