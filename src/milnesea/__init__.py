@@ -24,7 +24,7 @@ from .medium import CoefficientProfile, MediumSpec, validate_asymptotics
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     eq9_residual, eq14_amplitude, estimate_period_phase,
                     hamiltonian_density, integrate_milne, lagrangian_density,
-                    milne_energy, milne_rhs, q_plus_minus_squared)
+                    milne_rhs, q_plus_minus_squared)
 from .oscillator import (OscillatorState, analytic_constant_solution,
                          damped_rhs, parametric_rhs)
 from .scenario import (ScenarioConfig, ScenarioResult, config_to_dict,

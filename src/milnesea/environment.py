@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,18 +36,23 @@ def _check_positive_finite(params, names) -> None:
 
 @dataclass(frozen=True)
 class SurfaceSpectrumParams:
-    """Constants of the wind-wave spectrum.
+    """Constants of the wind-wave spectrum and the grid it is sampled on.
 
     ``alpha`` and ``beta`` here are the classical dimensionless spectrum
     constants; they are unrelated to the signal amplitude and the medium
     damping that reuse those letters elsewhere in the package.
     ``wind_speed`` is in m/s at 19.5 m height, ``gravity`` in m/s^2.
+    surface_psd_series samples ``samples`` log-spaced wave numbers from
+    ``k_min`` to ``k_max`` (rad/m).
     """
 
     wind_speed: float
     alpha: float = 0.0081
     beta: float = 0.74
     gravity: float = 9.82
+    k_min: float = 1e-3
+    k_max: float = 10.0
+    samples: int = 512
 
     def __post_init__(self):
         _check_positive_finite(self, ("wind_speed", "alpha", "beta", "gravity"))
@@ -56,6 +61,14 @@ class SurfaceSpectrumParams:
         except OverflowError:
             raise ValueError(f"wind_speed {self.wind_speed!r} is too large: "
                              "its 4th power overflows") from None
+        if not 0 < self.k_min < self.k_max:
+            raise ValueError(f"need 0 < k_min ({self.k_min}) < k_max "
+                             f"({self.k_max})")
+        if not math.isfinite(self.k_max):
+            raise ValueError(f"k_max must be finite, got {self.k_max}")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2")
+        check_sample_budget(self.samples)
 
 
 def surface_psd(params: SurfaceSpectrumParams, k):
@@ -86,22 +99,10 @@ class SpectrumSeries(NamedTuple):
     density: np.ndarray
 
 
-def check_spectrum_grid(k_min: float, k_max: float, samples: int) -> None:
-    """Reject a wave-number grid surface_psd_series cannot sample."""
-    if not 0 < k_min < k_max:
-        raise ValueError(f"need 0 < k_min ({k_min}) < k_max ({k_max})")
-    if not math.isfinite(k_max):
-        raise ValueError(f"k_max must be finite, got {k_max}")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    check_sample_budget(samples)
-
-
-def surface_psd_series(params: SurfaceSpectrumParams, k_min: float = 1e-3,
-                       k_max: float = 10.0, samples: int = 512) -> SpectrumSeries:
-    """Sample the spectrum on a log-spaced wave-number grid."""
-    check_spectrum_grid(k_min, k_max, samples)
-    k = np.logspace(math.log10(k_min), math.log10(k_max), samples)
+def surface_psd_series(params: SurfaceSpectrumParams) -> SpectrumSeries:
+    """Sample the spectrum on params' log-spaced wave-number grid."""
+    k = np.logspace(math.log10(params.k_min), math.log10(params.k_max),
+                    params.samples)
     return SpectrumSeries(k, surface_psd(params, k))
 
 
@@ -112,14 +113,16 @@ class BathymetrySpec:
     Hills repeat every ``hill_spacing`` metres along the track of total
     ``length``, sampled every ``dx``. ``zeta_max`` is the tallest possible
     hill; each hill is rescaled by a height factor in (0, 1] drawn
-    reproducibly from ``seed`` and the hill index.
+    reproducibly from ``seed`` (0 <= seed < 2**64) and the hill index. A
+    scenario's spec may hold seed None: the run draws with the scenario
+    seed.
     """
 
     zeta_max: float
     hill_spacing: float
     length: float
     dx: float
-    seed: int = 0
+    seed: Optional[int] = 0
 
     def __post_init__(self):
         _check_positive_finite(self, ("zeta_max", "hill_spacing", "dx"))
@@ -132,7 +135,8 @@ class BathymetrySpec:
         if not hills < 2.0 ** 53:
             raise ValueError("length / hill_spacing must be below 2**53, "
                              f"got {hills!r}")
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        if self.seed is not None and not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 _MASK64 = (1 << 64) - 1

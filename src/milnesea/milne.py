@@ -12,9 +12,10 @@ candidate solution can be substituted into both and should not satisfy
 one without the other.
 
 Alongside the dynamics live the quadratic energy functionals (Lagrangian
-density, Hamiltonian density, Milne energy), the oscillating envelope the
-Milne energy induces, and an estimator that reads the signal period and
-phase shift off a settled trajectory.
+and Hamiltonian densities; the latter on the envelope state is the Milne
+energy), the oscillating envelope the Milne energy induces, and an
+estimator that reads the signal period and phase shift off a settled
+trajectory.
 """
 
 from __future__ import annotations
@@ -163,20 +164,14 @@ def lagrangian_density(state, spec: SignalSpec, medium: MediumSpec, t):
 def hamiltonian_density(state, spec: SignalSpec, medium: MediumSpec, t):
     """Kinetic minus potential quadratic form, (1/2) p'^2 - V(p, t).
 
-    Lagrangian and Hamiltonian densities differ by exactly twice the
-    potential; the tests hold this identity pointwise.
+    On the envelope state this is the Milne energy, the effective signal
+    strength; with a stationary envelope (q' = 0) it reduces to
+    -((beta c k + omega^2 c t k) / 2) q^2. Lagrangian and Hamiltonian
+    densities differ by exactly twice the potential; the tests hold this
+    identity pointwise.
     """
     pd = state[1]
     return 0.5 * pd * pd - _potential(state[0], spec, medium, t)
-
-
-def milne_energy(state, spec: SignalSpec, medium: MediumSpec, t):
-    """Effective signal strength: the Hamiltonian form on the envelope state.
-
-    With a stationary envelope (q' = 0) this reduces to
-    -((beta c k + omega^2 c t k) / 2) q^2.
-    """
-    return hamiltonian_density(state, spec, medium, t)
 
 
 def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t):
@@ -239,9 +234,7 @@ def eq14_amplitude(q_plus_sq: float, q_minus_sq: float, tau: float,
                           imaginary_branch=bool(rad < 0))
 
 
-def estimate_period_phase(trajectory: Trajectory,
-                          window: Optional[Tuple[float, float]] = None
-                          ) -> Tuple[float, float]:
+def estimate_period_phase(trajectory: Trajectory) -> Tuple[float, float]:
     """Estimate (tau, delta): oscillation period and phase shift.
 
     Zero crossings of p are located by linear interpolation between
@@ -251,18 +244,12 @@ def estimate_period_phase(trajectory: Trajectory,
     atan2(-p'/omega, p) - omega t, and delta is minus the circular mean
     of those contributions, normalised to (-pi, pi].
 
-    ``window`` restricts the fit to times in [window[0], window[1]],
-    which is how callers exclude a transient while the medium is still
-    disturbed. Raises InsufficientDataError with fewer than three zero
-    crossings.
+    Callers exclude a transient by passing only the trajectory's samples
+    inside their estimation window. Raises InsufficientDataError with
+    fewer than two samples or fewer than three zero crossings.
     """
     times = trajectory.times
     states = trajectory.states
-    if window is not None:
-        lo, hi = window
-        mask = (times >= lo) & (times <= hi)
-        times = times[mask]
-        states = states[mask]
     if times.size < 2:
         raise InsufficientDataError("need at least two samples in the window")
 

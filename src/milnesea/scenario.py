@@ -39,13 +39,14 @@ from . import solver
 from .acoustic_signal import SignalSpec
 from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           SurfaceSpectrumParams, bathymetry_profile,
-                          check_spectrum_grid, surface_psd_series)
+                          surface_psd_series)
 from .errors import ConfigError, InsufficientDataError, NotComputedError, \
     SingularityError
 from .medium import (_BUMP_KINDS, CONSTANT, TABLE, CoefficientProfile,
                      MediumSpec)
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
-                    estimate_period_phase, integrate_milne, milne_energy)
+                    estimate_period_phase, hamiltonian_density,
+                    integrate_milne)
 from .solver import Trajectory, check_sample_budget, grid_points
 from .transition import COMPOSED, EXPANDED, FormComparison, compare_forms
 
@@ -53,28 +54,6 @@ class DynamicalParams(NamedTuple):
     e_m: float
     delta: float
     tau: float
-
-
-@dataclass(frozen=True)
-class SpectrumRequest:
-    params: SurfaceSpectrumParams
-    k_min: float = 1e-3
-    k_max: float = 10.0
-    samples: int = 512
-
-
-@dataclass(frozen=True)
-class BathymetryRequest:
-    zeta_max: float
-    hill_spacing: float
-    length: float
-    dx: float
-    seed: Optional[int] = None  # None: follow the scenario seed
-
-    def __post_init__(self):
-        # the spec's range checks; the seed may still come from the scenario
-        BathymetrySpec(self.zeta_max, self.hill_spacing, self.length,
-                       self.dx, self.seed or 0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +70,8 @@ class ScenarioConfig:
     blowup_threshold: Optional[float]
     initial_condition: MilneState
     dynamical_params: Optional[DynamicalParams]
-    spectrum: Optional[SpectrumRequest]
-    bathymetry: Optional[BathymetryRequest]
+    spectrum: Optional[SurfaceSpectrumParams]
+    bathymetry: Optional[BathymetrySpec]  # seed None: follow `seed`
     seed: int
     outputs: Tuple[str, ...]
 
@@ -161,6 +140,14 @@ def _integer(v) -> int:
     return v
 
 
+def _seed(v) -> int:
+    if (v := _integer(v)) < 0:
+        raise ValueError(f"must be nonnegative, got {v}")
+    if v >= 2 ** 64:
+        raise ValueError(f"must be below 2**64, got {v}")
+    return v
+
+
 def _flag(v) -> bool:
     if not isinstance(v, bool):
         raise TypeError("expected a boolean")
@@ -207,7 +194,7 @@ _KIND_KEYS = {CONSTANT: ("kind", "base"), TABLE: ("kind", "table"),
 # the object's attribute named like the key, or as given third (None:
 # input-only).
 _SCHEMA = {
-    "": ("", {"seed": (_integer, 0),
+    "": ("", {"seed": (_seed, 0),
               "outputs": (_unchecked, ["trajectory", "summary"])}),
     "signal": ("signal", {
         "amplitude": (_number, 1.0), "sound_speed": (_number, 1480.0),
@@ -231,21 +218,20 @@ _SCHEMA = {
         "tau": (_number, ...)}),
     "environment": ("", {}),
     "environment.surface_spectrum": ("spectrum", {
-        "wind_speed": (_number, ..., "params.wind_speed"),
-        "alpha": (_number, SurfaceSpectrumParams.alpha, "params.alpha"),
-        "beta": (_number, SurfaceSpectrumParams.beta, "params.beta"),
-        "gravity": (_number, SurfaceSpectrumParams.gravity, "params.gravity"),
-        "k_min": (_number, SpectrumRequest.k_min),
-        "k_max": (_number, SpectrumRequest.k_max),
-        "samples": (_integer, SpectrumRequest.samples)}),
+        "wind_speed": (_number, ...),
+        "alpha": (_number, SurfaceSpectrumParams.alpha),
+        "beta": (_number, SurfaceSpectrumParams.beta),
+        "gravity": (_number, SurfaceSpectrumParams.gravity),
+        "k_min": (_number, SurfaceSpectrumParams.k_min),
+        "k_max": (_number, SurfaceSpectrumParams.k_max),
+        "samples": (_integer, SurfaceSpectrumParams.samples)}),
     "environment.bathymetry": ("bathymetry", {
         "zeta_max": (_number, ...), "hill_spacing": (_number, ...),
         "length": (_number, ...), "dx": (_number, ...),
-        "seed": (_integer, None)}),
+        "seed": (_seed, None)}),
 }
 _POSITIVE = {"solver": ("dt", "rtol", "atol", "blowup_threshold"),
              "dynamical_params": ("tau",)}
-_NONNEGATIVE = {"": ("seed",), "environment.bathymetry": ("seed",)}
 
 
 def _block(doc: dict, path: str, problems: list) -> Optional[dict]:
@@ -288,14 +274,11 @@ def _values(block: dict, path: str, problems: list,
             values[key] = check(block[key])
         except (TypeError, ValueError, OverflowError) as exc:
             problems.append(f"{where}.{key}: {exc}")
-            built = built and not required and check in (_number, _integer)
+            built = built and not required and check in (_number, _integer,
+                                                          _seed)
     for key in _POSITIVE.get(path, ()):
         if values[key] is not None and values[key] <= 0:
             problems.append(f"{where}.{key}: must be positive, "
-                            f"got {values[key]}")
-    for key in _NONNEGATIVE.get(path, ()):
-        if values[key] is not None and values[key] < 0:
-            problems.append(f"{where}.{key}: must be nonnegative, "
                             f"got {values[key]}")
     return values if built else None
 
@@ -337,13 +320,6 @@ def _profile(medium: dict, path: str, problems: list,
         return None
     values = _values(block, path, problems, fields)
     return values and _build(problems, path, CoefficientProfile, **values)
-
-
-def _spectrum_request(wind_speed, alpha, beta, gravity, k_min, k_max,
-                      samples) -> SpectrumRequest:
-    params = SurfaceSpectrumParams(wind_speed, alpha, beta, gravity)
-    check_spectrum_grid(k_min, k_max, samples)
-    return SpectrumRequest(params, k_min, k_max, samples)
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -424,9 +400,9 @@ def load_config(text: str) -> ScenarioConfig:
     if eblock is not None:
         _unknown_keys(eblock, "environment", problems)
         spectrum = _optional(eblock, "environment.surface_spectrum", problems,
-                             _spectrum_request)
+                             SurfaceSpectrumParams)
         bathymetry = _optional(eblock, "environment.bathymetry", problems,
-                               BathymetryRequest)
+                               BathymetrySpec)
 
     top = _values(raw, "", problems)
     outputs = top["outputs"]
@@ -475,7 +451,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         block = {}
         for key, (_, _, *attr) in fields.items():
             name = attr[0] if attr else key
-            value = attrgetter(name)(obj) if name else None
+            value = getattr(obj, name) if name else None
             # None and False are the unset forms of optional values
             if value is not None and value is not False:
                 block[key] = _plain(value)
@@ -572,8 +548,8 @@ def _estimate_summary(trajectory: Trajectory,
                              states=trajectory.states[mask])
     tau, delta = estimate_period_phase(trajectory)
     states = trajectory.states
-    energy = milne_energy((states[:, 0], states[:, 1]), config.signal,
-                          config.medium, trajectory.times)
+    energy = hamiltonian_density((states[:, 0], states[:, 1]), config.signal,
+                                 config.medium, trajectory.times)
     return SignalSummary(e_m=float(np.mean(energy)), tau=tau, delta=delta)
 
 
@@ -628,8 +604,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             result.skips[product] = str(error)
 
     if "spectrum" in requested:
-        sp = config.spectrum
-        series = surface_psd_series(sp.params, sp.k_min, sp.k_max, sp.samples)
+        series = surface_psd_series(config.spectrum)
         i = _first_nonfinite("spectrum", series)
         if i is None:
             result.spectrum = series
@@ -638,10 +613,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                         f"k={float(series.k[i])!r}")
 
     if "bathymetry" in requested:
-        b = config.bathymetry
-        seed = b.seed if b.seed is not None else config.seed
-        result.bathymetry = bathymetry_profile(
-            BathymetrySpec(b.zeta_max, b.hill_spacing, b.length, b.dx, seed))
+        spec = config.bathymetry
+        if spec.seed is None:
+            spec = replace(spec, seed=config.seed)
+        result.bathymetry = bathymetry_profile(spec)
 
     return result
 

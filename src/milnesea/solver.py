@@ -98,10 +98,6 @@ class Trajectory:
     def last_time(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def last_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def default_blowup_threshold(y0) -> float:
     """Guard level used when the caller does not supply one."""
@@ -225,6 +221,9 @@ def _initial_step(t0, t1, y0, f0, rtol, atol):
     return min(h, t1 - t0)
 
 
+# a blow-up overflows stage values, stage sums or the error norm; the step
+# loop turns each non-finite one into a rejection or an abort, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL,
                        max_steps: int = DEFAULT_MAX_STEPS,

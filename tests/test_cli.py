@@ -1,6 +1,7 @@
 """End-to-end CLI checks driven through main()."""
 
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,16 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out-dir", str(out),
                      "--seed", "-5"]) == 1
         assert "seed: must be nonnegative, got -5" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    def test_seed_override_at_2_64_rejected(self, tmp_path, capsys):
+        # the hill hash reads 64 bits: 2**64 would draw seed 0's seabed
+        cfg = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out-dir", str(out),
+                     "--seed", str(2 ** 64)]) == 1
+        assert ("config.seed: must be below 2**64, got "
+                "18446744073709551616") in capsys.readouterr().err
         assert not (out / "result.json").exists()
 
     def test_table_rounding_below_a_zero_knot_runs(self, tmp_path, capsys):
@@ -191,7 +202,11 @@ class TestTables:
                         "be below 2**53, got 3e+300"),
         (["--seed", "-1"],
          "environment.bathymetry.seed: must be nonnegative, got -1"),
-    ], ids=["hill-index-overflow", "negative-seed"])
+        (["--zeta-max", "1", "--hill-spacing", "100", "--length", "300",
+          "--dx", "50", "--seed", str(2 ** 64)],
+         "environment.bathymetry.seed: must be below 2**64, "
+         "got 18446744073709551616"),
+    ], ids=["hill-index-overflow", "negative-seed", "seed-2**64"])
     def test_bathymetry_rejected_before_allocating(self, argv, message,
                                                    capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -307,6 +322,62 @@ class TestSharedRegistry:
             assert main(argv + ["--out", str(out)]) == 0
             assert out.read_bytes() == \
                 (tmp_path / "sim" / f"{product}.csv").read_bytes(), product
+
+
+# adaptive runs that overflow on their way to a blow-up; pytest turns
+# every numpy warning into an error, so a warning the solver lets through
+# fails the run
+ADAPTIVE_BLOWUPS = {
+    "rhs-overflow": {
+        "solver": {"method": "adaptive", "rtol": 0.001},
+        "initial_condition": {"p0": 2.0, "p_dot0": -2.7},
+        "outputs": ["trajectory"]},
+    "error-norm-overflow": {
+        "signal": {"amplitude": 4.101919545803766,
+                   "sound_speed": 4382.742389627276,
+                   "angular_frequency": 8917.562567131195},
+        "medium": {"omega": {"kind": "table",
+                             "table": [[0.0, 3.6519555363061014],
+                                       [1.5, 2.598946851438943]]},
+                   "beta": {"kind": "table",
+                            "table": [[0.039502773602326256, 0.0]]}},
+        "time": {"t0": 0.0, "t1": 0.1495036957685839, "stride": 1},
+        "solver": {"method": "adaptive", "rtol": 0.001, "atol": 1e-15},
+        "outputs": ["trajectory"]},
+    "stage-sum-overflow": {
+        "signal": {"amplitude": 1.9702049617041855,
+                   "sound_speed": 2074.5645187208174,
+                   "angular_frequency": 4975.303053930231},
+        "medium": {"omega": {"kind": "sech2-bump", "base": 1.0,
+                             "amplitude": 1.9702049617041855,
+                             "center": -0.2, "width": 1.4599887611626612},
+                   "beta": {"kind": "sech2-bump", "base": 4.265887071623382,
+                            "amplitude": -0.48441913812634363,
+                            "center": 0.0, "width": 3.91492005111016}},
+        "time": {"t0": -96.05427321757914, "t1": -95.55427321757914,
+                 "stride": 40},
+        "solver": {"method": "adaptive", "rtol": 0.04045849876310835,
+                   "atol": 4.30124669733255e-07},
+        "outputs": ["trajectory"]},
+}
+
+
+@pytest.mark.parametrize("doc", ADAPTIVE_BLOWUPS.values(),
+                         ids=ADAPTIVE_BLOWUPS.keys())
+def test_adaptive_blowup_is_data_not_a_warning(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, doc)),
+                 "--out-dir", str(out)]) == 0
+    status = strict_json(out / "result.json")["solver_status"]
+    assert status["status"] == "aborted-blowup"
+    assert status["message"].startswith("step size underflow at t=")
+    assert (f"note: integration ended early, {status['message']}"
+            in capsys.readouterr().out)
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,p,p_dot"
+    assert len(lines) == status["samples"] + 1
+    assert all(math.isfinite(float(v))
+               for line in lines[1:] for v in line.split(","))
 
 
 class TestNonFinite:

@@ -69,8 +69,9 @@ class TestSpectrum:
         assert s0 > surface_psd(p, kp * 0.999)
 
     def test_series_grid_and_argmax(self):
-        p = SurfaceSpectrumParams(wind_speed=10.0)
-        series = surface_psd_series(p, k_min=1e-3, k_max=1.0, samples=2048)
+        p = SurfaceSpectrumParams(wind_speed=10.0, k_min=1e-3, k_max=1.0,
+                                  samples=2048)
+        series = surface_psd_series(p)
         assert series.k.shape == series.density.shape == (2048,)
         assert series.k[0] == pytest.approx(1e-3)
         assert series.k[-1] == pytest.approx(1.0)
@@ -87,6 +88,18 @@ class TestSpectrum:
         SurfaceSpectrumParams(wind_speed=1e77)
         with pytest.raises(ValueError, match="4th power overflows"):
             SurfaceSpectrumParams(wind_speed=1e78)
+        # the grid is checked after the wind-wave constants
+        with pytest.raises(ValueError, match=r"need 0 < k_min \(2.0\) < "
+                                             r"k_max \(1.0\)"):
+            SurfaceSpectrumParams(wind_speed=10.0, k_min=2.0, k_max=1.0)
+        with pytest.raises(ValueError, match="k_max must be finite"):
+            SurfaceSpectrumParams(wind_speed=10.0, k_max=math.inf)
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            SurfaceSpectrumParams(wind_speed=10.0, samples=1)
+        with pytest.raises(ValueError, match="sample budget"):
+            SurfaceSpectrumParams(wind_speed=10.0, samples=10 ** 12)
+        with pytest.raises(ValueError, match="wind_speed must be positive"):
+            SurfaceSpectrumParams(wind_speed=0.0, k_min=2.0, k_max=1.0)
 
     def test_underflowing_factor_gives_zero(self):
         # at k = 1e-200, 2 k^3 underflows to 0 together with the
@@ -181,6 +194,19 @@ class TestBathymetry:
         with pytest.raises(ValueError):
             BathymetrySpec(zeta_max=1.0, hill_spacing=10.0, length=100.0,
                            dx=-0.5)
+
+    def test_seed_range(self):
+        dims = dict(zeta_max=1.0, hill_spacing=10.0, length=100.0, dx=0.5)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, "
+                                                 r"2\*\*64\), got "):
+                BathymetrySpec(**dims, seed=seed)
+        assert BathymetrySpec(**dims, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+        # None leaves the seed to the scenario; no seed at all draws seed 0
+        assert BathymetrySpec(**dims, seed=None).seed is None
+        np.testing.assert_array_equal(
+            bathymetry_profile(BathymetrySpec(**dims)).zeta,
+            bathymetry_profile(BathymetrySpec(**dims, seed=0)).zeta)
 
     def test_last_hill_index_below_2_53(self):
         # 2**53 hills is one too many; 2**52 still floors to exact indices

@@ -11,9 +11,11 @@ import pytest
 from milnesea import default_config_path
 from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
-from milnesea.milne import EnvelopeSample, SignalSummary, envelope_q
+from milnesea.milne import (EnvelopeSample, SignalSummary, envelope_q,
+                            hamiltonian_density)
 from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
-                               ScenarioResult, _evaluate, csv_text,
+                               ScenarioResult, _estimate_summary, _evaluate,
+                               csv_text,
                                dumps_config, export_csv, export_json,
                                grid_sweep, load_config, output_grid,
                                result_to_dict, run_scenario)
@@ -191,6 +193,19 @@ class TestValidation:
         assert load({"environment": {"bathymetry": bathymetry}}) \
             .bathymetry.seed == 0
 
+    def test_seeds_below_2_64(self):
+        # the hill hash reads 64 bits: 2**64 would draw seed 0's seabed
+        bathymetry = {"zeta_max": 1.0, "hill_spacing": 10.0, "length": 100.0,
+                      "dx": 1.0, "seed": 2 ** 64}
+        doc = {"seed": 2 ** 64, "environment": {"bathymetry": bathymetry}}
+        assert problems_of(doc) == [
+            "environment.bathymetry.seed: must be below 2**64, "
+            "got 18446744073709551616",
+            "config.seed: must be below 2**64, got 18446744073709551616"]
+        doc["seed"] = bathymetry["seed"] = 2 ** 64 - 1
+        cfg = load(doc)
+        assert cfg.seed == cfg.bathymetry.seed == 2 ** 64 - 1
+
     def test_spectrum_block_ranges(self):
         doc = {"environment": {"surface_spectrum": {"wind_speed": 10.0,
                                                     "k_min": 2.0,
@@ -359,6 +374,39 @@ class TestRun:
         assert 0.05 < s.tau < 0.12
         assert 0.03 < s.e_m < 0.5
         assert s.e_m_bound_violated is True
+
+    def test_estimation_window_excludes_the_transient(self):
+        # the bump has settled by t = 40 (centre + 5 widths): the summary
+        # reads the clean cosine after it and none of the flat run before
+        config = load({"medium": {"omega": {
+                           "kind": "gaussian-bump", "base": 1.0,
+                           "amplitude": 0.5, "center": 35.0, "width": 1.0}},
+                       "time": {"t0": 0.0, "t1": 100.0}})
+        t = np.arange(0.0, 100.0, 1e-3)
+        settled = t >= 40.0
+        p = np.where(settled, np.cos(t - 0.5), 2.0)
+        v = np.where(settled, -np.sin(t - 0.5), 0.0)
+        summary = _estimate_summary(Trajectory(t, np.stack([p, v], axis=1)),
+                                    config)
+        assert summary.tau == pytest.approx(2.0 * math.pi, abs=1e-4)
+        assert summary.delta == pytest.approx(0.5, abs=1e-3)
+        energy = hamiltonian_density((p[settled], v[settled]), config.signal,
+                                     config.medium, t[settled])
+        assert summary.e_m == pytest.approx(np.mean(energy), rel=1e-12)
+
+    def test_estimation_window_past_t1_skips_the_summary(self):
+        # a bump centred past t1 leaves no settled sample to read
+        doc = {**OSCILLATORY_DOC,
+               "medium": {"omega": {"kind": "gaussian-bump", "base": 1.0,
+                                    "amplitude": 0.5, "center": 0.0,
+                                    "width": 1.0},
+                          "beta": {"kind": "constant", "base": 0.1}},
+               "time": {"t0": -60.0, "t1": -59.0, "stride": 100},
+               "outputs": ["summary"]}
+        result = run_scenario(load(doc))
+        assert result.summary is None
+        assert result.skips == {"summary": "estimation failed: need at "
+                                           "least two samples in the window"}
 
     def test_blowup_cascades_into_skips(self, blowup_result):
         result = blowup_result

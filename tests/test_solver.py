@@ -35,12 +35,12 @@ class TestFixed:
         traj = integrate_fixed(decay, [1.0], (0.0, 1.0), dt=1e-3)
         assert traj.completed
         assert traj.last_time == 1.0
-        assert traj.last_state[0] == pytest.approx(EXP_DECAY_AT_1, rel=1e-10)
+        assert traj.states[-1][0] == pytest.approx(EXP_DECAY_AT_1, rel=1e-10)
 
     def test_harmonic_values(self):
         traj = integrate_fixed(harmonic, [1.0, 0.0], (0.0, 2.6), dt=1e-3)
-        assert traj.last_state[0] == pytest.approx(COS_2_6, rel=1e-9)
-        assert traj.last_state[1] == pytest.approx(MSIN_2_6, rel=1e-9)
+        assert traj.states[-1][0] == pytest.approx(COS_2_6, rel=1e-9)
+        assert traj.states[-1][1] == pytest.approx(MSIN_2_6, rel=1e-9)
 
     def test_grid_is_uniform_and_lands_on_t1(self):
         traj = integrate_fixed(decay, [1.0], (0.0, 1.05), dt=0.1)
@@ -240,7 +240,7 @@ class TestAdaptive:
         assert traj.completed
         assert traj.times[0] == 0.0
         assert traj.last_time == 1.0
-        assert traj.last_state[0] == pytest.approx(EXP_DECAY_AT_1, rel=1e-8)
+        assert traj.states[-1][0] == pytest.approx(EXP_DECAY_AT_1, rel=1e-8)
 
     def test_agrees_with_fixed_solver(self):
         # dual-route check: two independent steppers, same problem. Each
@@ -260,7 +260,7 @@ class TestAdaptive:
         assert np.max(np.abs(fixed.states - exact(fixed.times))) < 1e-10
         assert np.max(np.abs(adap.states - exact(adap.times))) < 5e-7
         assert fixed.last_time == adap.last_time == 5.0
-        assert np.max(np.abs(fixed.last_state - adap.last_state)) < 5e-7
+        assert np.max(np.abs(fixed.states[-1] - adap.states[-1])) < 5e-7
 
     @pytest.mark.xfail(strict=True, reason="FSAL stage aliases the stage "
                        "buffer: after a rejected attempt the next step "
