@@ -38,8 +38,12 @@ GAUSSIAN_BUMP = "gaussian-bump"
 SECH2_BUMP = "sech2-bump"
 TABLE = "table"
 
-_KINDS = (CONSTANT, GAUSSIAN_BUMP, SECH2_BUMP, TABLE)
-_BUMP_KINDS = (GAUSSIAN_BUMP, SECH2_BUMP)
+BUMP_KINDS = (GAUSSIAN_BUMP, SECH2_BUMP)
+# each profile kind, in the order errors list them, and the fields it reads
+KIND_KEYS = {CONSTANT: ("base",),
+             **dict.fromkeys(BUMP_KINDS, ("base", "amplitude", "center",
+                                          "width")),
+             TABLE: ("table",)}
 
 
 # Kernels: the profile's parameters come first, t last. The bump formulas
@@ -80,10 +84,10 @@ class CoefficientProfile:
     table: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidProfileError(
-                f"unknown profile kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind in _BUMP_KINDS and not self.width > 0:
+        if self.kind not in KIND_KEYS:
+            raise InvalidProfileError(f"unknown profile kind {self.kind!r}; "
+                                      f"expected one of {tuple(KIND_KEYS)}")
+        if self.kind in BUMP_KINDS and not self.width > 0:
             raise InvalidProfileError("bump profiles need width > 0")
         if self.kind == TABLE:
             if not self.table:
@@ -130,12 +134,11 @@ class CoefficientProfile:
         """Smallest and largest value the profile can attain."""
         if self.kind == CONSTANT:
             return float(self.base), float(self.base)
-        if self.kind in _BUMP_KINDS:
+        if self.kind in BUMP_KINDS:
             lo = self.base + min(0.0, self.amplitude)
             hi = self.base + max(0.0, self.amplitude)
             return float(lo), float(hi)
-        vs = [v for _, v in self.table]
-        return float(min(vs)), float(max(vs))
+        return self._kernel.args[2:]  # the clamps value() applies
 
 
 def validate_asymptotics(profile: CoefficientProfile, horizon: float,
@@ -154,7 +157,7 @@ def validate_asymptotics(profile: CoefficientProfile, horizon: float,
         hi = profile.table[-1][1]
         return (abs(profile.value(-horizon) - lo) <= eps
                 and abs(profile.value(horizon) - hi) <= eps)
-    if profile.kind in _BUMP_KINDS and horizon < profile.center + 8 * profile.width:
+    if profile.kind in BUMP_KINDS and horizon < profile.center + 8 * profile.width:
         return False
     return (abs(profile.value(horizon) - profile.base) <= eps
             and abs(profile.value(-horizon) - profile.base) <= eps)
@@ -162,36 +165,29 @@ def validate_asymptotics(profile: CoefficientProfile, horizon: float,
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Full description of the medium: omega profile, beta profile, sound speed.
+    """Full description of the medium: its omega and beta profiles.
 
     The omega profile must have unit background (the model is written in
     units where the asymptotic natural frequency is 1) and stay positive;
     the beta profile must stay nonnegative. Both ranges are proven here,
     once, through ``extreme_values()``, which ``value(t)`` never leaves;
-    ``omega(t)`` and ``beta(t)`` just evaluate the profiles.
-    ``allow_degenerate_omega`` suspends the omega checks for deliberately
-    degenerate test media (for example omega identically zero);
-    production configurations keep it off.
+    ``omega(t)`` and ``beta(t)`` just evaluate the profiles. The sound
+    speed belongs to the signal (``SignalSpec``), not to the medium.
     """
 
     omega_profile: CoefficientProfile
     beta_profile: CoefficientProfile
-    sound_speed: float = 1480.0
-    allow_degenerate_omega: bool = False
 
     def __post_init__(self):
-        if not self.sound_speed > 0:
-            raise InvalidProfileError("sound_speed must be positive")
         problems = []
-        if not self.allow_degenerate_omega:
-            om = self.omega_profile
-            if om.kind != TABLE and om.base != 1.0:
-                problems.append(f"omega profile background must be 1, got {om.base}")
-            lo, _ = om.extreme_values()
-            if lo <= 0:
-                problems.append(f"omega profile dips to {lo}, must stay positive")
+        om = self.omega_profile
+        if om.kind != TABLE and om.base != 1.0:
+            problems.append(f"omega profile background must be 1, got {om.base}")
+        lo, _ = om.extreme_values()
+        if not lo > 0:  # a nan knot fails too
+            problems.append(f"omega profile dips to {lo}, must stay positive")
         lo, _ = self.beta_profile.extreme_values()
-        if lo < 0:
+        if not lo >= 0:
             problems.append(f"beta profile dips to {lo}, must stay nonnegative")
         if problems:
             raise InvalidProfileError("; ".join(problems))

@@ -77,11 +77,11 @@ class SignalSummary:
 
 
 def _wrap_angle(a: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
+    """Reduce an angle to (-pi, pi]; one already there is kept as it is."""
+    if -math.pi < a <= math.pi:
+        return float(a)
     w = math.atan2(math.sin(a), math.cos(a))
-    if w == -math.pi:
-        w = math.pi
-    return w
+    return math.pi if w == -math.pi else w
 
 
 def milne_rhs(state, spec: SignalSpec, medium: MediumSpec,
@@ -193,13 +193,14 @@ def envelope_q(e_m: float, tau: float, spec: SignalSpec, medium: MediumSpec,
     SingularityError at the first t where the denominator vanishes.
     """
     t = np.asarray(t, dtype=float)
-    den = envelope_denominator(spec, medium, t)
-    zeros = np.flatnonzero(den == 0.0)
-    if zeros.size:
-        t0 = float(t.flat[zeros[0]])
-        raise SingularityError(
-            f"envelope denominator vanishes at t={t0!r}", t=t0)
+    # an overflowing denominator gives q2 = 0; a zero one raises first
     with np.errstate(over="ignore", invalid="ignore"):
+        den = envelope_denominator(spec, medium, t)
+        zeros = np.flatnonzero(den == 0.0)
+        if zeros.size:
+            t0 = float(t.flat[zeros[0]])
+            raise SingularityError(
+                f"envelope denominator vanishes at t={t0!r}", t=t0)
         q2 = 2.0 * e_m * np.cos(2.0 * t - tau) / den
     fields = (t, q2, np.sqrt(np.abs(q2)), q2 > 0)
     return EnvelopeSample(*(f.item() if t.ndim == 0 else f for f in fields))

@@ -42,12 +42,12 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           surface_psd_series)
 from .errors import ConfigError, InsufficientDataError, NotComputedError, \
     SingularityError
-from .medium import (_BUMP_KINDS, CONSTANT, TABLE, CoefficientProfile,
+from .medium import (BUMP_KINDS, CONSTANT, KIND_KEYS, CoefficientProfile,
                      MediumSpec)
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     estimate_period_phase, hamiltonian_density,
                     integrate_milne)
-from .solver import Trajectory, check_sample_budget, grid_points
+from .solver import Trajectory, check_sample_budget, fixed_steps, grid_points
 from .transition import COMPOSED, EXPANDED, FormComparison, compare_forms
 
 class DynamicalParams(NamedTuple):
@@ -148,12 +148,6 @@ def _seed(v) -> int:
     return v
 
 
-def _flag(v) -> bool:
-    if not isinstance(v, bool):
-        raise TypeError("expected a boolean")
-    return v
-
-
 def _method(v) -> str:
     if v not in ("fixed", "adaptive"):
         raise ValueError(f"expected 'fixed' or 'adaptive', got {v!r}")
@@ -182,9 +176,8 @@ _PROFILE_FIELDS = {"kind": (_unchecked, None),
                    "center": (_number, CoefficientProfile.center),
                    "width": (_number, CoefficientProfile.width),
                    "table": (_knots, CoefficientProfile.table)}
-_KIND_KEYS = {CONSTANT: ("kind", "base"), TABLE: ("kind", "table"),
-              **dict.fromkeys(_BUMP_KINDS, ("kind", "base", "amplitude",
-                                            "center", "width"))}
+_KIND_FIELDS = {kind: {key: _PROFILE_FIELDS[key] for key in ("kind", *keys)}
+                for kind, keys in KIND_KEYS.items()}
 
 # The scenario document, read by load_config and written by config_to_dict:
 # block path ("" is the top level) -> (ScenarioConfig attribute holding the
@@ -201,7 +194,7 @@ _SCHEMA = {
         # exactly one of the three is used; a bad one counts as 0.1
         "wave_number": (_number, 0.1), "wavelength": (_number, 0.1, None),
         "angular_frequency": (_number, 0.1, None)}),
-    "medium": ("medium", {"allow_degenerate_omega": (_flag, False)}),
+    "medium": ("medium", {}),
     "medium.omega": ("medium.omega_profile", None),
     "medium.beta": ("medium.beta_profile", None),
     "time": ("", {"t0": (_number, 0.0), "t1": (_number, 2.0),
@@ -312,8 +305,8 @@ def _profile(medium: dict, path: str, problems: list,
     if block is None:
         return None
     kind = block.get("kind")
-    keys = _KIND_KEYS.get(kind) if isinstance(kind, str) else None
-    fields = {key: _PROFILE_FIELDS[key] for key in keys or _PROFILE_FIELDS}
+    fields = _KIND_FIELDS.get(kind if isinstance(kind, str) else None,
+                              _PROFILE_FIELDS)
     _unknown_keys(block, path, problems, fields)
     if not isinstance(kind, str):
         problems.append(f"{path}.kind: required string")
@@ -355,16 +348,12 @@ def load_config(text: str) -> ScenarioConfig:
         signal = _build(problems, "signal", getattr(SignalSpec, f"from_{key}"),
                         sig["amplitude"], sig["sound_speed"], sig[key])
 
-    # the medium shares the signal's sound speed; configuring it twice
-    # would only invite contradictions
     mblock = _block(raw, "medium", problems) or {}
     _unknown_keys(mblock, "medium", problems)
     omega = _profile(mblock, "medium.omega", problems, 1.0)
     beta = _profile(mblock, "medium.beta", problems, 0.0)
-    med = _values(mblock, "medium", problems)
-    medium = med and omega and beta and _build(
-        problems, "medium", MediumSpec, omega, beta,
-        signal.sound_speed if signal else 1480.0, **med)
+    medium = omega and beta and _build(problems, "medium", MediumSpec,
+                                       omega, beta)
 
     time = _read(_block(raw, "time", problems) or {}, "time", problems)
     t0, t1, stride = time["t0"], time["t1"], time["stride"]
@@ -380,10 +369,12 @@ def load_config(text: str) -> ScenarioConfig:
             problems.append("time.stride: too large, the output step "
                             "overflows a float")
         elif t1 > t0:
-            # a fixed run records every step, finer than the output grid
-            step = run["dt"] if run["method"] == "fixed" else h
+            # a fixed run records t0 and every step, finer than the grid
+            fixed = run["method"] == "fixed"
+            step = run["dt"] if fixed else h
             _build(problems, "time", check_sample_budget,
-                   grid_points(t1 - t0, step))
+                   fixed_steps(t0, t1, step) + 1 if fixed
+                   else grid_points(t1 - t0, step))
             # a step within a few float spacings of the times would round
             # to repeated grid times
             far = max(abs(t0), abs(t1))
@@ -446,8 +437,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         if obj is None:
             continue
         if fields is None:
-            fields = {key: _PROFILE_FIELDS[key]
-                      for key in _KIND_KEYS[obj.kind]}
+            fields = _KIND_FIELDS[obj.kind]
         block = {}
         for key, (_, _, *attr) in fields.items():
             name = attr[0] if attr else key
@@ -477,7 +467,7 @@ def _estimation_window(medium: MediumSpec, t0: float,
     """Time window where bump disturbances have died down (5 widths past)."""
     start = t0
     for prof in (medium.omega_profile, medium.beta_profile):
-        if prof.kind in _BUMP_KINDS:
+        if prof.kind in BUMP_KINDS:
             start = max(start, prof.center + 5.0 * prof.width)
     return (start, t1) if start > t0 else None
 
@@ -548,9 +538,14 @@ def _estimate_summary(trajectory: Trajectory,
                              states=trajectory.states[mask])
     tau, delta = estimate_period_phase(trajectory)
     states = trajectory.states
-    energy = hamiltonian_density((states[:, 0], states[:, 1]), config.signal,
-                                 config.medium, trajectory.times)
-    return SignalSummary(e_m=float(np.mean(energy)), tau=tau, delta=delta)
+    # a blow-up records one state past the guard; its energy may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_m = float(np.mean(hamiltonian_density(
+            (states[:, 0], states[:, 1]), config.signal, config.medium,
+            trajectory.times)))
+    if not math.isfinite(e_m):
+        raise InsufficientDataError("Milne energy is not finite")
+    return SignalSummary(e_m=e_m, tau=tau, delta=delta)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

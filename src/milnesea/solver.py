@@ -24,7 +24,6 @@ exception. Callers inspect ``Trajectory.status``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -49,6 +48,15 @@ def grid_points(span: float, step: float):
     """Points of the grid 0, step, 2 step, ... <= span (inf if unbounded)."""
     n = span / step + 1e-9  # keeps an endpoint that divides evenly
     return math.floor(n) + 1 if math.isfinite(n) else math.inf
+
+
+def fixed_steps(t0: float, t1: float, dt: float):
+    """Steps of integrate_fixed from t0 to t1 (inf if unbounded): whole
+    steps of dt, then one to t1 unless they end within 1e-12 dt of it."""
+    n_whole = (t1 - t0) // dt
+    if not math.isfinite(n_whole):
+        return math.inf
+    return int(n_whole) + (t1 - (t0 + dt * n_whole) > 1e-12 * dt)
 
 
 def check_sample_budget(samples) -> None:
@@ -127,12 +135,12 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
                     blowup_threshold: Optional[float] = None) -> Trajectory:
     """Integrate y' = rhs(t, y) with classic RK4 on a uniform grid.
 
-    The grid is t0 + i*dt with a shorter final step so the last sample
-    lands exactly on t1. Every step is recorded. If any state component
-    exceeds ``blowup_threshold`` in magnitude the offending state is
-    recorded (it is still finite) and integration stops with status
-    ABORTED_BLOWUP; a non-finite right-hand side aborts the same way
-    without recording.
+    The grid is t0 + i*dt, each time computed as it is reached, with the
+    last time moved or appended onto t1 (see fixed_steps). Every step is
+    recorded. If any state component exceeds ``blowup_threshold`` in
+    magnitude the offending state is recorded (it is still finite) and
+    integration stops with status ABORTED_BLOWUP; a non-finite
+    right-hand side aborts the same way without recording.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
     one. Each component is updated in the order of the array form
@@ -144,17 +152,10 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    n_whole = (t1 - t0) // dt
-    steps = n_whole + (t1 - (t0 + dt * n_whole) > 1e-12 * dt)
-    if steps > DEFAULT_MAX_STEPS:  # checked before the grid is allocated
+    steps = fixed_steps(t0, t1, dt)
+    if steps > DEFAULT_MAX_STEPS:  # checked before anything is recorded
         raise ValueError(f"{steps:.0f} steps exceed the limit "
                          f"{DEFAULT_MAX_STEPS}")
-    grid = t0 + dt * np.arange(int(n_whole) + 1)
-    if t1 - grid[-1] > 1e-12 * dt:
-        grid = np.append(grid, t1)
-    else:
-        grid[-1] = t1
-    grid = grid.tolist()
 
     y = tuple(y0.tolist())
     times = [t0]
@@ -167,7 +168,9 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
         return finish(ABORTED_BLOWUP,
                       f"initial state already exceeds guard {threshold:g}")
 
-    for t, t_next in zip(grid, itertools.islice(grid, 1, None)):
+    for i in range(steps):
+        t = t0 + dt * i  # not t0: the grid's first time is +0.0 for -0.0
+        t_next = t0 + dt * (i + 1) if i < steps - 1 else t1
         h = t_next - t
         hh = 0.5 * h
         k1 = rhs(t, y)

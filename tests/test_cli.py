@@ -396,6 +396,39 @@ class TestNonFinite:
             assert products[product]["status"] == "skipped"
             assert "not finite at t=0.0" in products[product]["reason"]
 
+    def test_overflowing_denominator_gives_zero_envelope(self, tmp_path,
+                                                         capsys):
+        # beta c k overflows to inf, so q_squared is 0, with no warning
+        doc = {"medium": {"beta": {"kind": "constant", "base": 1e307}},
+               "dynamical_params": {"e_m": 1.0, "delta": 0.0, "tau": 1.0},
+               "outputs": ["envelope", "transition"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 0
+        for name in ("envelope.csv", "transition.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert len(lines) > 1
+            assert all(v in ("false", "composed", "expanded")
+                       or math.isfinite(float(v))
+                       for line in lines[1:] for v in line.split(","))
+
+    def test_overflowing_energy_estimate_skips_the_summary(self, tmp_path,
+                                                           capsys):
+        # the blow-up's last recorded state is far past the guard, and its
+        # energy overflows: the estimate is a skip, not inf in result.json
+        doc = {"signal": {"sound_speed": 1.0, "angular_frequency": 1887.0},
+               "time": {"t0": -0.5, "t1": 0.5, "stride": 1},
+               "solver": {"dt": 0.0625, "blowup_threshold": 1280074.0},
+               "outputs": ["trajectory", "summary"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 2
+        result = strict_json(out / "result.json")
+        assert result["solver_status"]["status"] == "aborted-blowup"
+        assert result["products"]["summary"] == {
+            "status": "skipped",
+            "reason": "estimation failed: Milne energy is not finite"}
+
     def test_underflowing_wave_numbers_give_zero_density(self, tmp_path,
                                                         capsys):
         # k^3 underflows to 0, but so does the exponential factor: the

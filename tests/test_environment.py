@@ -101,6 +101,11 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="wind_speed must be positive"):
             SurfaceSpectrumParams(wind_speed=0.0, k_min=2.0, k_max=1.0)
 
+    def test_infinite_wind_speed_rejected(self):
+        with pytest.raises(ValueError, match="wind_speed must be finite, "
+                                             "got inf"):
+            SurfaceSpectrumParams(wind_speed=math.inf)
+
     def test_underflowing_factor_gives_zero(self):
         # at k = 1e-200, 2 k^3 underflows to 0 together with the
         # exponential factor; at k = 1e-105, alpha / 2 k^3 overflows

@@ -1,5 +1,7 @@
 """Coefficient profile and medium validation checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,6 @@ class TestMediumSpec:
                          CoefficientProfile(kind="constant", base=0.5))
         assert med.omega(10.0) == pytest.approx(1.2)
         assert med.beta(0.0) == 0.5
-        assert med.sound_speed == 1480.0
 
     def test_omega_background_must_be_one(self):
         with pytest.raises(InvalidProfileError):
@@ -130,20 +131,18 @@ class TestMediumSpec:
             MediumSpec(gaussian(amplitude=-1.5),
                        CoefficientProfile(kind="constant", base=0.0))
 
+    @pytest.mark.parametrize("which", ["omega", "beta"])
+    def test_nan_table_knot_fails_the_range_proof(self, which):
+        nan_table = CoefficientProfile(kind="table",
+                                       table=((0.0, math.nan), (1.0, 1.0)))
+        profiles = {"omega": CoefficientProfile(kind="constant", base=1.0),
+                    "beta": CoefficientProfile(kind="constant", base=0.0),
+                    which: nan_table}
+        with pytest.raises(InvalidProfileError, match=f"{which} profile dips "
+                                                      "to nan"):
+            MediumSpec(profiles["omega"], profiles["beta"])
+
     def test_beta_must_stay_nonnegative(self):
         with pytest.raises(InvalidProfileError):
             MediumSpec(CoefficientProfile(kind="constant", base=1.0),
                        CoefficientProfile(kind="constant", base=-0.1))
-
-    def test_degenerate_escape_hatch(self):
-        # deliberately degenerate test medium: omega identically zero
-        med = MediumSpec(CoefficientProfile(kind="constant", base=0.0),
-                         CoefficientProfile(kind="constant", base=0.5),
-                         allow_degenerate_omega=True)
-        assert med.omega(1.0) == 0.0
-
-    def test_sound_speed_positive(self):
-        with pytest.raises(InvalidProfileError):
-            MediumSpec(CoefficientProfile(kind="constant", base=1.0),
-                       CoefficientProfile(kind="constant", base=0.0),
-                       sound_speed=0.0)

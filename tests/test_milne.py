@@ -259,6 +259,13 @@ class TestSignalSummary:
         assert s.delta == pytest.approx(7.0 - 2.0 * math.pi, rel=1e-12)
         assert -math.pi < s.delta <= math.pi
 
+    def test_delta_in_range_kept_as_given(self):
+        # atan2(sin a, cos a) moves this one by one ulp
+        delta = 0.12362088731019161
+        assert SignalSummary(e_m=1.0, tau=1.0, delta=delta).delta == delta
+        assert SignalSummary(e_m=1.0, tau=1.0, delta=-math.pi).delta == math.pi
+        assert SignalSummary(e_m=1.0, tau=1.0, delta=math.pi).delta == math.pi
+
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError):
             SignalSummary(e_m=1.0, tau=0.0, delta=0.0)

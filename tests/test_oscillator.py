@@ -122,12 +122,3 @@ class TestParametric:
         dt = 1e-3
         acc = (x[idx + 1] - 2.0 * x[idx] + x[idx - 1]) / dt ** 2
         assert np.max(np.abs(acc + x[idx])) < 1e-6
-
-    def test_degenerate_omega_is_honoured(self):
-        # the medium consents to omega = 0; the RHS must read it the same way
-        medium = MediumSpec(CoefficientProfile(kind="constant", base=0.0),
-                            CoefficientProfile(kind="constant", base=0.5),
-                            allow_degenerate_omega=True)
-        assert medium.omega(1.0) == 0.0
-        np.testing.assert_array_equal(parametric_rhs((2.0, 1.0), medium, 1.0),
-                                      [1.0, -0.5])

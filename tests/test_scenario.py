@@ -177,9 +177,31 @@ class TestValidation:
                                     "amplitude": -1.0, "center": 5.0,
                                     "width": 1.0}}}
         assert any("omega" in p for p in problems_of(doc))
+        # no switch turns the range proof off
         doc["medium"]["allow_degenerate_omega"] = True
-        cfg = load(doc)
-        assert cfg.medium.allow_degenerate_omega
+        assert "medium.allow_degenerate_omega: unknown key" in problems_of(doc)
+
+    @pytest.mark.parametrize("doc, problems", [
+        ({"medium": {"omega": {"kind": "table", "table": [[0.0, 1.0, 2.0]]}}},
+         ["medium.omega.table: expected a list of [t, value] pairs"]),
+        ({"medium": {"omega": 3}}, ["medium.omega: expected an object"]),
+        ({"medium": {"beta": {"kind": 3, "base": 0.5}}},
+         ["medium.beta.kind: required string"]),
+        ({"outputs": "summary"}, ["outputs: expected a list of product names"]),
+        # 2 pi / 1e-320 overflows
+        ({"signal": {"wavelength": 1e-320}, "outputs": ["summary"]},
+         ["signal: wave_number must be finite, got inf"]),
+        # c k overflows
+        ({"signal": {"sound_speed": 1e308, "wave_number": 10}},
+         ["signal: angular_frequency must be finite, got inf"]),
+        # 9,999,999 whole steps and a half step to t1: 10,000,001 samples
+        ({"time": {"t0": 0.0, "t1": 9999999.5}, "solver": {"dt": 1.0}},
+         ["time: 10000001 samples exceed the sample budget of 10000000"]),
+    ], ids=["malformed-table", "profile-not-object", "kind-not-string",
+            "outputs-not-list", "wave-number-overflow",
+            "angular-frequency-overflow", "fixed-run-half-step"])
+    def test_problem_text(self, doc, problems):
+        assert problems_of(doc) == problems
 
     def test_negative_seed_rejected(self):
         assert any("seed" in p for p in problems_of({"seed": -1}))

@@ -108,6 +108,28 @@ class TestFixed:
         with pytest.raises(ValueError):
             integrate_fixed(decay, [math.inf], (0.0, 1.0))
 
+    def test_rejects_bad_guard_and_unbounded_span(self):
+        with pytest.raises(ValueError, match="blowup_threshold must be "
+                                             "positive"):
+            integrate_fixed(decay, [1.0], (0.0, 1.0), blowup_threshold=0.0)
+        with pytest.raises(ValueError, match="inf steps exceed the limit"):
+            integrate_fixed(decay, [1.0], (-1e308, 1e308), dt=1.0)
+
+    @pytest.mark.parametrize("t_span, dt", [
+        ((0.0, 1.0), 0.1), ((0.0, 1.05), 0.1), ((-0.0, 0.3), 0.1),
+        ((-3.7, 2.2), 0.37), ((1e6, 1e6 + 1.0), 1e-2), ((0.0, 1.0), 2.0),
+        ((0.0, 1.0 + 1e-13), 0.5)])
+    def test_records_fixed_steps_plus_one(self, t_span, dt):
+        traj = integrate_fixed(decay, [1.0], t_span, dt=dt)
+        assert len(traj) == solver.fixed_steps(*t_span, dt) + 1
+        assert traj.times[-1] == t_span[1]
+
+    def test_initial_state_above_guard(self):
+        traj = integrate_fixed(decay, [2.0], (0.0, 1.0), blowup_threshold=1.0)
+        assert traj.status == solver.ABORTED_BLOWUP
+        assert traj.message == "initial state already exceeds guard 1"
+        assert traj.times.tolist() == [0.0]
+
 
 def array_rk4(rhs, y0, t_span, dt, blowup_threshold):
     """RK4 with ndarray states and whole-array stage expressions.
@@ -208,6 +230,21 @@ class TestFixedMatchesArrayForm:
         assert len(traj) > 500
 
 
+    @pytest.mark.parametrize("t_span, dt", [
+        ((-0.0, 0.35), 0.1), ((0.0, 1.0), 0.1), ((0.1, 0.7), 0.1),
+        ((-3.7, 2.2), 0.37), ((1e6, 1e6 + 1.0 + 1e-13), 1e-2)])
+    def test_lazy_grid_matches_the_array_grid(self, t_span, dt):
+        # the RHS reads the sign of t: the first step must see the grid's
+        # t0 + dt * 0, which is +0.0 where t0 is -0.0
+        def rhs(t, y):
+            return (math.copysign(1.0, t) - y[0],)
+
+        got = integrate_fixed(rhs, [1.0], t_span, dt=dt)
+        want = array_rk4(rhs, [1.0], t_span, dt, None)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+
+
 class TestFixedAgainstScipy:
     def test_oscillatory_regime_tracks_dop853(self):
         # an independent eighth-order integrator run near machine precision
@@ -286,6 +323,18 @@ class TestAdaptive:
         assert traj.status == solver.ABORTED_STEP_LIMIT
         assert "10" in traj.message
 
+    def test_initial_state_above_guard(self):
+        traj = integrate_adaptive(decay, [2.0], (0.0, 1.0),
+                                  blowup_threshold=1.0)
+        assert traj.status == solver.ABORTED_BLOWUP
+        assert traj.message == "initial state already exceeds guard 1"
+        assert traj.times.tolist() == [0.0]
+
+    @pytest.mark.parametrize("tols", [{"rtol": 0.0}, {"atol": -1e-12}])
+    def test_rejects_nonpositive_tolerances(self, tols):
+        with pytest.raises(ValueError, match="rtol and atol must be positive"):
+            integrate_adaptive(decay, [1.0], (0.0, 1.0), **tols)
+
     def test_nonfinite_rhs_at_start_gives_empty_trajectory(self):
         traj = integrate_adaptive(lambda t, y: np.array([math.nan]),
                                   [1.0], (0.0, 1.0))
@@ -297,6 +346,10 @@ class TestTrajectory:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
+
+    def test_requires_1d_times(self):
+        with pytest.raises(ValueError, match="times must be a 1-d array"):
+            Trajectory(np.zeros((2, 1)), np.zeros((2, 1)))
 
     def test_requires_matching_shapes(self):
         with pytest.raises(ValueError):
