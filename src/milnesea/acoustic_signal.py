@@ -45,7 +45,7 @@ class SignalSpec:
         for name in ("amplitude", "sound_speed", "wave_number"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("wave_number", "angular_frequency"):
+        for name in ("amplitude", "wave_number", "angular_frequency"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
 

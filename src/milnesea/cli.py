@@ -7,7 +7,7 @@ Subcommands:
 * ``spectrum``    sea-surface spectral density table
 * ``bathymetry``  procedural seabed profile table
 * ``envelope``    envelope-square sweep for given E_M and tau
-* ``transition``  both transition-matrix forms at one evaluation point
+* ``transition``  the transition product's CSV rows at one evaluation time
 
 Exit codes: 0 on success, 1 for configuration or usage errors, 2 when the
 run went through but some requested product had to be skipped (partial
@@ -28,7 +28,6 @@ from . import __version__
 from .errors import ConfigError
 from .scenario import (config_to_dict, csv_chunks, export_csv, export_json,
                        grid_sweep, load_config, output_grid, run_scenario)
-from .transition import COMPOSED, EXPANDED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="tabulate the sea-surface spectrum")
     p.add_argument("--wind-speed", type=float, required=True,
                    help="wind speed at 19.5 m height, m/s")
-    p.add_argument("--k-min", type=float, default=1e-3)
-    p.add_argument("--k-max", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=512)
+    # left unset, the grid options take SurfaceSpectrumParams' defaults
+    p.add_argument("--k-min", type=float)
+    p.add_argument("--k-max", type=float)
+    p.add_argument("--samples", type=int)
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
 
     p = sub.add_parser("bathymetry", help="tabulate a procedural seabed")
@@ -71,14 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--em", type=float, required=True, help="Milne energy")
     p.add_argument("--tau", type=float, required=True, help="signal period")
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
+    # the envelope reads no phase shift; 0 only fills the required key
+    p.set_defaults(delta=0.0, t=None)
 
     p = sub.add_parser("transition",
-                       help="print both transition-matrix forms at a point")
+                       help="print the transition CSV rows at one time")
     p.add_argument("config", help="JSON config supplying signal and medium")
     p.add_argument("--em", type=float, required=True, help="Milne energy")
     p.add_argument("--delta", type=float, required=True, help="phase shift")
     p.add_argument("--tau", type=float, required=True, help="signal period")
     p.add_argument("--t", type=float, required=True, help="evaluation time")
+    p.set_defaults(out="-")
 
     return parser
 
@@ -127,8 +130,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _table(product: str, block: str, options: dict, out: str) -> int:
-    """One environment product of a scenario holding only its options."""
-    config = load_config(json.dumps({"environment": {block: options},
+    """One environment product of a scenario holding only its options;
+    an option left None takes the block's default."""
+    given = {key: v for key, v in options.items() if v is not None}
+    config = load_config(json.dumps({"environment": {block: given},
                                      "outputs": [product]}))
     result = run_scenario(config)
     if product in result.skips:
@@ -150,41 +155,25 @@ def _cmd_bathymetry(args) -> int:
         "length": args.length, "dx": args.dx, "seed": args.seed}, args.out)
 
 
-def _cmd_envelope(args) -> int:
-    # the envelope reads no phase shift; 0 only fills the required key
-    config = _load(args.config, dynamical_params={
-        "e_m": args.em, "delta": 0.0, "tau": args.tau})
-    envelope, error = grid_sweep("envelope", config, config.dynamical_params,
-                                 output_grid(config))
-    _emit(csv_chunks("envelope", envelope), args.out)
-    if error is not None:
-        print(f"envelope sweep stopped: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_transition(args) -> int:
-    if not math.isfinite(args.t):
+def _cmd_sweep(args) -> int:
+    """The envelope over the output grid, or the transition at one time."""
+    product = args.command
+    if args.t is not None and not math.isfinite(args.t):
         raise ValueError(f"t must be finite, got {args.t}")
     config = _load(args.config, dynamical_params={
         "e_m": args.em, "delta": args.delta, "tau": args.tau})
-    cmp, error = grid_sweep("transition", config, config.dynamical_params,
-                            np.array([args.t]))
+    grid = output_grid(config) if args.t is None else np.array([args.t])
+    data, error = grid_sweep(product, config, config.dynamical_params, grid)
+    _emit(csv_chunks(product, data), args.out)
     if error is not None:
-        print(f"transition undefined: {error}", file=sys.stderr)
+        print(f"{product} sweep stopped: {error}", file=sys.stderr)
         return 2
-    for label, entries in ((COMPOSED, cmp.composed),
-                           (EXPANDED, cmp.expanded)):
-        print(f"{label}:")
-        for a, b in entries[0]:
-            print(f"  [{a:+.12e}  {b:+.12e}]")
-    print(f"max entry gap: {cmp.discrepancy[0]:.12e}")
     return 0
 
 
 _HANDLERS = {"simulate": _cmd_simulate, "spectrum": _cmd_spectrum,
-             "bathymetry": _cmd_bathymetry, "envelope": _cmd_envelope,
-             "transition": _cmd_transition}
+             "bathymetry": _cmd_bathymetry, "envelope": _cmd_sweep,
+             "transition": _cmd_sweep}
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,7 @@ value, bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -97,6 +98,15 @@ class CoefficientProfile:
             ts = [t for t, _ in knots]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise InvalidProfileError("table knot times must be strictly increasing")
+        # a nan or inf would slip past the range proof (min(0.0, nan) is
+        # 0.0, and nan knot times pass the increasing check)
+        for key in KIND_KEYS[self.kind]:
+            value = getattr(self, key)
+            numbers = (x for knot in value for x in knot) if key == "table" \
+                else (value,)
+            if not all(map(math.isfinite, numbers)):
+                raise InvalidProfileError(f"profile {key} must be finite, "
+                                          f"got {value!r}")
         # not a field: equality, hashing and the config echo ignore it
         object.__setattr__(self, "_kernel", self._build_kernel())
 
@@ -184,7 +194,7 @@ class MediumSpec:
         if om.kind != TABLE and om.base != 1.0:
             problems.append(f"omega profile background must be 1, got {om.base}")
         lo, _ = om.extreme_values()
-        if not lo > 0:  # a nan knot fails too
+        if not lo > 0:
             problems.append(f"omega profile dips to {lo}, must stay positive")
         lo, _ = self.beta_profile.extreme_values()
         if not lo >= 0:

@@ -91,7 +91,7 @@ class ScenarioResult:
 
 
 # Every product's CSV layout, shared by export_csv, result_to_dict,
-# _first_nonfinite and the CLI's table commands: the CSV header, the
+# _first_nonfinite and every CLI command: the CSV header, the
 # %-format of one record, and data -> columns, one entry per record. A
 # product's data is the ScenarioResult attribute of its name; a record is
 # one line, except a transition record: one grid time, two lines.
@@ -442,8 +442,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         for key, (_, _, *attr) in fields.items():
             name = attr[0] if attr else key
             value = getattr(obj, name) if name else None
-            # None and False are the unset forms of optional values
-            if value is not None and value is not False:
+            if value is not None:  # an unset optional value
                 block[key] = _plain(value)
         if block:
             target = doc
@@ -529,7 +528,8 @@ def grid_sweep(product: str, config: ScenarioConfig, params: DynamicalParams,
 
 
 def _estimate_summary(trajectory: Trajectory,
-                      config: ScenarioConfig) -> SignalSummary:
+                      config: ScenarioConfig) -> DynamicalParams:
+    """The run's (e_m, delta, tau), read off its settled samples."""
     window = _estimation_window(config.medium, config.t0, config.t1)
     if window is not None:
         times = trajectory.times
@@ -545,7 +545,7 @@ def _estimate_summary(trajectory: Trajectory,
             trajectory.times)))
     if not math.isfinite(e_m):
         raise InsufficientDataError("Milne energy is not finite")
-    return SignalSummary(e_m=e_m, tau=tau, delta=delta)
+    return DynamicalParams(e_m, delta, tau)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -574,8 +574,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     params_skip_reason = None
     if must_estimate:
         try:
-            summary = _estimate_summary(trajectory, config)
-            params = DynamicalParams(summary.e_m, summary.delta, summary.tau)
+            params = _estimate_summary(trajectory, config)
         except InsufficientDataError as exc:
             params_skip_reason = f"estimation failed: {exc}"
 
@@ -636,11 +635,6 @@ def csv_chunks(product: str, data):
         # Python floats and strs format faster than numpy scalars
         cols = [np.asarray(c[start:start + _CHUNK]).tolist() for c in columns]
         yield line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
-
-
-def csv_text(product: str, data) -> str:
-    """One product's CSV text: the header, then each record's lines."""
-    return "".join(csv_chunks(product, data))
 
 
 def _require_product(result: ScenarioResult, product: str):

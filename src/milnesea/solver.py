@@ -52,11 +52,12 @@ def grid_points(span: float, step: float):
 
 def fixed_steps(t0: float, t1: float, dt: float):
     """Steps of integrate_fixed from t0 to t1 (inf if unbounded): whole
-    steps of dt, then one to t1 unless they end within 1e-12 dt of it."""
+    steps of dt, then one to t1 unless they end within 1e-12 dt of it.
+    A span shorter than that takes one step, so the run still ends on t1."""
     n_whole = (t1 - t0) // dt
     if not math.isfinite(n_whole):
         return math.inf
-    return int(n_whole) + (t1 - (t0 + dt * n_whole) > 1e-12 * dt)
+    return max(1, int(n_whole) + (t1 - (t0 + dt * n_whole) > 1e-12 * dt))
 
 
 def check_sample_budget(samples) -> None:
@@ -149,8 +150,8 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     steps = fixed_steps(t0, t1, dt)
     if steps > DEFAULT_MAX_STEPS:  # checked before anything is recorded

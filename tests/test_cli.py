@@ -295,6 +295,9 @@ class TestPointOptions:
         assert captured.err == f"configuration rejected:\n  - {problem}\n"
 
 
+TRANSITION_HEADER = "t,m11,m12,m21,m22,provenance,discrepancy\n"
+
+
 class TestSharedRegistry:
     def test_table_commands_write_the_simulate_csv(self, tmp_path):
         doc = {"medium": {"beta": {"kind": "constant", "base": 0.5}},
@@ -322,6 +325,41 @@ class TestSharedRegistry:
             assert main(argv + ["--out", str(out)]) == 0
             assert out.read_bytes() == \
                 (tmp_path / "sim" / f"{product}.csv").read_bytes(), product
+
+    def test_spectrum_grid_defaults_are_the_scenario_defaults(self,
+                                                               tmp_path):
+        cfg = write_config(tmp_path, {
+            "environment": {"surface_spectrum": {"wind_speed": 7.5}},
+            "outputs": ["spectrum"]})
+        assert main(["simulate", str(cfg), "--out-dir",
+                     str(tmp_path / "sim")]) == 0
+        out = tmp_path / "cli-spectrum.csv"
+        assert main(["spectrum", "--wind-speed", "7.5", "--out",
+                     str(out)]) == 0
+        assert out.read_bytes() == \
+            (tmp_path / "sim" / "spectrum.csv").read_bytes()
+
+    def test_transition_command_prints_the_simulate_rows(self, tmp_path,
+                                                         capsys):
+        doc = {"medium": {"beta": {"kind": "sech2-bump", "base": 0.5,
+                                   "amplitude": 0.25, "center": 1.0,
+                                   "width": 0.5}},
+               "time": {"t0": 0.5, "t1": 1.5, "stride": 7},
+               "dynamical_params": {"e_m": 1.25, "delta": 0.3, "tau": 0.7},
+               "outputs": ["transition"]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", str(cfg), "--out-dir",
+                     str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        header, *rows = (tmp_path / "sim" / "transition.csv").read_text() \
+            .splitlines(keepends=True)
+        assert len(rows) == 2 * 143
+        for i in (0, 1, 71, 142):
+            composed, expanded = rows[2 * i:2 * i + 2]
+            t = composed.split(",")[0]
+            assert main(["transition", str(cfg), "--em", "1.25", "--delta",
+                         "0.3", "--tau", "0.7", "--t", t]) == 0
+            assert capsys.readouterr().out == header + composed + expanded
 
 
 # adaptive runs that overflow on their way to a blow-up; pytest turns
@@ -490,9 +528,9 @@ class TestNonFinite:
         assert main(["transition", str(cfg), "--em", "1e308", "--delta",
                      "0.3", "--tau", "1", "--t", "1.5"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("transition undefined: transition is not "
-                                "finite at t=1.5\n")
+        assert captured.out == TRANSITION_HEADER
+        assert captured.err == ("transition sweep stopped: transition is "
+                                "not finite at t=1.5\n")
 
 
 class TestTransitionCommand:
@@ -514,17 +552,23 @@ class TestTransitionCommand:
                                                           "base": 0.5}}})
         assert main(["transition", str(cfg), "--em", "1.0", "--delta", "0.0",
                      "--tau", "0.7853981633974483", "--t", "1.5"]) == 0
-        out = capsys.readouterr().out
-        assert "composed:" in out and "expanded:" in out
-        gap = float(out.rsplit("max entry gap:", 1)[1])
-        assert gap == pytest.approx(0.7071067811865474, abs=1e-9)
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header + "\n" == TRANSITION_HEADER
+        assert [row.split(",")[5] for row in rows] == ["composed", "expanded"]
+        for row in rows:
+            assert float(row.split(",")[0]) == 1.5
+            gap = float(row.split(",")[6])
+            assert gap == pytest.approx(0.7071067811865474, abs=1e-9)
 
     def test_singular_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})
         code = main(["transition", str(cfg), "--em", "1.0", "--delta", "0.1",
                      "--tau", "1.0", "--t", "0.0"])
         assert code == 2
-        assert "undefined" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == TRANSITION_HEADER
+        assert captured.err == ("transition sweep stopped: envelope "
+                                "denominator vanishes at t=0.0\n")
 
 
 def test_version(capsys):

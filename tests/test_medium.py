@@ -109,6 +109,13 @@ class TestAsymptotics:
         prof = CoefficientProfile(kind="constant", base=0.3)
         assert validate_asymptotics(prof, horizon=1.0, eps=1e-12)
 
+    def test_table_compares_to_its_end_knots(self):
+        prof = CoefficientProfile(kind="table",
+                                  table=((0.0, 0.2), (1.0, 0.7)))
+        assert validate_asymptotics(prof, horizon=5.0, eps=1e-12)
+        # at t = 0.5 the table still reads 0.45, not its end value 0.7
+        assert not validate_asymptotics(prof, horizon=0.5, eps=0.1)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             validate_asymptotics(gaussian(), horizon=-1.0)
@@ -133,14 +140,33 @@ class TestMediumSpec:
 
     @pytest.mark.parametrize("which", ["omega", "beta"])
     def test_nan_table_knot_fails_the_range_proof(self, which):
-        nan_table = CoefficientProfile(kind="table",
-                                       table=((0.0, math.nan), (1.0, 1.0)))
+        # the profile refuses the knot itself, before any medium is built
         profiles = {"omega": CoefficientProfile(kind="constant", base=1.0),
-                    "beta": CoefficientProfile(kind="constant", base=0.0),
-                    which: nan_table}
-        with pytest.raises(InvalidProfileError, match=f"{which} profile dips "
-                                                      "to nan"):
+                    "beta": CoefficientProfile(kind="constant", base=0.0)}
+        with pytest.raises(InvalidProfileError, match=r"profile table must "
+                                                      r"be finite, got .*nan"):
+            profiles[which] = CoefficientProfile(
+                kind="table", table=((0.0, math.nan), (1.0, 1.0)))
             MediumSpec(profiles["omega"], profiles["beta"])
+
+    @pytest.mark.parametrize("profile, key", [
+        ({"kind": "constant", "base": math.inf}, "base"),
+        ({"kind": "table", "table": ((math.nan, 0.5), (1.0, 0.5))}, "table"),
+        ({"kind": "table", "table": ((0.0, 0.5), (1.0, math.inf))}, "table"),
+        ({"kind": "gaussian-bump", "base": 0.5, "amplitude": math.inf},
+         "amplitude"),
+        ({"kind": "sech2-bump", "base": 0.5, "amplitude": math.nan},
+         "amplitude"),
+        ({"kind": "gaussian-bump", "base": 0.5, "center": math.nan},
+         "center"),
+    ], ids=["constant-inf", "knot-time-nan", "knot-value-inf",
+            "bump-amplitude-inf", "bump-amplitude-nan", "bump-center-nan"])
+    def test_non_finite_numbers_are_refused(self, profile, key):
+        # each of these would pass the range proof: min(0.0, nan) is 0.0,
+        # and a nan knot time passes the increasing-times check
+        with pytest.raises(InvalidProfileError,
+                           match=f"profile {key} must be finite"):
+            CoefficientProfile(**profile)
 
     def test_beta_must_stay_nonnegative(self):
         with pytest.raises(InvalidProfileError):

@@ -15,9 +15,8 @@ from milnesea.milne import (EnvelopeSample, SignalSummary, envelope_q,
                             hamiltonian_density)
 from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
                                ScenarioResult, _estimate_summary, _evaluate,
-                               csv_text,
-                               dumps_config, export_csv, export_json,
-                               grid_sweep, load_config, output_grid,
+                               csv_chunks, dumps_config, export_csv,
+                               export_json, grid_sweep, load_config, output_grid,
                                result_to_dict, run_scenario)
 from milnesea.solver import DEFAULT_DT, DEFAULT_MAX_STEPS, Trajectory
 from milnesea.transition import FormComparison, compare_forms
@@ -184,6 +183,11 @@ class TestValidation:
     @pytest.mark.parametrize("doc, problems", [
         ({"medium": {"omega": {"kind": "table", "table": [[0.0, 1.0, 2.0]]}}},
          ["medium.omega.table: expected a list of [t, value] pairs"]),
+        ({"medium": {"omega": {"kind": "table", "table": [[0.0, "1"]]}}},
+         ["medium.omega.table: expected a list of [t, value] pairs"]),
+        ({"medium": {"beta": {"kind": "table",
+                              "table": [[float("nan"), 0.5]]}}},
+         ["medium.beta.table: expected a list of [t, value] pairs"]),
         ({"medium": {"omega": 3}}, ["medium.omega: expected an object"]),
         ({"medium": {"beta": {"kind": 3, "base": 0.5}}},
          ["medium.beta.kind: required string"]),
@@ -197,7 +201,8 @@ class TestValidation:
         # 9,999,999 whole steps and a half step to t1: 10,000,001 samples
         ({"time": {"t0": 0.0, "t1": 9999999.5}, "solver": {"dt": 1.0}},
          ["time: 10000001 samples exceed the sample budget of 10000000"]),
-    ], ids=["malformed-table", "profile-not-object", "kind-not-string",
+    ], ids=["malformed-table", "mistyped-knot", "non-finite-knot",
+            "profile-not-object", "kind-not-string",
             "outputs-not-list", "wave-number-overflow",
             "angular-frequency-overflow", "fixed-run-half-step"])
     def test_problem_text(self, doc, problems):
@@ -408,13 +413,23 @@ class TestRun:
         settled = t >= 40.0
         p = np.where(settled, np.cos(t - 0.5), 2.0)
         v = np.where(settled, -np.sin(t - 0.5), 0.0)
-        summary = _estimate_summary(Trajectory(t, np.stack([p, v], axis=1)),
-                                    config)
-        assert summary.tau == pytest.approx(2.0 * math.pi, abs=1e-4)
-        assert summary.delta == pytest.approx(0.5, abs=1e-3)
+        params = _estimate_summary(Trajectory(t, np.stack([p, v], axis=1)),
+                                   config)
+        assert isinstance(params, DynamicalParams)
+        assert params.tau == pytest.approx(2.0 * math.pi, abs=1e-4)
+        assert params.delta == pytest.approx(0.5, abs=1e-3)
         energy = hamiltonian_density((p[settled], v[settled]), config.signal,
                                      config.medium, t[settled])
-        assert summary.e_m == pytest.approx(np.mean(energy), rel=1e-12)
+        assert params.e_m == pytest.approx(np.mean(energy), rel=1e-12)
+
+    def test_step_beyond_the_span_ends_on_t1(self):
+        # dt is 5e12 spans: no whole step, and the remainder is below
+        # 1e-12 dt; the run still takes its one step to t1
+        result = run_scenario(load({"solver": {"dt": 1e13},
+                                    "outputs": ["trajectory", "summary"]}))
+        assert result.trajectory.times.tolist() == [0.0, 2.0]
+        status = result_to_dict(result)["solver_status"]
+        assert status["samples"] == 2 and status["last_time"] == 2.0
 
     def test_estimation_window_past_t1_skips_the_summary(self):
         # a bump centred past t1 leaves no settled sample to read
@@ -571,8 +586,9 @@ class TestArraySweep:
         assert str(error) == "envelope denominator vanishes at t=0.0"
         assert error.t == 0.0
         # exactly the rows of the times before t = 0
-        lines = csv_text(product, data).splitlines()
-        assert lines == csv_text(product, point(grid[:8])).splitlines()
+        text = "".join(csv_chunks(product, data))
+        assert text == "".join(csv_chunks(product, point(grid[:8])))
+        lines = text.splitlines()
         per_time = 1 if product == "envelope" else 2
         assert [float(line.split(",")[0]) for line in lines[1:]] == \
             np.repeat(grid[:8], per_time).tolist()
@@ -595,8 +611,8 @@ class TestArraySweep:
         assert str(error) == f"{product} is not finite at t={first!r}"
         assert error.t == first
         n = int(np.searchsorted(grid, first))
-        text = csv_text(product, data)
-        assert text == csv_text(product, point(grid[:n]))
+        text = "".join(csv_chunks(product, data))
+        assert text == "".join(csv_chunks(product, point(grid[:n])))
         assert len(text.splitlines()) == 1 + n * (
             1 if product == "envelope" else 2)
         words = ("true", "false", "composed", "expanded")
@@ -735,7 +751,7 @@ class TestChunkedCsv:
     @staticmethod
     def check(tmp_path, product, data):
         expected = _reference_csv(product, data)
-        assert csv_text(product, data) == expected
+        assert "".join(csv_chunks(product, data)) == expected
         config = replace(load_config("{}"), outputs=(product,))
         result = ScenarioResult(config=config, **{product: data})
         path = export_csv(result, product, tmp_path / f"{product}.csv")

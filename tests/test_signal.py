@@ -42,6 +42,15 @@ class TestSignalSpec:
             SignalSpec.from_wave_number(1.0, 1480.0, 0.0)
         with pytest.raises(ValueError, match="sound_speed must be positive"):
             SignalSpec.from_angular_frequency(1.0, 0.0, 148.0)
+        for w in (0.0, -148.0):
+            with pytest.raises(ValueError, match="angular_frequency must be "
+                                                 "positive"):
+                SignalSpec.from_angular_frequency(1.0, 1480.0, w)
+
+    def test_amplitude_must_be_finite(self):
+        with pytest.raises(ValueError, match="amplitude must be finite, "
+                                             "got inf"):
+            SignalSpec(math.inf, 1480.0, 0.1)
 
 
 class TestPressure:
@@ -115,6 +124,12 @@ class TestDalembert:
         with pytest.raises(DomainError):
             dalembert_superpose(pair, 1.0, 0.0, 1.5)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_rejects_nonpositive_speed(self, c):
+        pair = TravellingWavePair(f1=np.sin, f2=np.cos)
+        with pytest.raises(ValueError, match="sound speed must be positive"):
+            dalembert_superpose(pair, c, 0.0, 0.5)
+
 
 class TestWaveResidual:
     def test_exact_field_residual_is_second_order_small(self):
@@ -175,3 +190,8 @@ class TestWaveResidual:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             wave_residual(water_spec(), 1480.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1480.0])
+    def test_rejects_nonpositive_speed(self, c):
+        with pytest.raises(ValueError, match="sound speed must be positive"):
+            wave_residual(water_spec(), c, 0.0, 0.0, 0.1)

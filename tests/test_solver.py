@@ -105,6 +105,10 @@ class TestFixed:
             integrate_fixed(decay, [1.0], (1.0, 0.0))
         with pytest.raises(ValueError):
             integrate_fixed(decay, [1.0], (0.0, 1.0), dt=-0.1)
+        for dt in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and "
+                                                 "finite"):
+                integrate_fixed(decay, [1.0], (0.0, 1.0), dt=dt)
         with pytest.raises(ValueError):
             integrate_fixed(decay, [math.inf], (0.0, 1.0))
 
@@ -118,7 +122,9 @@ class TestFixed:
     @pytest.mark.parametrize("t_span, dt", [
         ((0.0, 1.0), 0.1), ((0.0, 1.05), 0.1), ((-0.0, 0.3), 0.1),
         ((-3.7, 2.2), 0.37), ((1e6, 1e6 + 1.0), 1e-2), ((0.0, 1.0), 2.0),
-        ((0.0, 1.0 + 1e-13), 0.5)])
+        ((0.0, 1.0 + 1e-13), 0.5),
+        # no whole step, and the remainder is below 1e-12 dt: one step
+        ((0.0, 2.0), 1e13), ((0.0, 2.0), 1e300)])
     def test_records_fixed_steps_plus_one(self, t_span, dt):
         traj = integrate_fixed(decay, [1.0], t_span, dt=dt)
         assert len(traj) == solver.fixed_steps(*t_span, dt) + 1
@@ -334,6 +340,17 @@ class TestAdaptive:
     def test_rejects_nonpositive_tolerances(self, tols):
         with pytest.raises(ValueError, match="rtol and atol must be positive"):
             integrate_adaptive(decay, [1.0], (0.0, 1.0), **tols)
+
+    def test_zero_error_grows_the_step_by_the_max_factor(self):
+        traj = integrate_adaptive(lambda t, y: (0.0,), [1.0], (0.0, 1.0))
+        assert traj.completed
+        # the first step is 1e-3 of the span, each next one 5 times longer
+        # until the last is cut to land on t1
+        np.testing.assert_allclose(np.diff(traj.times)[:5],
+                                   [1e-3, 5e-3, 25e-3, 0.125, 0.625],
+                                   rtol=1e-12)
+        assert traj.times[-1] == 1.0 and len(traj) == 7
+        assert traj.states.tolist() == [[1.0]] * 7
 
     def test_nonfinite_rhs_at_start_gives_empty_trajectory(self):
         traj = integrate_adaptive(lambda t, y: np.array([math.nan]),
