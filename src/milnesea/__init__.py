@@ -31,8 +31,8 @@ from .scenario import (ScenarioConfig, ScenarioResult, config_to_dict,
                        dumps_config, export_csv, export_json, load_config,
                        run_scenario)
 from .solver import (Trajectory, integrate_adaptive, integrate_fixed)
-from .transition import (FormComparison, RotationMatrix, compare_forms,
-                         composed_from_q, expanded_from_q, rotation)
+from .transition import (FormComparison, compare_forms, composed_from_q,
+                         expanded_from_q, rotation)
 
 __version__ = "0.1.0"
 

@@ -50,19 +50,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="tabulate the sea-surface spectrum")
     p.add_argument("--wind-speed", type=float, required=True,
                    help="wind speed at 19.5 m height, m/s")
-    # left unset, the grid options take SurfaceSpectrumParams' defaults
+    # table options are named like their block's keys; one left unset
+    # takes the block's default (the bathymetry seed: the scenario seed)
     p.add_argument("--k-min", type=float)
     p.add_argument("--k-max", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
+    p.set_defaults(block="surface_spectrum")
 
     p = sub.add_parser("bathymetry", help="tabulate a procedural seabed")
     p.add_argument("--zeta-max", type=float, default=5.0)
     p.add_argument("--hill-spacing", type=float, default=100.0)
     p.add_argument("--length", type=float, default=2000.0)
     p.add_argument("--dx", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="hill seed; unset, the scenario seed (0)")
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
+    p.set_defaults(block="bathymetry")
 
     p = sub.add_parser("envelope",
                        help="sweep the signal envelope over the config's "
@@ -129,30 +133,20 @@ def _cmd_simulate(args) -> int:
     return 2 if result.skips else 0
 
 
-def _table(product: str, block: str, options: dict, out: str) -> int:
-    """One environment product of a scenario holding only its options;
-    an option left None takes the block's default."""
-    given = {key: v for key, v in options.items() if v is not None}
-    config = load_config(json.dumps({"environment": {block: given},
+def _cmd_table(args) -> int:
+    """One environment product of a scenario holding only the options
+    given for its block."""
+    product = args.command
+    given = {key: v for key, v in vars(args).items()
+             if key not in ("command", "block", "out") and v is not None}
+    config = load_config(json.dumps({"environment": {args.block: given},
                                      "outputs": [product]}))
     result = run_scenario(config)
     if product in result.skips:
         print(f"{product} skipped: {result.skips[product]}", file=sys.stderr)
         return 2
-    _emit(csv_chunks(product, getattr(result, product)), out)
+    _emit(csv_chunks(product, getattr(result, product)), args.out)
     return 0
-
-
-def _cmd_spectrum(args) -> int:
-    return _table("spectrum", "surface_spectrum", {
-        "wind_speed": args.wind_speed, "k_min": args.k_min,
-        "k_max": args.k_max, "samples": args.samples}, args.out)
-
-
-def _cmd_bathymetry(args) -> int:
-    return _table("bathymetry", "bathymetry", {
-        "zeta_max": args.zeta_max, "hill_spacing": args.hill_spacing,
-        "length": args.length, "dx": args.dx, "seed": args.seed}, args.out)
 
 
 def _cmd_sweep(args) -> int:
@@ -171,8 +165,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_HANDLERS = {"simulate": _cmd_simulate, "spectrum": _cmd_spectrum,
-             "bathymetry": _cmd_bathymetry, "envelope": _cmd_sweep,
+_HANDLERS = {"simulate": _cmd_simulate, "spectrum": _cmd_table,
+             "bathymetry": _cmd_table, "envelope": _cmd_sweep,
              "transition": _cmd_sweep}
 
 

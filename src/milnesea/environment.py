@@ -34,6 +34,12 @@ def _check_positive_finite(params, names) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count or seed that is not an int (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SurfaceSpectrumParams:
     """Constants of the wind-wave spectrum and the grid it is sampled on.
@@ -66,6 +72,7 @@ class SurfaceSpectrumParams:
                              f"({self.k_max})")
         if not math.isfinite(self.k_max):
             raise ValueError(f"k_max must be finite, got {self.k_max}")
+        _check_integer("samples", self.samples)
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
         check_sample_budget(self.samples)
@@ -135,8 +142,10 @@ class BathymetrySpec:
         if not hills < 2.0 ** 53:
             raise ValueError("length / hill_spacing must be below 2**53, "
                              f"got {hills!r}")
-        if self.seed is not None and not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.seed is not None:
+            _check_integer("seed", self.seed)
+            if not 0 <= self.seed <= _MASK64:
+                raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 _MASK64 = (1 << 64) - 1

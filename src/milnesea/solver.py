@@ -121,14 +121,18 @@ def _check_span(t_span):
     return t0, t1
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _prepare(y0, blowup_threshold):
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     if blowup_threshold is None:
         blowup_threshold = default_blowup_threshold(y0)
-    if blowup_threshold <= 0:
-        raise ValueError("blowup_threshold must be positive")
+    _check_positive("blowup_threshold", blowup_threshold)
     return y0, float(blowup_threshold)
 
 
@@ -150,13 +154,9 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-
+    _check_positive("dt", dt)
     steps = fixed_steps(t0, t1, dt)
-    if steps > DEFAULT_MAX_STEPS:  # checked before anything is recorded
-        raise ValueError(f"{steps:.0f} steps exceed the limit "
-                         f"{DEFAULT_MAX_STEPS}")
+    check_sample_budget(steps + 1)
 
     y = tuple(y0.tolist())
     times = [t0]
@@ -247,8 +247,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     """
     t0, t1 = _check_span(t_span)
     y, threshold = _prepare(y0, blowup_threshold)
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
+    _check_positive("rtol", rtol)
+    _check_positive("atol", atol)
 
     f = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):

@@ -21,41 +21,22 @@ import numpy as np
 
 from .acoustic_signal import SignalSpec
 from .medium import MediumSpec
-from .milne import _wrap_angle, q_plus_minus_squared
+from .milne import q_plus_minus_squared
 
 COMPOSED = "composed"
 EXPANDED = "expanded"
 
 
-def _freeze(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.shape[-2:] != (2, 2):
-        raise ValueError("entries must be 2x2 matrices")
+def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Proper rotation by ``angle``; orthogonal with determinant one.
-
-    ``angle`` is reported reduced to (-pi, pi]; the entries are built
-    from the angle as given (cos and sin do not care).
-    """
-
-    entries: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
-        object.__setattr__(self, "angle", _wrap_angle(float(self.angle)))
-
-
-def rotation(tau: float) -> RotationMatrix:
-    """Rotation matrix [[cos tau, -sin tau], [sin tau, cos tau]]."""
+def rotation(tau: float) -> np.ndarray:
+    """Read-only rotation matrix [[cos tau, -sin tau], [sin tau, cos tau]]."""
     c = math.cos(tau)
     s = math.sin(tau)
-    return RotationMatrix(np.array([[c, -s], [s, c]]), tau)
+    return _freeze(np.array([[c, -s], [s, c]]))
 
 
 def _matrices(m11, m12, m21, m22) -> np.ndarray:
@@ -74,7 +55,7 @@ def composed_from_q(q_plus_sq, q_minus_sq, delta: float,
     forced to 1 the whole product collapses to a rotation by
     2 tau - 2 delta.
     """
-    d = rotation(tau).entries
+    d = rotation(tau)
     c2 = math.cos(2.0 * delta)
     s2 = math.sin(2.0 * delta)
     kernel = _matrices(c2, q_minus_sq * s2, -q_plus_sq * s2, c2)

@@ -199,13 +199,13 @@ def test_c11_transition_structure():
     with criterion(11, "rotations are orthogonal and the composed matrix "
                        "obeys its collapse and determinant laws"):
         for angle in np.linspace(-math.pi, math.pi, 25):
-            r = rotation(float(angle)).entries
+            r = rotation(float(angle))
             assert np.max(np.abs(r @ r.T - np.eye(2))) <= 1e-12
             assert abs(np.linalg.det(r) - 1.0) <= 1e-12
         for delta in (-1.0, -0.2, 0.0, 0.4, 1.3):
             for tau in (-2.0, 0.0, 0.8, 2.5):
                 m = composed_from_q(1.0, 1.0, delta, tau)
-                want = rotation(2.0 * tau - 2.0 * delta).entries
+                want = rotation(2.0 * tau - 2.0 * delta)
                 assert np.max(np.abs(m - want)) <= 1e-12
         rng = np.random.default_rng(17)
         for _ in range(100):

@@ -2,11 +2,13 @@
 
 import json
 import math
+import runpy
+import sys
 
 import pytest
 
-from milnesea import default_config_path
-from milnesea.cli import main
+from milnesea import __version__, default_config_path
+from milnesea.cli import main, run
 
 FAST_DOC = {
     "signal": {"amplitude": 0.01, "wave_number": 0.1},
@@ -339,6 +341,22 @@ class TestSharedRegistry:
         assert out.read_bytes() == \
             (tmp_path / "sim" / "spectrum.csv").read_bytes()
 
+    def test_unset_bathymetry_seed_follows_the_scenario_seed(self, tmp_path):
+        dims = {"zeta_max": 4.0, "hill_spacing": 30.0, "length": 200.0,
+                "dx": 0.7}
+        cfg = write_config(tmp_path, {"environment": {"bathymetry": dims},
+                                      "outputs": ["bathymetry"]})
+        assert main(["simulate", str(cfg), "--out-dir",
+                     str(tmp_path / "sim")]) == 0
+        argv = ["bathymetry", "--zeta-max", "4.0", "--hill-spacing", "30.0",
+                "--length", "200.0", "--dx", "0.7"]
+        for name, seed in (("unset", []), ("zero", ["--seed", "0"])):
+            assert main(argv + seed + ["--out",
+                                       str(tmp_path / f"{name}.csv")]) == 0
+        want = (tmp_path / "sim" / "bathymetry.csv").read_bytes()
+        assert (tmp_path / "unset.csv").read_bytes() == want
+        assert (tmp_path / "zero.csv").read_bytes() == want
+
     def test_transition_command_prints_the_simulate_rows(self, tmp_path,
                                                          capsys):
         doc = {"medium": {"beta": {"kind": "sech2-bump", "base": 0.5,
@@ -576,3 +594,26 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "milnesea" in capsys.readouterr().out
+
+
+def test_console_entry_point_exits_with_the_status(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["milnesea", "bathymetry", "--length",
+                                      "10", "--dx", "5"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x,zeta"
+    monkeypatch.setattr(sys, "argv", ["milnesea", "bathymetry", "--dx", "0"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 1
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # drop the imported module so runpy executes a fresh copy as __main__
+    monkeypatch.delitem(sys.modules, "milnesea.cli")
+    monkeypatch.setattr(sys, "argv", ["milnesea", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("milnesea.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"milnesea {__version__}\n"

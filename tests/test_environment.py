@@ -106,6 +106,13 @@ class TestSpectrum:
                                              "got inf"):
             SurfaceSpectrumParams(wind_speed=math.inf)
 
+    @pytest.mark.parametrize("samples", [100.0, True, "100", None])
+    def test_samples_must_be_an_integer(self, samples):
+        # a float count built, then failed in np.logspace with a TypeError
+        with pytest.raises(ValueError, match="samples must be an integer, "
+                                             f"got {samples!r}"):
+            SurfaceSpectrumParams(wind_speed=10.0, samples=samples)
+
     def test_underflowing_factor_gives_zero(self):
         # at k = 1e-200, 2 k^3 underflows to 0 together with the
         # exponential factor; at k = 1e-105, alpha / 2 k^3 overflows
@@ -212,6 +219,13 @@ class TestBathymetry:
         np.testing.assert_array_equal(
             bathymetry_profile(BathymetrySpec(**dims)).zeta,
             bathymetry_profile(BathymetrySpec(**dims, seed=0)).zeta)
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed built, then failed in _hill_scale with a TypeError
+        with pytest.raises(ValueError, match="seed must be an integer, "
+                                             f"got {seed!r}"):
+            BathymetrySpec(5.0, 100.0, 1000.0, 0.5, seed=seed)
 
     def test_last_hill_index_below_2_53(self):
         # 2**53 hills is one too many; 2**52 still floors to exact indices

@@ -90,14 +90,14 @@ class TestFixed:
         def never(t, y):
             raise AssertionError("no step may be taken")
 
-        with pytest.raises(ValueError, match="1000000000000000 steps"):
+        with pytest.raises(ValueError, match="1000000000000001 samples"):
             integrate_fixed(never, [1.0], (0.0, 1e12), dt=1e-3)
-        # one step over the limit, counted exactly
-        with pytest.raises(ValueError, match="10000001 steps"):
-            integrate_fixed(never, [1.0], (0.0, solver.DEFAULT_MAX_STEPS + 1.0),
+        # one sample over the budget, counted exactly: the steps plus t0
+        with pytest.raises(ValueError, match="10000001 samples"):
+            integrate_fixed(never, [1.0], (0.0, solver.DEFAULT_MAX_STEPS),
                             dt=1.0)
-        with pytest.raises(ValueError, match="10000001 steps"):
-            integrate_fixed(never, [1.0], (0.0, solver.DEFAULT_MAX_STEPS + 0.5),
+        with pytest.raises(ValueError, match="10000001 samples"):
+            integrate_fixed(never, [1.0], (0.0, solver.DEFAULT_MAX_STEPS - 0.5),
                             dt=1.0)
 
     def test_rejects_bad_span_and_dt(self):
@@ -116,8 +116,17 @@ class TestFixed:
         with pytest.raises(ValueError, match="blowup_threshold must be "
                                              "positive"):
             integrate_fixed(decay, [1.0], (0.0, 1.0), blowup_threshold=0.0)
-        with pytest.raises(ValueError, match="inf steps exceed the limit"):
+        with pytest.raises(ValueError, match="inf samples exceed the sample "
+                                             "budget"):
             integrate_fixed(decay, [1.0], (-1e308, 1e308), dt=1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_rejects_non_finite_guard(self, threshold):
+        # a nan guard compares false, so y' = y would reach e^100 unflagged
+        with pytest.raises(ValueError, match="blowup_threshold must be "
+                                             "positive and finite"):
+            integrate_fixed(lambda t, y: (y[0],), [1.0], (0.0, 100.0),
+                            blowup_threshold=threshold)
 
     @pytest.mark.parametrize("t_span, dt", [
         ((0.0, 1.0), 0.1), ((0.0, 1.05), 0.1), ((-0.0, 0.3), 0.1),
@@ -338,8 +347,18 @@ class TestAdaptive:
 
     @pytest.mark.parametrize("tols", [{"rtol": 0.0}, {"atol": -1e-12}])
     def test_rejects_nonpositive_tolerances(self, tols):
-        with pytest.raises(ValueError, match="rtol and atol must be positive"):
+        (name, value), = tols.items()
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
             integrate_adaptive(decay, [1.0], (0.0, 1.0), **tols)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol", "blowup_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerances_and_guard(self, name, value):
+        # nan tolerances read as a step-size underflow, rtol=inf as a
+        # completed run, and a nan guard is never tripped
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             f"finite, got {value}"):
+            integrate_adaptive(decay, [1.0], (0.0, 1.0), **{name: value})
 
     def test_zero_error_grows_the_step_by_the_max_factor(self):
         traj = integrate_adaptive(lambda t, y: (0.0,), [1.0], (0.0, 1.0))

@@ -8,9 +8,8 @@ import pytest
 from milnesea.acoustic_signal import SignalSpec
 from milnesea.medium import CoefficientProfile, MediumSpec
 from milnesea.milne import q_plus_minus_squared
-from milnesea.transition import (FormComparison, RotationMatrix,
-                                 compare_forms, composed_from_q,
-                                 expanded_from_q, rotation)
+from milnesea.transition import (FormComparison, compare_forms,
+                                 composed_from_q, expanded_from_q, rotation)
 
 ANGLES = [-3.0, -1.2, -0.3, 0.0, 0.4, 1.0, 2.7]
 
@@ -22,20 +21,21 @@ MEDIUM = MediumSpec(CoefficientProfile(kind="constant", base=1.0),
 class TestRotation:
     def test_orthogonal_unit_determinant(self):
         for a in ANGLES:
-            r = rotation(a).entries
+            r = rotation(a)
             np.testing.assert_allclose(r @ r.T, np.eye(2), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
-    def test_angle_wrapped(self):
-        r = rotation(3.0 * math.pi)
-        assert abs(r.angle) == pytest.approx(math.pi, rel=1e-12)
-        r2 = rotation(-0.5)
-        assert r2.angle == pytest.approx(-0.5, rel=1e-12)
+    def test_entries_are_cos_and_sin_of_the_angle(self):
+        for a in ANGLES + [3.0 * math.pi]:
+            c, s = math.cos(a), math.sin(a)
+            r = rotation(a)
+            assert type(r) is np.ndarray and r.dtype == float
+            assert r.tolist() == [[c, -s], [s, c]]
 
     def test_composition_adds_angles(self):
         a, b = 0.7, -1.1
-        np.testing.assert_allclose(rotation(a).entries @ rotation(b).entries,
-                                   rotation(a + b).entries, atol=1e-12)
+        np.testing.assert_allclose(rotation(a) @ rotation(b),
+                                   rotation(a + b), atol=1e-12)
 
 
 class TestComposedRoute:
@@ -46,7 +46,7 @@ class TestComposedRoute:
             for tau in ANGLES:
                 m = composed_from_q(1.0, 1.0, delta, tau)
                 np.testing.assert_allclose(
-                    m, rotation(2.0 * tau - 2.0 * delta).entries, atol=1e-12)
+                    m, rotation(2.0 * tau - 2.0 * delta), atol=1e-12)
 
     def test_determinant_identity(self):
         # det = cos^2(2 delta) + qp qm sin^2(2 delta); the rotations
@@ -67,7 +67,7 @@ class TestComposedRoute:
         m = composed_from_q(qp, qm, delta, math.pi / 2.0)
         c2, s2 = math.cos(2 * delta), math.sin(2 * delta)
         kernel = np.array([[c2, qm * s2], [-qp * s2, c2]])
-        j = rotation(math.pi / 2.0).entries
+        j = rotation(math.pi / 2.0)
         np.testing.assert_allclose(m, j @ kernel @ j, atol=1e-15)
         assert not np.allclose(m, kernel, atol=1e-3)
 
@@ -76,7 +76,7 @@ class TestExpandedRoute:
     def test_zero_delta_is_pure_rotation(self):
         for tau in ANGLES:
             m = expanded_from_q(1.0, -1.0, 0.0, tau)
-            np.testing.assert_allclose(m, rotation(tau).entries, atol=1e-12)
+            np.testing.assert_allclose(m, rotation(tau), atol=1e-12)
 
     def test_entry_formulas(self):
         qp, qm, delta, tau = 0.7, -0.7, 0.4, 1.1
@@ -145,7 +145,7 @@ class TestContainers:
     def test_entries_read_only(self):
         m = rotation(0.3)
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+            m[0, 0] = 5.0
         cmp = compare_forms(1.0, 0.1, 0.2, SPEC, MEDIUM, 1.0)
         for entries in (cmp.composed, cmp.expanded):
             with pytest.raises(ValueError):
@@ -154,7 +154,3 @@ class TestContainers:
         for entries in (stacked.composed, stacked.expanded):
             with pytest.raises(ValueError):
                 entries[2, 1, 1] = 0.0
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            RotationMatrix(np.eye(3), 0.0)
