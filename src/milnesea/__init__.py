@@ -19,7 +19,7 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           psd_peak_wavenumber, surface_psd,
                           surface_psd_series)
 from .errors import (ConfigError, DomainError, InsufficientDataError,
-                     InvalidProfileError, NotComputedError, SingularityError)
+                     InvalidProfileError, NotComputedError)
 from .medium import CoefficientProfile, MediumSpec, validate_asymptotics
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     eq9_residual, eq14_amplitude, estimate_period_phase,

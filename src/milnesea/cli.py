@@ -157,10 +157,10 @@ def _cmd_sweep(args) -> int:
     config = _load(args.config, dynamical_params={
         "e_m": args.em, "delta": args.delta, "tau": args.tau})
     grid = output_grid(config) if args.t is None else np.array([args.t])
-    data, error = grid_sweep(product, config, config.dynamical_params, grid)
+    data, reason = grid_sweep(product, config, config.dynamical_params, grid)
     _emit(csv_chunks(product, data), args.out)
-    if error is not None:
-        print(f"{product} sweep stopped: {error}", file=sys.stderr)
+    if reason is not None:
+        print(f"{product} sweep stopped: {reason}", file=sys.stderr)
         return 2
     return 0
 

@@ -179,6 +179,8 @@ def bathymetry_profile(spec: BathymetrySpec) -> BathymetryProfile:
     elevations sit in [0, zeta_max] and vanish exactly at hill
     boundaries x = n * hill_spacing.
     """
+    if spec.seed is None:
+        raise ValueError("seed None must be resolved to a scenario seed first")
     x = spec.dx * np.arange(grid_points(spec.length, spec.dx))
     s = x / spec.hill_spacing
     index = np.floor(s).astype(int)

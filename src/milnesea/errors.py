@@ -9,18 +9,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularityError(ZeroDivisionError):
-    """A denominator vanished at a specific evaluation time.
-
-    Carries the offending time so sweeps can report where the
-    envelope (or anything built on it) stops being defined.
-    """
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t
-
-
 class InsufficientDataError(ValueError):
     """A trajectory does not contain enough structure to estimate from."""
 

@@ -159,7 +159,7 @@ def validate_asymptotics(profile: CoefficientProfile, horizon: float,
     (center + 8 widths), otherwise a huge eps could mask a disturbance
     that is still in full swing.
     """
-    if horizon <= 0 or eps <= 0:
+    if not (horizon > 0 and eps > 0):
         raise ValueError("horizon and eps must be positive")
     if profile.kind == TABLE:
         # tables carry no analytic background; compare to the end knots

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import solver
 from .acoustic_signal import SignalSpec
-from .errors import DomainError, InsufficientDataError, SingularityError
+from .errors import DomainError, InsufficientDataError
 from .medium import MediumSpec
 from .solver import Trajectory, integrate_adaptive, integrate_fixed
 
@@ -72,6 +72,9 @@ class SignalSummary:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        for name in ("e_m", "tau", "delta"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "delta", _wrap_angle(self.delta))
         object.__setattr__(self, "e_m_bound_violated", bool(self.e_m < 1.0))
 
@@ -189,19 +192,14 @@ def envelope_q(e_m: float, tau: float, spec: SignalSpec, medium: MediumSpec,
     Broadcasts over t. The returned q_squared is the radicand of the
     envelope's square root. The envelope itself carries a +-i prefactor,
     so a positive radicand is the imaginary branch here:
-    ``imaginary_branch`` is True when q_squared > 0. Raises
-    SingularityError at the first t where the denominator vanishes.
+    ``imaginary_branch`` is True when q_squared > 0. Where the
+    denominator vanishes q_squared is +-inf (nan for e_m = 0), and where
+    it overflows 0; neither warns.
     """
     t = np.asarray(t, dtype=float)
-    # an overflowing denominator gives q2 = 0; a zero one raises first
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = envelope_denominator(spec, medium, t)
-        zeros = np.flatnonzero(den == 0.0)
-        if zeros.size:
-            t0 = float(t.flat[zeros[0]])
-            raise SingularityError(
-                f"envelope denominator vanishes at t={t0!r}", t=t0)
-        q2 = 2.0 * e_m * np.cos(2.0 * t - tau) / den
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q2 = (2.0 * e_m * np.cos(2.0 * t - tau)
+              / envelope_denominator(spec, medium, t))
     fields = (t, q2, np.sqrt(np.abs(q2)), q2 > 0)
     return EnvelopeSample(*(f.item() if t.ndim == 0 else f for f in fields))
 

@@ -40,13 +40,12 @@ from .acoustic_signal import SignalSpec
 from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           SurfaceSpectrumParams, bathymetry_profile,
                           surface_psd_series)
-from .errors import ConfigError, InsufficientDataError, NotComputedError, \
-    SingularityError
+from .errors import ConfigError, InsufficientDataError, NotComputedError
 from .medium import (BUMP_KINDS, CONSTANT, KIND_KEYS, CoefficientProfile,
                      MediumSpec)
-from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
-                    estimate_period_phase, hamiltonian_density,
-                    integrate_milne)
+from .milne import (EnvelopeSample, MilneState, SignalSummary,
+                    envelope_denominator, envelope_q, estimate_period_phase,
+                    hamiltonian_density, integrate_milne)
 from .solver import Trajectory, check_sample_budget, fixed_steps, grid_points
 from .transition import COMPOSED, EXPANDED, FormComparison, compare_forms
 
@@ -509,22 +508,19 @@ def grid_sweep(product: str, config: ScenarioConfig, params: DynamicalParams,
                grid: np.ndarray):
     """`product` over the grid in one call, cut before the first bad time.
 
-    A time is bad where _evaluate raises SingularityError or the CSV would
-    write a non-finite number. Returns the product at the times before it
-    and that time's SingularityError (None if there is none).
+    A time is bad where the CSV would write a non-finite number, as it
+    does where the envelope denominator vanishes. Returns the product at
+    the times before it and why that time is bad (None if none is).
     """
-    error = None
-    try:
-        data = _evaluate(product, config, params, grid)
-    except SingularityError as exc:
-        error, grid = exc, grid[:np.searchsorted(grid, exc.t)]
-        data = _evaluate(product, config, params, grid)
+    data = _evaluate(product, config, params, grid)
     i = _first_nonfinite(product, data)
-    if i is not None:
-        t = float(grid[i])
-        error = SingularityError(f"{product} is not finite at t={t!r}", t=t)
-        data = _evaluate(product, config, params, grid[:i])
-    return data, error
+    if i is None:
+        return data, None
+    t = float(grid[i])
+    what = ("envelope denominator vanishes"
+            if envelope_denominator(config.signal, config.medium, t) == 0.0
+            else f"{product} is not finite")
+    return _evaluate(product, config, params, grid[:i]), f"{what} at t={t!r}"
 
 
 def _estimate_summary(trajectory: Trajectory,
@@ -588,14 +584,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     for product in ("envelope", "transition"):
         if product not in requested:
             continue
-        data, error = None, params_skip_reason
+        data, reason = None, params_skip_reason
         if params is not None:
-            data, error = grid_sweep(product, config, params,
-                                     output_grid(config))
-        if error is None:
+            data, reason = grid_sweep(product, config, params,
+                                      output_grid(config))
+        if reason is None:
             setattr(result, product, data)
         else:
-            result.skips[product] = str(error)
+            result.skips[product] = reason
 
     if "spectrum" in requested:
         series = surface_psd_series(config.spectrum)

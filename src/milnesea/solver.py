@@ -249,6 +249,10 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     y, threshold = _prepare(y0, blowup_threshold)
     _check_positive("rtol", rtol)
     _check_positive("atol", atol)
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) \
+            or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive integer, "
+                         f"got {max_steps!r}")
 
     f = np.asarray(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):

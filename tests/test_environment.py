@@ -227,6 +227,13 @@ class TestBathymetry:
                                              f"got {seed!r}"):
             BathymetrySpec(5.0, 100.0, 1000.0, 0.5, seed=seed)
 
+    def test_seedless_spec_must_be_resolved_before_sampling(self):
+        # a None seed (follow the scenario seed) built, then failed in
+        # _hill_scale with a TypeError
+        spec = BathymetrySpec(5.0, 100.0, 1000.0, 0.5, seed=None)
+        with pytest.raises(ValueError, match="seed None must be resolved"):
+            bathymetry_profile(spec)
+
     def test_last_hill_index_below_2_53(self):
         # 2**53 hills is one too many; 2**52 still floors to exact indices
         with pytest.raises(ValueError, match=r"must be below 2\*\*53, "

@@ -120,6 +120,14 @@ class TestAsymptotics:
         with pytest.raises(ValueError):
             validate_asymptotics(gaussian(), horizon=-1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan,), (1.0, math.nan)])
+    def test_rejects_nan_arguments(self, args):
+        # a nan horizon or eps slipped past `<= 0` and read as settled
+        prof = CoefficientProfile(kind="constant", base=1.0)
+        with pytest.raises(ValueError, match="horizon and eps must be "
+                                             "positive"):
+            validate_asymptotics(prof, *args)
+
 
 class TestMediumSpec:
     def test_accepts_standard_medium(self):

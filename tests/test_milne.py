@@ -5,13 +5,13 @@ Frozen numbers below were evaluated by hand from the defining formulas
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from milnesea.acoustic_signal import SignalSpec
-from milnesea.errors import (DomainError, InsufficientDataError,
-                             SingularityError)
+from milnesea.errors import DomainError, InsufficientDataError
 from milnesea.medium import CoefficientProfile, MediumSpec
 from milnesea.milne import (EnvelopeSample, MilneState, SignalSummary,
                             envelope_denominator, envelope_q, eq9_residual,
@@ -20,6 +20,7 @@ from milnesea.milne import (EnvelopeSample, MilneState, SignalSummary,
                             lagrangian_density, milne_rhs,
                             q_plus_minus_squared)
 from milnesea.solver import Trajectory
+from milnesea.transition import compare_forms
 
 
 def spec_k01(amplitude=1.0):
@@ -175,12 +176,38 @@ class TestEnvelope:
         assert s.imaginary_branch is False
         assert s.magnitude == pytest.approx(math.sqrt(-s.q_squared))
 
-    def test_singularity_raises_with_location(self):
+    def test_zero_denominator_gives_inf_without_warning(self):
         med = const_medium(beta=0.0)
         assert envelope_denominator(spec_k01(), med, 0.0) == 0.0
-        with pytest.raises(SingularityError) as err:
-            envelope_q(1.0, 1.0, spec_k01(), med, 0.0)
-        assert err.value.t == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = envelope_q(1.0, 1.0, spec_k01(), med, 0.0)
+            assert s.q_squared == math.inf  # 2 cos(-1) > 0 over +0.0
+            assert s.magnitude == math.inf and s.imaginary_branch is True
+            assert math.isnan(envelope_q(0.0, 1.0, spec_k01(), med,
+                                         0.0).q_squared)
+
+    @pytest.mark.parametrize("e_m", [1.3, 0.0])
+    def test_zero_denominator_mid_array(self, e_m):
+        # beta = 0 leaves the denominator 148 t, zero at t = 0 alone
+        med = const_medium(beta=0.0)
+        t = np.linspace(-1.0, 1.0, 9)
+        assert np.flatnonzero(envelope_denominator(spec_k01(), med, t)
+                              == 0.0).tolist() == [4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q2 = envelope_q(e_m, 0.7, spec_k01(), med, t).q_squared
+            forms = compare_forms(e_m, 0.3, 0.7, spec_k01(), med, t)
+        assert (math.isnan(q2[4]) if e_m == 0.0 else math.isinf(q2[4]))
+        others = [i for i in range(9) if i != 4]
+        assert q2[others].tolist() == [
+            envelope_q(e_m, 0.7, spec_k01(), med, float(t[i])).q_squared
+            for i in others]
+        assert np.isfinite(q2[others]).all()
+        for m in (forms.composed, forms.expanded):
+            assert not np.isfinite(m[4]).any()
+            assert np.isfinite(m[others]).all()
+        assert not math.isfinite(forms.discrepancy[4])
 
     def test_pair_sums_to_exactly_zero(self):
         # note the denominator's genuine zero at t = -0.5 is avoided here;
@@ -269,3 +296,13 @@ class TestSignalSummary:
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError):
             SignalSummary(e_m=1.0, tau=0.0, delta=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("e_m", math.nan), ("e_m", math.inf), ("e_m", -math.inf),
+        ("tau", math.inf), ("delta", math.nan), ("delta", math.inf)])
+    def test_values_must_be_finite(self, name, value):
+        # these built (an inf delta died in _wrap_angle with a domain error)
+        given = {"e_m": 1.0, "tau": 1.0, "delta": 0.0, name: value}
+        with pytest.raises(ValueError,
+                           match=f"{name} must be finite, got {value}"):
+            SignalSummary(**given)

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from milnesea import default_config_path
+from milnesea import default_config_path, scenario
 from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
 from milnesea.milne import (EnvelopeSample, SignalSummary, envelope_q,
@@ -576,15 +576,28 @@ class TestArraySweep:
             assert cmp.discrepancy[i] == forms.discrepancy
 
     @pytest.mark.parametrize("product", ["envelope", "transition"])
+    def test_clean_grid_is_evaluated_once(self, product, monkeypatch):
+        config = beta_zero_config(0.125, 0.125, 1.0)  # t = 0 is off the grid
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _evaluate(*args)
+        monkeypatch.setattr(scenario, "_evaluate", counted)
+        data, reason = grid_sweep(product, config, config.dynamical_params,
+                                  output_grid(config))
+        assert reason is None and len(calls) == 1
+        assert len(data.t) == 8
+
+    @pytest.mark.parametrize("product", ["envelope", "transition"])
     def test_zero_denominator_mid_grid(self, product):
         config = beta_zero_config(-1.0, 0.125, 1.0)
         grid = output_grid(config)
         assert grid.tolist()[8] == 0.0
         point = point_of(product, config)
-        data, error = grid_sweep(product, config, config.dynamical_params,
-                                 grid)
-        assert str(error) == "envelope denominator vanishes at t=0.0"
-        assert error.t == 0.0
+        data, reason = grid_sweep(product, config, config.dynamical_params,
+                                  grid)
+        assert reason == "envelope denominator vanishes at t=0.0"
         # exactly the rows of the times before t = 0
         text = "".join(csv_chunks(product, data))
         assert text == "".join(csv_chunks(product, point(grid[:8])))
@@ -592,7 +605,7 @@ class TestArraySweep:
         per_time = 1 if product == "envelope" else 2
         assert [float(line.split(",")[0]) for line in lines[1:]] == \
             np.repeat(grid[:8], per_time).tolist()
-        assert run_scenario(config).skips[product] == str(error)
+        assert run_scenario(config).skips[product] == reason
 
     @pytest.mark.parametrize("product", ["envelope", "transition"])
     def test_first_of_two_bad_times_is_reported(self, product):
@@ -606,10 +619,9 @@ class TestArraySweep:
                      if not math.isfinite(envelope(t).q_squared))
         assert -0.01 < first < 0.0
         point = point_of(product, config)
-        data, error = grid_sweep(product, config, config.dynamical_params,
-                                 grid)
-        assert str(error) == f"{product} is not finite at t={first!r}"
-        assert error.t == first
+        data, reason = grid_sweep(product, config, config.dynamical_params,
+                                  grid)
+        assert reason == f"{product} is not finite at t={first!r}"
         n = int(np.searchsorted(grid, first))
         text = "".join(csv_chunks(product, data))
         assert text == "".join(csv_chunks(product, point(grid[:n])))
@@ -618,7 +630,7 @@ class TestArraySweep:
         words = ("true", "false", "composed", "expanded")
         assert all(math.isfinite(float(v)) for line in text.splitlines()[1:]
                    for v in line.split(",") if v not in words)
-        assert run_scenario(config).skips[product] == str(error)
+        assert run_scenario(config).skips[product] == reason
 
 
 class TestExports:

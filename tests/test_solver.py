@@ -338,6 +338,16 @@ class TestAdaptive:
         assert traj.status == solver.ABORTED_STEP_LIMIT
         assert "10" in traj.message
 
+    @pytest.mark.parametrize("max_steps", [math.nan, math.inf, 10.5, 10.0,
+                                           0, -3, True, "10", None])
+    def test_max_steps_must_be_a_positive_integer(self, max_steps):
+        # nan switched the limit off (a completed run), 10.5 reported
+        # "gave up after 10.5 step attempts"
+        with pytest.raises(ValueError, match="max_steps must be a positive "
+                                             f"integer, got {max_steps!r}"):
+            integrate_adaptive(harmonic, [1.0, 0.0], (0.0, 100.0),
+                               max_steps=max_steps)
+
     def test_initial_state_above_guard(self):
         traj = integrate_adaptive(decay, [2.0], (0.0, 1.0),
                                   blowup_threshold=1.0)
