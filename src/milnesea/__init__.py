@@ -11,16 +11,15 @@ JSON config.
 
 from pathlib import Path
 
-from .acoustic_signal import (SignalSpec, TravellingWavePair,
-                              dalembert_superpose, invert_position,
-                              pressure_at, wave_residual)
+from .acoustic_signal import (SignalSpec, invert_position, pressure_at,
+                              wave_residual)
 from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           SurfaceSpectrumParams, bathymetry_profile,
                           psd_peak_wavenumber, surface_psd,
                           surface_psd_series)
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidProfileError, NotComputedError)
-from .medium import CoefficientProfile, MediumSpec, validate_asymptotics
+from .medium import CoefficientProfile, MediumSpec
 from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
                     eq9_residual, eq14_amplitude, estimate_period_phase,
                     hamiltonian_density, integrate_milne, lagrangian_density,
@@ -28,8 +27,7 @@ from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
 from .oscillator import (OscillatorState, analytic_constant_solution,
                          damped_rhs, parametric_rhs)
 from .scenario import (ScenarioConfig, ScenarioResult, config_to_dict,
-                       dumps_config, export_csv, export_json, load_config,
-                       run_scenario)
+                       export_csv, export_json, load_config, run_scenario)
 from .solver import (Trajectory, integrate_adaptive, integrate_fixed)
 from .transition import (FormComparison, compare_forms, composed_from_q,
                          expanded_from_q, rotation)

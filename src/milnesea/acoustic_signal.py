@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -83,45 +82,14 @@ def pressure_at(spec: SignalSpec, x, t):
     return spec.amplitude * np.cos(spec.wave_number * (x - spec.sound_speed * t))
 
 
-@dataclass(frozen=True)
-class TravellingWavePair:
-    """General d'Alembert solution: two counter-propagating shapes.
-
-    ``f1`` rides the leftward characteristic x + c t, ``f2`` the rightward
-    one x - c t. ``arg_min``/``arg_max`` bound the characteristic arguments
-    for which the shapes are defined.
-    """
-
-    f1: Callable[[np.ndarray], np.ndarray]
-    f2: Callable[[np.ndarray], np.ndarray]
-    arg_min: float = -math.inf
-    arg_max: float = math.inf
-
-
-def dalembert_superpose(pair: TravellingWavePair, c: float, x, t):
-    """Evaluate f1(x + c t) + f2(x - c t), checking the argument range."""
-    if not c > 0:
-        raise ValueError("sound speed must be positive")
-    a1 = np.asarray(x) + c * np.asarray(t)
-    a2 = np.asarray(x) - c * np.asarray(t)
-    for name, a in (("x + c t", a1), ("x - c t", a2)):
-        if np.any(a < pair.arg_min) or np.any(a > pair.arg_max):
-            raise DomainError(
-                f"characteristic argument {name} leaves "
-                f"[{pair.arg_min}, {pair.arg_max}]")
-    return pair.f1(a1) + pair.f2(a2)
-
-
-Field = Union[SignalSpec, TravellingWavePair, Callable[[float, float], float]]
-
-
-def wave_residual(field: Field, c: float, x, t, h: float):
+def wave_residual(field, c: float, x, t, h: float):
     """Discrete wave-operator residual c^2 d2p/dx2 - d2p/dt2 at (x, t).
 
-    Second derivatives are central three-point differences with spatial
-    step h and temporal step 0.9 h / c (see _RESIDUAL_COURANT). For an
-    exact solution of the wave equation the residual shrinks as O(h^2);
-    for anything else it stalls at the defect of the field.
+    The field is a SignalSpec or a callable p(x, t). Second derivatives
+    are central three-point differences with spatial step h and temporal
+    step 0.9 h / c (see _RESIDUAL_COURANT). For an exact solution of the
+    wave equation the residual shrinks as O(h^2); for anything else it
+    stalls at the defect of the field.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -130,8 +98,6 @@ def wave_residual(field: Field, c: float, x, t, h: float):
 
     if isinstance(field, SignalSpec):
         p = lambda xx, tt: pressure_at(field, xx, tt)
-    elif isinstance(field, TravellingWavePair):
-        p = lambda xx, tt: dalembert_superpose(field, c, xx, tt)
     else:
         p = field
 

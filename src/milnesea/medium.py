@@ -151,28 +151,6 @@ class CoefficientProfile:
         return self._kernel.args[2:]  # the clamps value() applies
 
 
-def validate_asymptotics(profile: CoefficientProfile, horizon: float,
-                         eps: float = 1e-9) -> bool:
-    """Check that the profile has relaxed to its background at +-horizon.
-
-    For bump profiles the horizon must also clear the bump itself
-    (center + 8 widths), otherwise a huge eps could mask a disturbance
-    that is still in full swing.
-    """
-    if not (horizon > 0 and eps > 0):
-        raise ValueError("horizon and eps must be positive")
-    if profile.kind == TABLE:
-        # tables carry no analytic background; compare to the end knots
-        lo = profile.table[0][1]
-        hi = profile.table[-1][1]
-        return (abs(profile.value(-horizon) - lo) <= eps
-                and abs(profile.value(horizon) - hi) <= eps)
-    if profile.kind in BUMP_KINDS and horizon < profile.center + 8 * profile.width:
-        return False
-    return (abs(profile.value(horizon) - profile.base) <= eps
-            and abs(profile.value(-horizon) - profile.base) <= eps)
-
-
 @dataclass(frozen=True)
 class MediumSpec:
     """Full description of the medium: its omega and beta profiles.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -384,6 +385,11 @@ def load_config(text: str) -> ScenarioConfig:
 
     ic = _optional(raw, "initial_condition", problems, MilneState)
     dyn = _optional(raw, "dynamical_params", problems, DynamicalParams)
+    # the composed transition form takes cos(2 delta), so 2 delta must be
+    # a finite float
+    if dyn is not None and not math.isfinite(2.0 * dyn.delta):
+        problems.append("dynamical_params.delta: magnitude must be at most "
+                        f"{sys.float_info.max / 2}, got {dyn.delta}")
 
     spectrum = bathymetry = None
     eblock = _block(raw, "environment", problems)
@@ -449,11 +455,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
                 target = target.setdefault(part, {})
             target.update(block)
     return doc
-
-
-def dumps_config(config: ScenarioConfig) -> str:
-    """Serialise a config canonically; load_config round-trips it."""
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

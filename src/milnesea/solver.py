@@ -25,6 +25,7 @@ exception. Callers inspect ``Trajectory.status``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -109,9 +110,13 @@ class Trajectory:
 
 
 def default_blowup_threshold(y0) -> float:
-    """Guard level used when the caller does not supply one."""
+    """Guard level used when the caller does not supply one.
+
+    It is 1e6 * max(1, |y0|), capped at the largest float, so a huge but
+    finite initial state still gets a finite guard.
+    """
     y0 = np.asarray(y0, dtype=float)
-    return 1e6 * max(1.0, float(np.max(np.abs(y0))))
+    return min(1e6 * max(1.0, float(np.max(np.abs(y0)))), sys.float_info.max)
 
 
 def _check_span(t_span):

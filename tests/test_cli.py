@@ -284,8 +284,13 @@ class TestPointOptions:
          "dynamical_params.e_m: must be finite"),
         (["transition", "--em", "1", "--delta", "inf", "--tau", "1",
           "--t", "1"], "dynamical_params.delta: must be finite"),
+        # 2 delta overflows, and the composed form takes its cosine
+        (["transition", "--em", "1", "--delta", "1e308", "--tau", "1e308",
+          "--t", "0"], "dynamical_params.delta: magnitude must be at most "
+                       "8.988465674311579e+307, got 1e+308"),
     ], ids=["envelope-tau-zero", "transition-tau-negative",
-            "envelope-em-nan", "transition-delta-inf"])
+            "envelope-em-nan", "transition-delta-inf",
+            "transition-delta-overflow"])
     def test_checked_like_dynamical_params(self, tmp_path, capsys, argv,
                                            problem):
         cfg = write_config(tmp_path, {
@@ -467,6 +472,26 @@ class TestNonFinite:
             assert all(v in ("false", "composed", "expanded")
                        or math.isfinite(float(v))
                        for line in lines[1:] for v in line.split(","))
+
+    @pytest.mark.parametrize("doc", [
+        {"initial_condition": {"p0": 1e303}},
+        {"initial_condition": {"p0": 1e303}, "solver": {"method": "adaptive"}},
+        {"signal": {"amplitude": 1e303, "wave_number": 0.1}}],
+        ids=["p0", "p0-adaptive", "amplitude"])
+    def test_huge_initial_state_blows_up_as_data(self, tmp_path, capsys, doc):
+        # 1e6 |y0| overflows a float; the default guard must stay finite,
+        # not be rejected as a blowup_threshold the config never set
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(
+            tmp_path, {**doc, "outputs": ["trajectory"]})),
+            "--out-dir", str(out)]) == 0
+        result = strict_json(out / "result.json")
+        assert result["solver_status"]["status"] == "aborted-blowup"
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,p,p_dot"
+        assert len(lines) == result["solver_status"]["samples"] + 1
+        assert all(math.isfinite(float(v))
+                   for line in lines[1:] for v in line.split(","))
 
     def test_overflowing_energy_estimate_skips_the_summary(self, tmp_path,
                                                            capsys):

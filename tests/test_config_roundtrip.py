@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from strategies import documents  # noqa: E402
 
 from milnesea.cli import main  # noqa: E402
-from milnesea.scenario import dumps_config, load_config  # noqa: E402
+from milnesea.scenario import config_to_dict, load_config  # noqa: E402
 
 
 @settings(max_examples=300, deadline=None)
@@ -21,9 +21,9 @@ def test_echo_loads_back_equal(doc, seed):
     if seed is not None:
         doc["seed"] = seed
     config = load_config(json.dumps(doc))
-    text = dumps_config(config)
-    assert load_config(text) == config
-    assert dumps_config(load_config(text)) == text
+    echo = config_to_dict(config)
+    assert load_config(json.dumps(echo)) == config
+    assert config_to_dict(load_config(json.dumps(echo))) == echo
 
 
 @settings(max_examples=25, deadline=None)

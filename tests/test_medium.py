@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from milnesea.errors import InvalidProfileError
-from milnesea.medium import (CoefficientProfile, MediumSpec,
-                             validate_asymptotics)
+from milnesea.medium import CoefficientProfile, MediumSpec
 
 EXP_HALF = 0.6065306597126334      # exp(-1/2)
 SECH2_1 = 0.41997434161402614      # 1 / cosh(1)^2
@@ -91,42 +90,6 @@ class TestCoefficientAccess:
         np.testing.assert_array_equal(med.omega(np.zeros(3)), np.ones(3))
         np.testing.assert_array_equal(med.beta(np.zeros(3)),
                                       np.full(3, 2.0))
-
-
-class TestAsymptotics:
-    def test_settled_gaussian(self):
-        assert validate_asymptotics(gaussian(), horizon=30.0, eps=1e-9)
-
-    def test_horizon_inside_bump_fails_even_with_huge_eps(self):
-        assert not validate_asymptotics(gaussian(), horizon=12.0, eps=10.0)
-
-    def test_eps_respected(self):
-        # at 8 sigma past the center the bump is ~ 0.5 * 1.3e-14
-        assert not validate_asymptotics(gaussian(), horizon=18.0, eps=1e-16)
-        assert validate_asymptotics(gaussian(), horizon=18.0, eps=1e-9)
-
-    def test_constant_always_settled(self):
-        prof = CoefficientProfile(kind="constant", base=0.3)
-        assert validate_asymptotics(prof, horizon=1.0, eps=1e-12)
-
-    def test_table_compares_to_its_end_knots(self):
-        prof = CoefficientProfile(kind="table",
-                                  table=((0.0, 0.2), (1.0, 0.7)))
-        assert validate_asymptotics(prof, horizon=5.0, eps=1e-12)
-        # at t = 0.5 the table still reads 0.45, not its end value 0.7
-        assert not validate_asymptotics(prof, horizon=0.5, eps=0.1)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            validate_asymptotics(gaussian(), horizon=-1.0)
-
-    @pytest.mark.parametrize("args", [(math.nan,), (1.0, math.nan)])
-    def test_rejects_nan_arguments(self, args):
-        # a nan horizon or eps slipped past `<= 0` and read as settled
-        prof = CoefficientProfile(kind="constant", base=1.0)
-        with pytest.raises(ValueError, match="horizon and eps must be "
-                                             "positive"):
-            validate_asymptotics(prof, *args)
 
 
 class TestMediumSpec:

@@ -70,6 +70,17 @@ class TestFixed:
         assert 0.99 < traj.last_time < 1.01
         assert traj.states[-1, 0] > 1e6  # offending state is kept
 
+    def test_default_guard_of_a_huge_state_is_finite(self):
+        # 1e6 |y0| overflows here; the capped guard lets e^t 1e303 run
+        # until it overflows, at t = ln(float max / 1e303) = 12.1 or, in
+        # a stage sum such as k1 + 2 k2 + 2 k3 + k4, a little before
+        traj = integrate_fixed(lambda t, y: (y[0],), [1e303], (0.0, 20.0),
+                               dt=1e-2)
+        assert traj.status == solver.ABORTED_BLOWUP
+        assert "non-finite" in traj.message
+        assert np.all(np.isfinite(traj.states))
+        assert 9.0 < traj.last_time < 12.1
+
     def test_custom_threshold(self):
         traj = integrate_fixed(lambda t, y: y, [1.0], (0.0, 10.0), dt=1e-2,
                                blowup_threshold=100.0)
@@ -331,6 +342,13 @@ class TestAdaptive:
         # threshold 1e6 is crossed at t = 1 - 1e-6
         assert traj.last_time == pytest.approx(1.0 - 1e-6, abs=1e-4)
         assert np.all(np.isfinite(traj.states))
+
+    def test_default_guard_of_a_huge_state_is_finite(self):
+        # e^t 1e303 overflows at t = 12.1, or in a stage sum before
+        traj = integrate_adaptive(lambda t, y: y, [1e303], (0.0, 20.0))
+        assert traj.status == solver.ABORTED_BLOWUP
+        assert np.all(np.isfinite(traj.states))
+        assert 9.0 < traj.last_time < 12.1
 
     def test_step_limit(self):
         traj = integrate_adaptive(harmonic, [1.0, 0.0], (0.0, 100.0),
