@@ -12,9 +12,10 @@ as the accuracy oracle for the fixed one in the test suite, so neither may
 be expressed in terms of the other.
 
 A right-hand side ``rhs(t, y)`` indexes its state ``y`` and returns a
-length-n sequence of floats (a tuple is cheapest). ``integrate_fixed``
-passes ``y`` as a tuple of Python floats, ``integrate_adaptive`` as a
-float ndarray, so an RHS must not rely on array arithmetic on ``y``.
+length-n sequence of floats (a tuple is cheapest). Both integrators pass
+``y`` as a tuple of Python floats, so an RHS must not rely on array
+arithmetic on ``y``; a first result of the wrong length is a
+``ValueError``.
 
 Divergence is an expected physical regime here (the medium can pump energy
 into a signal until the pressure grows without bound), so hitting the
@@ -24,7 +25,9 @@ exception. Callers inspect ``Trajectory.status``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -131,6 +134,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_rhs_length(f, n: int) -> None:
+    if len(f) != n:
+        raise ValueError(f"rhs returned a result of length {len(f)} for a "
+                         f"state of length {n}")
+
+
 def _prepare(y0, blowup_threshold):
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
@@ -180,6 +189,8 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
         h = t_next - t
         hh = 0.5 * h
         k1 = rhs(t, y)
+        if i == 0:
+            _check_rhs_length(k1, len(y))
         k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
         k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
         k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
@@ -200,7 +211,7 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
 
 # Dormand-Prince 5(4) tableau. _B is the fifth-order weight row, _E the
 # difference between the fifth- and fourth-order rows (direct error weights).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -247,11 +258,14 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     or the step size underflows near a finite-time singularity, and with
     ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted.
 
-    The state is a float ndarray, and ``rhs`` receives it as one; its
-    result, any length-n sequence of floats, fills one stage row.
+    The state is a tuple of Python floats, and ``rhs`` receives it as
+    one; its result, any length-n sequence of floats, fills one row of
+    the stage buffer. Only the stage sums are numpy products on that
+    buffer; the rest of the step is float arithmetic in the order of the
+    array form, so the result is the same to the last bit.
     """
     t0, t1 = _check_span(t_span)
-    y, threshold = _prepare(y0, blowup_threshold)
+    y0, threshold = _prepare(y0, blowup_threshold)
     _check_positive("rtol", rtol)
     _check_positive("atol", atol)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) \
@@ -259,24 +273,32 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         raise ValueError(f"max_steps must be a positive integer, "
                          f"got {max_steps!r}")
 
-    f = np.asarray(rhs(t0, y), dtype=float)
-    if not np.all(np.isfinite(f)):
-        return Trajectory(np.empty(0), np.empty((0, y.size)), ABORTED_BLOWUP,
+    n = y0.size
+    y = tuple(y0.tolist())
+    f = rhs(t0, y)
+    _check_rhs_length(f, n)
+    if not all(map(math.isfinite, f)):
+        return Trajectory(np.empty(0), np.empty((0, n)), ABORTED_BLOWUP,
                           f"non-finite right-hand side at t={t0:.6g}")
     times = [t0]
-    states = [y.copy()]
+    states = [y]
 
     def finish(status, message=None):
         return Trajectory(np.array(times), np.array(states), status, message)
 
-    if np.max(np.abs(y)) > threshold:
+    if max(map(abs, y)) > threshold:
         return finish(ABORTED_BLOWUP,
                       f"initial state already exceeds guard {threshold:g}")
 
     t = t0
-    h = _initial_step(t0, t1, y, f, rtol, atol)
+    h = float(_initial_step(t0, t1, y0, f, rtol, atol))
     attempts = 0
-    k = np.empty((7, y.size))
+    k = np.empty((7, n))
+    # The stage sums stay numpy products on the stage buffer: BLAS dgemv
+    # adds their terms with fused multiply-adds in a blocked order, which
+    # no sum of Python floats reproduces (math.fma needs Python 3.13), so
+    # any other form moves the last bits of every trajectory.
+    stages = [(i, _A[i], k[:i], _C[i]) for i in range(1, 7)]
 
     while t < t1:
         if attempts >= max_steps:
@@ -291,21 +313,28 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
         k[0] = f
         bad_stage = False
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = rhs(t + _C[i] * h, yi)
-            if not np.all(np.isfinite(k[i])):
+        for i, a, k_head, c in stages:
+            yi = tuple([u + h * d for u, d in zip(y, (a @ k_head).tolist())])
+            k[i] = ki = rhs(t + c * h, yi)
+            if not all(map(math.isfinite, ki)):
                 bad_stage = True
                 break
         if bad_stage:
             h *= 0.25
             continue
 
-        y_new = y + h * (_B @ k)
-        err = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if not np.isfinite(err_norm):
+        y_new = tuple([u + h * d for u, d in zip(y, (_B @ k).tolist())])
+        # u if u >= v else v keeps np.maximum's nan, which max() drops: a
+        # nan in y_new gives a nan norm and a rejected attempt
+        scale = [atol + rtol * (u if u >= v else v)
+                 for u, v in zip(map(abs, y), map(abs, y_new))]
+        sq = [q * q for q in [h * e / s
+                              for e, s in zip((_E @ k).tolist(), scale)]]
+        # np.mean adds fewer than 8 terms left to right from the first
+        # (sum() compensates since Python 3.12), and more pairwise
+        err_norm = math.sqrt(functools.reduce(operator.add, sq) / n if n < 8
+                             else np.mean(sq))
+        if not math.isfinite(err_norm):
             h *= 0.25
             continue
 
@@ -316,9 +345,9 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         t_new = t + h
         f_new = k[6]  # FSAL: already rhs(t_new, y_new)
         times.append(t_new)
-        states.append(y_new.copy())
+        states.append(y_new)
 
-        if np.max(np.abs(y_new)) > threshold:
+        if max(map(abs, y_new)) > threshold:
             return finish(ABORTED_BLOWUP,
                           f"|state| exceeded {threshold:g} at t={t_new:.6g}")
 

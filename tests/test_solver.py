@@ -4,6 +4,7 @@ Oracle values are frozen from independent high-precision evaluation of
 the closed forms, not from the code under test.
 """
 
+import hashlib
 import json
 import math
 
@@ -155,6 +156,13 @@ class TestFixed:
         assert traj.status == solver.ABORTED_BLOWUP
         assert traj.message == "initial state already exceeds guard 1"
         assert traj.times.tolist() == [0.0]
+
+    def test_rhs_of_the_wrong_length_rejected(self):
+        # zip truncated a 3-component result to the 2-component state
+        with pytest.raises(ValueError, match="rhs returned a result of length "
+                                             "3 for a state of length 2"):
+            integrate_fixed(lambda t, y: (y[1], -y[0], 0.0), [1.0, 0.0],
+                            (0.0, 1.0))
 
 
 def array_rk4(rhs, y0, t_span, dt, blowup_threshold):
@@ -336,8 +344,8 @@ class TestAdaptive:
         assert np.max(np.abs(traj.states - exact)) < 1e-7
 
     def test_blowup_time_close_to_truth(self):
-        traj = integrate_adaptive(lambda t, y: y * y, [1.0], (0.0, 2.0),
-                                  rtol=1e-10, atol=1e-12)
+        traj = integrate_adaptive(lambda t, y: (y[0] * y[0],), [1.0],
+                                  (0.0, 2.0), rtol=1e-10, atol=1e-12)
         assert traj.status == solver.ABORTED_BLOWUP
         # threshold 1e6 is crossed at t = 1 - 1e-6
         assert traj.last_time == pytest.approx(1.0 - 1e-6, abs=1e-4)
@@ -399,11 +407,97 @@ class TestAdaptive:
         assert traj.times[-1] == 1.0 and len(traj) == 7
         assert traj.states.tolist() == [[1.0]] * 7
 
+    def test_rhs_of_the_wrong_length_rejected(self):
+        # the stage buffer broadcast a 1-component result: a "completed"
+        # run of 7 samples, all [1, 0]
+        with pytest.raises(ValueError, match="rhs returned a result of length "
+                                             "1 for a state of length 2"):
+            integrate_adaptive(lambda t, y: (y[1],), [1.0, 0.0], (0.0, 1.0))
+
+    def test_rhs_receives_float_time_and_tuple_state(self):
+        seen = set()
+
+        def rhs(t, y):
+            seen.add((type(t), type(y)))
+            return (y[1], -y[0])
+
+        assert integrate_adaptive(rhs, [1.0, 0.0], (0.0, 1.0)).completed
+        assert seen == {(float, tuple)}
+
     def test_nonfinite_rhs_at_start_gives_empty_trajectory(self):
         traj = integrate_adaptive(lambda t, y: np.array([math.nan]),
                                   [1.0], (0.0, 1.0))
         assert traj.status == solver.ABORTED_BLOWUP
         assert len(traj) == 0
+
+
+def lorenz(t, y):
+    return (10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1],
+            y[0] * y[1] - 8.0 / 3.0 * y[2])
+
+
+def forced_chain(t, y):
+    # a 5-component linear system whose coefficients vary with t
+    c, s = math.cos(t), math.sin(t)
+    return (y[1], -y[0] + 0.3 * c * y[2], -0.1 * y[2] + s * y[3],
+            y[4] - 0.5 * y[3], -(1.0 + 0.2 * s) * y[4] - 0.4 * y[0])
+
+
+def ring(t, y):
+    # 10 components: the error norm's mean adds them pairwise, not in turn
+    n = len(y)
+    return tuple([-0.1 * (j + 1) * y[j] + math.sin(t) * y[(j + 1) % n]
+                  for j in range(n)])
+
+
+PINNED_SYSTEMS = {
+    "blowup": (lambda t, y: (y[0] * y[0],), [1.0], (0.0, 2.0)),
+    "huge-start": (lambda t, y: y, [1e303], (0.0, 20.0)),
+    "lorenz": (lorenz, [1.0, 1.0, 1.0], (0.0, 2.0)),
+    "forced-chain": (forced_chain, [1.0, 0.0, -0.5, 0.25, 2.0], (0.0, 5.0)),
+    "ring": (ring, [1.0 + 0.1 * j for j in range(10)], (0.0, 5.0)),
+}
+
+
+class TestAdaptiveBits:
+    """Trajectory bytes of the adaptive solver beyond the golden workloads.
+
+    The golden hashes cover only the 2-component Milne system; these pin
+    1-, 3-, 5- and 10-component runs, a blow-up and an overflow, bit for
+    bit. They were recorded from the step written in whole-array numpy
+    form, which the float form must reproduce. Like perfbench/golden.json
+    they assume the BLAS the stage sums run on: the products' summation
+    order sets the last bits.
+    """
+
+    @pytest.mark.parametrize("name, rtol, status, digest", [
+        ("blowup", 1e-3, solver.ABORTED_BLOWUP,
+         "a47c91f0c5e056182e99e53a53a87613e0bb934eae7787b5e9262d9f77ae3dcd"),
+        ("blowup", 1e-9, solver.ABORTED_BLOWUP,
+         "c48270d614805c08e32eb178a6c2df83f60966e003de4348c35d3778a532812c"),
+        ("huge-start", 1e-3, solver.ABORTED_BLOWUP,
+         "e8f1ac56c8b7befa0d40bb3e27e12dd43a3e1817162e293e6bc5ad6c6a5cec58"),
+        ("huge-start", 1e-9, solver.ABORTED_BLOWUP,
+         "1f736e964f008f0196e6ece2c0a54c63463761d53cb324093573c5f33b12f507"),
+        ("lorenz", 1e-3, solver.COMPLETED,
+         "699dae67c359964a08320cb3c7c20795197d38031d7bc1376eb2739be0ad94af"),
+        ("lorenz", 1e-9, solver.COMPLETED,
+         "382ec54b981227c0f5fc6740a27c82e88b457774ea588d48086105008e513b7e"),
+        ("forced-chain", 1e-3, solver.COMPLETED,
+         "c1e5c07af318943952e5932676b9cc8c6bb8ee052ad462be1825e9e1816bd67f"),
+        ("forced-chain", 1e-9, solver.COMPLETED,
+         "00ba2583efa1409d54548d42394fe3de41ecbea2ddfd35e4bed1953510abb53a"),
+        ("ring", 1e-3, solver.COMPLETED,
+         "df8dfa318813e6f1230454d9b22bffa0293789686a26f6c57cfcc5f51dc5504a"),
+        ("ring", 1e-9, solver.COMPLETED,
+         "c6f7a6dea9c376090a27b6fff1b60fa0f3701785625a56f200da86fc22d5bad8"),
+    ])
+    def test_trajectory_bytes_are_pinned(self, name, rtol, status, digest):
+        rhs, y0, span = PINNED_SYSTEMS[name]
+        traj = integrate_adaptive(rhs, y0, span, rtol=rtol)
+        assert traj.status == status
+        data = traj.times.tobytes() + traj.states.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestTrajectory:
