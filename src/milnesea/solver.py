@@ -209,8 +209,10 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     return finish(COMPLETED)
 
 
-# Dormand-Prince 5(4) tableau. _B is the fifth-order weight row, _E the
-# difference between the fifth- and fourth-order rows (direct error weights).
+# Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order weight
+# row (first same as last: stage 6's argument is the step's result), and _E
+# is the difference between the fifth- and fourth-order rows (direct error
+# weights).
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
@@ -221,7 +223,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -260,9 +261,12 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
     one; its result, any length-n sequence of floats, fills one row of
-    the stage buffer. Only the stage sums are numpy products on that
-    buffer; the rest of the step is float arithmetic in the order of the
-    array form, so the result is the same to the last bit.
+    the stage buffer. The sums of stages 2 to 6 and of the error weights
+    are BLAS products on that buffer; stage 1's one-term sum and the rest
+    of the step are float arithmetic in the order of the array form, so
+    the result is the same to the last bit. The step's result is stage
+    6's argument, since the tableau's last row is the fifth-order weight
+    row.
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
@@ -294,11 +298,18 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     h = float(_initial_step(t0, t1, y0, f, rtol, atol))
     attempts = 0
     k = np.empty((7, n))
-    # The stage sums stay numpy products on the stage buffer: BLAS dgemv
-    # adds their terms with fused multiply-adds in a blocked order, which
-    # no sum of Python floats reproduces (math.fma needs Python 3.13), so
-    # any other form moves the last bits of every trajectory.
-    stages = [(i, _A[i], k[:i], _C[i]) for i in range(1, 7)]
+    kT = k.T
+    # The sums of stages 2 to 6 and of the error weights stay BLAS dgemv
+    # products on the stage buffer: dgemv adds their terms with fused
+    # multiply-adds in a blocked order, which no sum of Python floats
+    # reproduces (math.fma needs Python 3.13), so any other form moves the
+    # last bits of every trajectory. kT[:, :i].dot(a) is the same dgemv on
+    # the same memory as a @ k[:i], through a cheaper entry point. Stage
+    # 1's (n, 1) product skips dgemv and gives -0.0 where dgemv gives
+    # +0.0; the float form a1 * d + 0.0 matches dgemv. TestStageSums in
+    # tests/test_solver.py checks each of these identities.
+    a1 = float(_A[1][0])
+    stages = [(i, _A[i], kT[:, :i], _C[i]) for i in range(1, 7)]
 
     while t < t1:
         if attempts >= max_steps:
@@ -313,8 +324,10 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
         k[0] = f
         bad_stage = False
-        for i, a, k_head, c in stages:
-            yi = tuple([u + h * d for u, d in zip(y, (a @ k_head).tolist())])
+        for i, a, head, c in stages:
+            sums = (head.dot(a).tolist() if i > 1
+                    else [a1 * d + 0.0 for d in k[0].tolist()])
+            yi = tuple([u + h * d for u, d in zip(y, sums)])
             k[i] = ki = rhs(t + c * h, yi)
             if not all(map(math.isfinite, ki)):
                 bad_stage = True
@@ -323,13 +336,13 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
             h *= 0.25
             continue
 
-        y_new = tuple([u + h * d for u, d in zip(y, (_B @ k).tolist())])
+        y_new = yi  # stage 6's argument: the fifth-order solution
         # u if u >= v else v keeps np.maximum's nan, which max() drops: a
         # nan in y_new gives a nan norm and a rejected attempt
         scale = [atol + rtol * (u if u >= v else v)
                  for u, v in zip(map(abs, y), map(abs, y_new))]
         sq = [q * q for q in [h * e / s
-                              for e, s in zip((_E @ k).tolist(), scale)]]
+                              for e, s in zip(kT.dot(_E).tolist(), scale)]]
         # np.mean adds fewer than 8 terms left to right from the first
         # (sum() compensates since Python 3.12), and more pairwise
         err_norm = math.sqrt(functools.reduce(operator.add, sq) / n if n < 8

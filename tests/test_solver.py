@@ -500,6 +500,71 @@ class TestAdaptiveBits:
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+class TestTableau:
+    def test_last_row_is_the_fifth_order_weights(self):
+        # first same as last: stage 6's argument is the step's result
+        assert solver._A[6].tolist() == [35 / 384, 0.0, 500 / 1113, 125 / 192,
+                                         -2187 / 6784, 11 / 84]
+
+    def test_rows_sum_to_the_nodes(self):
+        assert len(solver._A) == len(solver._C) == 7
+        for a, c in zip(solver._A, solver._C):
+            assert abs(math.fsum(a) - c) <= 1e-15
+
+
+def stage_buffers():
+    """(7, n) stage buffers laid out as integrate_adaptive's, n = 1..10,
+    with signed zeros, subnormals and +-1e300 mixed in."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]
+    rng = np.random.default_rng(0)
+    for n in range(1, 11):
+        for _ in range(300):
+            k = np.empty((7, n))
+            k[:] = (rng.standard_normal((7, n))
+                    * 10.0 ** rng.integers(-8, 9, (7, n)))
+            special = rng.random((7, n)) < 0.3
+            k[special] = rng.choice(specials, special.sum())
+            yield k
+
+
+class TestStageSums:
+    """The step's stage-sum forms give the bytes of the `@` products.
+
+    ``a @ k[:i]`` (BLAS dgemv on the stage buffer) is the reference. The
+    step computes the same sums in cheaper forms, each of which must
+    match it bit for bit; a numpy or BLAS change that breaks one fails
+    here by name, not only through the golden hashes.
+    """
+
+    def assert_same_bits(self, form, reference):
+        mismatches = [k for k in stage_buffers()
+                      if np.asarray(form(k)).tobytes()
+                      != reference(k).tobytes()]
+        assert not mismatches, (len(mismatches), mismatches[0])
+
+    @pytest.mark.parametrize("i", range(2, 7))
+    def test_stages_2_to_6_dot_the_transposed_buffer(self, i):
+        a = solver._A[i]
+        self.assert_same_bits(lambda k: k.T[:, :i].dot(a),
+                              lambda k: a @ k[:i])
+
+    def test_stage_1_as_floats(self):
+        # k.T[:, :1].dot(a) skips dgemv and gives -0.0 where it gives +0.0
+        a1 = float(solver._A[1][0])
+        self.assert_same_bits(lambda k: [a1 * d + 0.0 for d in k[0].tolist()],
+                              lambda k: solver._A[1] @ k[:1])
+
+    def test_error_weights_dot_the_transposed_buffer(self):
+        self.assert_same_bits(lambda k: k.T.dot(solver._E),
+                              lambda k: solver._E @ k)
+
+    def test_fifth_order_sum_is_stage_6s(self):
+        # the fifth-order sum over all seven stages, the last weighted 0
+        b = np.append(solver._A[6], 0.0)
+        self.assert_same_bits(lambda k: k.T[:, :6].dot(solver._A[6]),
+                              lambda k: b @ k)
+
+
 class TestTrajectory:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
