@@ -26,8 +26,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
 import sys
+import tempfile
+import warnings
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
@@ -619,19 +624,108 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # records per %-operation: enough to amortise each chunk's slicing, few
 # enough that a chunk of the widest records (transition) is ~1.3 MB of text
 _CHUNK = 4096
+_PIECE = 1 << 20  # bytes of a child's text read back at a time
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 without fork or CPU affinity."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _record_lines(line: str, columns, lo: int, hi: int):
+    """The CSV lines of records lo..hi, one %-operation per _CHUNK records."""
+    for start in range(lo, hi, _CHUNK):
+        stop = min(start + _CHUNK, hi)
+        # Python floats and strs format faster than numpy scalars
+        cols = [np.asarray(c[start:stop]).tolist() for c in columns]
+        yield line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+
+
+def _fork_range(line: str, columns, lo: int, hi: int):
+    """(pid, file) of a child writing records lo..hi's lines to the file as
+    ASCII; None where the file or the fork cannot be had."""
+    try:
+        out = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork() in a multi-threaded process, and
+            # OpenBLAS starts threads. The child is safe: it runs only
+            # pure-Python formatting and os._exit, and never calls BLAS,
+            # whose threads it lacks.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
+                                    "multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        out.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for text in _record_lines(line, columns, lo, hi):
+                out.write(text.encode("ascii"))
+            out.flush()
+            status = 0
+        finally:
+            # never return into the caller's stack, and never flush the
+            # parent's buffered output a second time
+            os._exit(status)
+    return pid, out
+
+
+def _reap(pids: dict, lo: int) -> bool:
+    """Wait for the child formatting range `lo`; True if it exited 0."""
+    try:
+        status = os.waitstatus_to_exitcode(os.waitpid(pids[lo], 0)[1])
+    except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored): unknown
+        status = None
+    del pids[lo]
+    return status == 0
 
 
 def csv_chunks(product: str, data):
     """One product's CSV text in pieces: the header line, then the lines of
-    each run of _CHUNK records, formatted by one %-operation per run."""
+    each run of _CHUNK records, formatted by one %-operation per run.
+
+    The records split into one contiguous range per available CPU, each of
+    at least _CHUNK records. A forked child formats each range but the
+    first into a temporary file while this process formats the first; the
+    ranges then follow in order. A range whose child fails, or cannot be
+    forked, is formatted here. Each record is formatted on its own, so the
+    text does not depend on where ranges or chunks are cut.
+    """
     p = _TABLE[product]
-    yield p.header + "\n"
     columns = p.columns(data)
     line = p.line + "\n"
-    for start in range(0, len(columns[0]), _CHUNK):
-        # Python floats and strs format faster than numpy scalars
-        cols = [np.asarray(c[start:start + _CHUNK]).tolist() for c in columns]
-        yield line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+    records = len(columns[0])
+    parts = max(1, min(_available_cpus(), records // _CHUNK))
+    cuts = [records * i // parts for i in range(parts + 1)]
+    pids, files = {}, {}  # range start -> its unreaped child, its file
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            if (child := _fork_range(line, columns, lo, hi)) is not None:
+                pids[lo], files[lo] = child
+        yield p.header + "\n"
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo in pids and _reap(pids, lo):
+                out = files[lo]
+                out.seek(0)
+                while piece := out.read(_PIECE):
+                    yield piece.decode("ascii")
+            else:
+                yield from _record_lines(line, columns, lo, hi)
+    finally:
+        # the consumer stopped early or raised: stop and reap the rest
+        for pid in pids.values():
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        for out in files.values():
+            out.close()
 
 
 def _require_product(result: ScenarioResult, product: str):

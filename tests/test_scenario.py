@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -795,3 +801,131 @@ class TestChunkedCsv:
         empty = Trajectory(np.array([]), np.zeros((0, 2)),
                            status="aborted-blowup", message="bad start")
         assert self.check(tmp_path, "trajectory", empty) == "t,p,p_dot\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children csv_chunks forks, in order; afterwards no
+    child of this process is left, running or unreaped."""
+    pids = []
+
+    def spy(*args):
+        child = fork_range(*args)
+        if child is not None:
+            pids.append(child[0])
+        return child
+
+    fork_range = scenario._fork_range
+    monkeypatch.setattr(scenario, "_fork_range", spy)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_cpus(monkeypatch, n: int):
+    monkeypatch.setattr(scenario, "_available_cpus", lambda: n)
+
+
+class TestParallelCsv:
+    """Ranges of a large CSV are formatted by forked children; the text
+    must not depend on how many, and no child may outlive the export."""
+
+    @pytest.mark.parametrize("n", [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                                   5 * _CHUNK + 3])
+    @pytest.mark.parametrize("product", ["trajectory", "envelope",
+                                         "transition", "spectrum",
+                                         "bathymetry"])
+    def test_bytes_do_not_depend_on_workers(self, monkeypatch, forks,
+                                            product, n):
+        data = _records(product, n)
+        set_cpus(monkeypatch, 1)
+        serial = "".join(csv_chunks(product, data))
+        assert serial == _reference_csv(product, data)
+        assert forks == []
+        # 5 workers start at most 4 children
+        for workers in (2, 3, 5):
+            set_cpus(monkeypatch, workers)
+            forks.clear()
+            assert "".join(csv_chunks(product, data)) == serial
+            assert len(forks) == min(workers, n // _CHUNK) - 1
+
+    def test_failed_child_falls_back(self, monkeypatch, forks):
+        parent, record_lines = os.getpid(), scenario._record_lines
+
+        def fails_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed in the child")
+            return record_lines(*args)
+
+        data = _records("transition", 3 * _CHUNK + 1)
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(scenario, "_record_lines", fails_in_child)
+        assert "".join(csv_chunks("transition", data)) == _reference_csv(
+            "transition", data)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("module, name", [(os, "fork"),
+                                              (tempfile, "TemporaryFile")])
+    def test_fork_error_falls_back(self, monkeypatch, forks, module, name):
+        def refuse():
+            raise OSError(f"{name} refused")
+
+        data = _records("spectrum", 2 * _CHUNK)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(module, name, refuse)
+        assert "".join(csv_chunks("spectrum", data)) == _reference_csv(
+            "spectrum", data)
+        assert forks == []
+
+    def test_children_reaped_elsewhere(self, monkeypatch, forks):
+        # with SIGCHLD ignored the kernel reaps each child, so no exit
+        # status can be read: the parent formats every range itself
+        data = _records("bathymetry", 3 * _CHUNK)
+        set_cpus(monkeypatch, 3)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            text = "".join(csv_chunks("bathymetry", data))
+            gen = csv_chunks("bathymetry", data)
+            next(gen)
+            gen.close()
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert text == _reference_csv("bathymetry", data)
+        assert len(forks) == 4
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_close_after_the_header_reaps_children(self, monkeypatch, forks):
+        set_cpus(monkeypatch, 3)
+        gen = csv_chunks("bathymetry", _records("bathymetry", 3 * _CHUNK))
+        assert next(gen) == "x,zeta\n"
+        assert len(forks) == 2
+        gen.close()
+        self.assert_reaped(forks)
+
+    def test_failed_write_reaps_children(self, monkeypatch, forks):
+        set_cpus(monkeypatch, 3)
+        gen = csv_chunks("trajectory", _records("trajectory", 3 * _CHUNK))
+        next(gen), next(gen)
+        with pytest.raises(OSError, match="disk full"):
+            gen.throw(OSError("disk full"))
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+
+    def test_cli_pipe_output_is_not_duplicated(self, forks):
+        # children exit without flushing the parent's stdout buffer
+        src = Path(scenario.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "milnesea.cli", "spectrum",
+             "--wind-speed", "10", "--samples", "20000"],
+            stdout=subprocess.PIPE, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        lines = done.stdout.decode().splitlines()
+        assert len(lines) == 20_001
+        assert lines[0] == "k,S"
+        k = [float(row.split(",")[0]) for row in lines[1:]]
+        assert all(a < b for a, b in zip(k, k[1:]))
