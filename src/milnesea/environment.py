@@ -182,15 +182,28 @@ def bathymetry_profile(spec: BathymetrySpec) -> BathymetryProfile:
     if spec.seed is None:
         raise ValueError("seed None must be resolved to a scenario seed first")
     x = spec.dx * np.arange(grid_points(spec.length, spec.dx))
-    s = x / spec.hill_spacing
-    index = np.floor(s).astype(int)
-    frac = s - index
+    # one working array, the phase s = x / spacing, becomes zeta in place.
+    # Each element gets the same IEEE operations on the same operands as
+    #   scale * (0.5 zeta_max * (sin(-pi/2 + 2 pi (s - index)) + 1))
+    # (a product or sum with its operands swapped is the same float); the
+    # floored phase is the hill index as a float, exact below 2**53
+    # (BathymetrySpec), so s - floor(s) is s - index
+    zeta = x / spec.hill_spacing
+    index = np.floor(zeta)
+    zeta -= index
     # evaluating the sine at the reduced phase keeps the hill ends exact:
-    # frac = 0 gives sin(-pi/2) = -1 and the bracket vanishes identically
-    shape = 0.5 * spec.zeta_max * (np.sin(-0.5 * math.pi + 2.0 * math.pi * frac) + 1.0)
+    # s - index = 0 gives sin(-pi/2) = -1 and the bracket vanishes
+    # identically
+    zeta *= 2.0 * math.pi
+    zeta += -0.5 * math.pi
+    np.sin(zeta, out=zeta)
+    zeta += 1.0
+    zeta *= 0.5 * spec.zeta_max
     # index is nondecreasing, so each hill is one run of equal indices:
     # hash the hill at each run's head once and repeat it over the run
-    heads = np.flatnonzero(np.diff(index, prepend=-1))  # index >= 0
-    table = [_hill_scale(spec.seed, i) for i in index[heads].tolist()]
-    scales = np.repeat(table, np.diff(heads, append=len(index)))
-    return BathymetryProfile(x, scales * shape)
+    heads = np.concatenate(([0], np.flatnonzero(index[1:] != index[:-1]) + 1))
+    hills = index[heads].astype(np.int64).tolist()
+    del index  # freed before the scales take its place
+    table = [_hill_scale(spec.seed, i) for i in hills]
+    zeta *= np.repeat(table, np.diff(heads, append=len(x)))
+    return BathymetryProfile(x, zeta)

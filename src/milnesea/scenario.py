@@ -624,7 +624,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # records per %-operation: enough to amortise each chunk's slicing, few
 # enough that a chunk of the widest records (transition) is ~1.3 MB of text
 _CHUNK = 4096
-_PIECE = 1 << 20  # bytes of a child's text read back at a time
+# bytes of a child's text read back at a time. Each piece is held three
+# times at once (the bytes read, their str, and the writer's encoding), so
+# 64 KiB keeps the read-back near 0.2 MiB, where 1 MiB pieces cost ~3 MiB
+# of peak memory; the reads and yields are still few (16 per MiB)
+_PIECE = 1 << 16
 
 
 def _available_cpus() -> int:

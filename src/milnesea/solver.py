@@ -17,6 +17,11 @@ length-n sequence of floats (a tuple is cheapest). Both integrators pass
 arithmetic on ``y``; a first result of the wrong length is a
 ``ValueError``.
 
+Both record their samples into flat ``array("d")`` buffers, one of times
+and one of states laid end to end, and wrap them as the trajectory's
+arrays when the run ends: 8 bytes per time and per state component, with
+no per-sample Python object kept.
+
 Divergence is an expected physical regime here (the medium can pump energy
 into a signal until the pressure grows without bound), so hitting the
 blow-up guard is reported as a trajectory status instead of raised as an
@@ -29,6 +34,7 @@ import functools
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -79,6 +85,10 @@ class Trajectory:
     ``status`` is one of COMPLETED, ABORTED_BLOWUP, ABORTED_STEP_LIMIT;
     aborted trajectories carry a diagnostic ``message`` and keep every
     finite state recorded up to the abort.
+
+    The integrators pass C-contiguous float64 arrays that view the flat
+    buffers they recorded into (see the module docstring), so none is
+    copied here; each run has buffers of its own.
     """
 
     times: np.ndarray
@@ -93,7 +103,9 @@ class Trajectory:
             raise ValueError("times must be a 1-d array")
         if self.states.shape[:1] != self.times.shape:
             raise ValueError("states must have one row per time")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+        # a > b holds exactly when a - b > 0, with no difference array
+        t = self.times
+        if t.size > 1 and not np.all(t[1:] > t[:-1]):
             raise ValueError("times must be strictly increasing")
         if self.status not in (COMPLETED, ABORTED_BLOWUP, ABORTED_STEP_LIMIT):
             raise ValueError(f"unknown status {self.status!r}")
@@ -140,6 +152,19 @@ def _check_rhs_length(f, n: int) -> None:
                          f"state of length {n}")
 
 
+def _recorder(t0: float, y: tuple):
+    """Flat sample buffers holding (t0, y), and their finish(status,
+    message) that wraps them as a Trajectory."""
+    times, states = array("d", [t0]), array("d", y)
+
+    def finish(status, message=None):
+        return Trajectory(np.frombuffer(times),
+                          np.frombuffer(states).reshape(-1, len(y)),
+                          status, message)
+
+    return times, states, finish
+
+
 def _prepare(y0, blowup_threshold):
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
@@ -173,11 +198,7 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     check_sample_budget(steps + 1)
 
     y = tuple(y0.tolist())
-    times = [t0]
-    states = [y]
-
-    def finish(status, message=None):
-        return Trajectory(np.array(times), np.array(states), status, message)
+    times, states, finish = _recorder(t0, y)
 
     if max(map(abs, y)) > threshold:
         return finish(ABORTED_BLOWUP,
@@ -201,7 +222,7 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
             return finish(ABORTED_BLOWUP,
                           f"non-finite state near t={t_next:.6g}")
         times.append(t_next)
-        states.append(y)
+        states.extend(y)
         if max(map(abs, y)) > threshold:
             return finish(ABORTED_BLOWUP,
                           f"|state| exceeded {threshold:g} at t={t_next:.6g}")
@@ -284,11 +305,7 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     if not all(map(math.isfinite, f)):
         return Trajectory(np.empty(0), np.empty((0, n)), ABORTED_BLOWUP,
                           f"non-finite right-hand side at t={t0:.6g}")
-    times = [t0]
-    states = [y]
-
-    def finish(status, message=None):
-        return Trajectory(np.array(times), np.array(states), status, message)
+    times, states, finish = _recorder(t0, y)
 
     if max(map(abs, y)) > threshold:
         return finish(ABORTED_BLOWUP,
@@ -358,7 +375,7 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         t_new = t + h
         f_new = k[6]  # FSAL: already rhs(t_new, y_new)
         times.append(t_new)
-        states.append(y_new)
+        states.extend(y_new)
 
         if max(map(abs, y_new)) > threshold:
             return finish(ABORTED_BLOWUP,

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from memtrace import peak_bytes
 
 from milnesea import environment
 from milnesea.environment import (BathymetrySpec, SurfaceSpectrumParams,
@@ -129,6 +130,15 @@ class TestSpectrum:
 
 
 class TestBathymetry:
+    def test_peak_memory_within_twice_the_output(self):
+        # one working array becomes zeta in place; besides x and zeta only
+        # the floored phase, then the repeated scales, are held at once
+        spec = BathymetrySpec(zeta_max=3.0, hill_spacing=50.0,
+                              length=200_000.0, dx=1.0, seed=7)
+        prof, peak = peak_bytes(lambda: bathymetry_profile(spec))
+        assert prof.x.size == 200_001
+        assert peak <= 2 * (prof.x.nbytes + prof.zeta.nbytes)
+
     def test_bounds_and_zeros(self):
         spec = BathymetrySpec(zeta_max=5.0, hill_spacing=100.0,
                               length=2000.0, dx=0.02, seed=42)

@@ -849,6 +849,23 @@ class TestParallelCsv:
             assert "".join(csv_chunks(product, data)) == serial
             assert len(forks) == min(workers, n // _CHUNK) - 1
 
+    @pytest.mark.parametrize("product", ["transition", "bathymetry"])
+    def test_read_back_in_pieces_cut_inside_lines(self, monkeypatch, forks,
+                                                  product):
+        data = _records(product, 3 * _CHUNK + 5)
+        set_cpus(monkeypatch, 1)
+        serial = "".join(csv_chunks(product, data))
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(scenario, "_PIECE", 7)
+        pieces = list(csv_chunks(product, data))
+        assert "".join(pieces) == serial
+        assert len(forks) == 2
+        # the two children's ranges, about 2/3 of the text, come back 7
+        # bytes at a time
+        short = [p for p in pieces if len(p) <= 7]
+        assert not all(p.endswith("\n") for p in short)
+        assert sum(map(len, short)) > len(serial) // 2
+
     def test_failed_child_falls_back(self, monkeypatch, forks):
         parent, record_lines = os.getpid(), scenario._record_lines
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from memtrace import peak_bytes
 
 from milnesea import default_config_path, solver
 from milnesea.milne import integrate_milne, milne_rhs
@@ -586,3 +587,55 @@ class TestTrajectory:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0]), np.zeros((1, 1)), status="done")
+    def test_order_check_matches_the_difference_test(self):
+        # a > b exactly when a - b > 0, with inf, nan and overflow included;
+        # the comparison takes no difference, so it never warns
+        big = np.finfo(float).max
+        sub = np.finfo(float).smallest_subnormal
+        for times in ([0.0, sub], [-sub, 0.0], [0.0, -0.0], [-big, big],
+                      [0.0, np.inf], [np.inf, np.inf], [-np.inf, 0.0],
+                      [0.0, np.nan], [np.nan, 1.0], [1.0, 1.0 + 2e-16]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                increasing = bool(np.all(np.diff(times) > 0))
+            if increasing:
+                Trajectory(np.array(times), np.zeros((2, 1)))
+            else:
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    Trajectory(np.array(times), np.zeros((2, 1)))
+
+
+def flat_harmonic(t, y):
+    return (y[1], -y[0])
+
+
+class TestFlatStorage:
+    """Both integrators record into flat float buffers: ~24 B per sample
+    of a 2-component state (8 per time, 16 per state), against ~200 B for
+    lists of floats and tuples. Sizes are kept small because tracemalloc
+    slows the step loop ~25x; the fixed cost of a run is a few KB."""
+
+    RUNS = {
+        "fixed": lambda: integrate_fixed(flat_harmonic, [1.0, 0.0],
+                                         (0.0, 20.0), dt=1e-3),
+        # ~3,500 samples
+        "adaptive": lambda: integrate_adaptive(flat_harmonic, [1.0, 0.0],
+                                               (0.0, 60.0), rtol=1e-12),
+    }
+
+    @pytest.mark.parametrize("method", RUNS)
+    def test_peak_bytes_per_sample(self, method):
+        first, peak = peak_bytes(self.RUNS[method])
+        assert first.completed and len(first) > 3000
+        assert peak / len(first) <= 40
+        # the buffers are wrapped as they are: C-contiguous float64 rows,
+        # and no two calls share them
+        second = self.RUNS[method]()
+        for traj in (first, second):
+            assert traj.times.dtype == traj.states.dtype == np.float64
+            assert traj.times.flags.c_contiguous
+            assert traj.states.flags.c_contiguous
+            assert traj.states.shape == (len(traj), 2)
+        assert first.states.tobytes() == second.states.tobytes()
+        for a in (first.times, first.states):
+            for b in (second.times, second.states):
+                assert not np.shares_memory(a, b)
