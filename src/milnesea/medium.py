@@ -140,6 +140,19 @@ class CoefficientProfile:
             out = self._kernel(t)
         return float(out) if out.ndim == 0 else out
 
+    @property
+    def feature_window(self) -> Optional[Tuple[float, float, float]]:
+        """(start, end, width) of a bump: center -+ 20 width, and width.
+
+        Outside the window a bump differs from its base by less than
+        exp(-200) (gaussian) or ~1.7e-17 (sech²) of its amplitude. Other
+        kinds have no window (None).
+        """
+        if self.kind not in BUMP_KINDS:
+            return None
+        reach = 20.0 * self.width
+        return (self.center - reach, self.center + reach, self.width)
+
     def extreme_values(self) -> Tuple[float, float]:
         """Smallest and largest value the profile can attain."""
         if self.kind == CONSTANT:

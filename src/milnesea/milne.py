@@ -131,7 +131,9 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
     The default initial condition is the wave crest at rest,
     (p, p') = (amplitude, 0). Blow-up is a legitimate outcome for this
     equation (the time-proportional restoring term goes unstable), so
-    check the returned Trajectory.status.
+    check the returned Trajectory.status. An adaptive run caps its step
+    inside the feature window of each bump profile, so no step jumps a
+    bump narrower than itself.
     """
     if ic is None:
         ic = MilneState(spec.amplitude, 0.0)
@@ -143,8 +145,11 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
         return integrate_fixed(rhs, ic, t_span, dt=dt,
                                blowup_threshold=blowup_threshold)
     if method == "adaptive":
+        windows = tuple(w for w in (medium.omega_profile.feature_window,
+                                    medium.beta_profile.feature_window) if w)
         return integrate_adaptive(rhs, ic, t_span, rtol=rtol, atol=atol,
-                                  blowup_threshold=blowup_threshold)
+                                  blowup_threshold=blowup_threshold,
+                                  windows=windows)
     raise ValueError(f"unknown method {method!r}; use 'fixed' or 'adaptive'")
 
 

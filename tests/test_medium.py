@@ -49,6 +49,20 @@ class TestProfiles:
         assert prof.value(-5.0) == 1.0   # clamped left
         assert prof.value(99.0) == 3.0   # clamped right
 
+    def test_feature_window(self):
+        prof = gaussian(width=0.5)
+        assert prof.feature_window == (0.0, 20.0, 0.5)
+        sech2 = CoefficientProfile(kind="sech2-bump", amplitude=0.5,
+                                   center=-1.0, width=0.25)
+        assert sech2.feature_window == (-6.0, 4.0, 0.25)
+        # at the window's ends a unit-base bump reads its base exactly
+        for bump in (prof, sech2):
+            start, end, _ = bump.feature_window
+            assert bump.value(start) == bump.value(end) == 1.0
+        assert CoefficientProfile(kind="constant").feature_window is None
+        table = CoefficientProfile(kind="table", table=((0.0, 1.0),))
+        assert table.feature_window is None
+
     def test_kind_validation(self):
         with pytest.raises(InvalidProfileError):
             CoefficientProfile(kind="parabola")

@@ -4,12 +4,14 @@ Frozen numbers below were evaluated by hand from the defining formulas
 (they are simple enough to carry exactly) or with mpmath at 30 digits.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from milnesea import milne, solver
 from milnesea.acoustic_signal import SignalSpec
 from milnesea.errors import DomainError, InsufficientDataError
 from milnesea.medium import CoefficientProfile, MediumSpec
@@ -112,6 +114,42 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_milne(spec_k01(), const_medium(), (0.0, 1.0),
                             method="leapfrog")
+
+    def test_fixed_run_calls_milne_rhs_four_times_per_step(self,
+                                                            monkeypatch):
+        # the benchmark's tracer counts RHS calls by wrapping the module
+        # global milne.milne_rhs, so every RK4 stage must reach it there
+        calls = 0
+        real_rhs = milne.milne_rhs
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real_rhs(*args)
+
+        monkeypatch.setattr(milne, "milne_rhs", counting)
+        traj = integrate_milne(spec_k01(amplitude=0.01),
+                               const_medium(beta=0.1), (-60.0, -59.5),
+                               ic=MilneState(0.01, 0.0), dt=1e-3)
+        assert traj.completed and len(traj) == 501
+        assert calls == 4 * 500
+
+    def test_narrow_bumps_over_a_long_span(self, monkeypatch):
+        # capping every step at the smallest width would take 10^7
+        # attempts here; the windowed cap stays inside the limit set below
+        monkeypatch.setattr(milne, "integrate_adaptive", functools.partial(
+            solver.integrate_adaptive, max_steps=10_000))
+        medium = MediumSpec(
+            CoefficientProfile(kind="gaussian-bump", amplitude=1.5,
+                               center=-500.0, width=1e-4),
+            CoefficientProfile(kind="sech2-bump", base=0.1, amplitude=1.0,
+                               center=-200.0, width=1e-4))
+        traj = integrate_milne(SignalSpec.from_wave_number(1e-3, 2.0, 6.7e-4),
+                               medium, (-1000.0, 0.0), method="adaptive")
+        assert traj.completed, traj.message
+        # each bump is sampled within a width of its center, not stepped over
+        for center in (-500.0, -200.0):
+            assert np.min(np.abs(traj.times - center)) < 1e-4
 
 
 class TestEnergies:

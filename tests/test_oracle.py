@@ -55,10 +55,8 @@ def disagreement(doc):
     return np.max(np.abs(adaptive.states[-1] - fine.states[-1]) / bound)
 
 
-# Derandomized: fresh draws hit two known faults of the adaptive solver,
-# each about once in 1,000 draws. One is the FSAL alias (the pinned case
-# below). The other is a step that jumps over an omega bump narrower than
-# itself, on a problem slow enough to grow the step to ~0.1.
+# Derandomized: fresh draws hit a known fault of the adaptive solver about
+# once in 1,000 draws, the FSAL alias (the pinned case below).
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(documents())
 def test_fixed_and_adaptive_agree(doc):
@@ -85,10 +83,10 @@ def test_agree_on_a_draw_with_rejections():
     assert disagreement(FSAL_DRAW) <= 1.0
 
 
-# the other fault, seen once in 2,000 fresh draws: the slow dynamics grow
-# the step to ~0.53, so the adaptive run crosses the omega bump of width
-# 0.01 in about a dozen steps and ends with p' = 6.72e-7 against 7.83e-7
-# from RK4, a ratio of ~100
+# seen once in 2,000 fresh draws: the slow dynamics grow the step to
+# ~0.53, so before the step was capped inside the bump's window the
+# adaptive run crossed the omega bump of width 0.01 in about a dozen steps
+# and ended with p' = 6.72e-7 against 7.83e-7 from RK4, a ratio of ~100
 NARROW_BUMP_DRAW = {
     "signal": {"amplitude": 0.001, "sound_speed": 2.00001,
                "wavelength": 9350.92},
@@ -99,9 +97,5 @@ NARROW_BUMP_DRAW = {
     "time": {"t0": 1e-15}}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="nothing caps the adaptive step by the medium's "
-                   "feature width: a step jumps over a bump narrower than "
-                   "itself and the run still completes")
 def test_agree_across_a_narrow_bump():
     assert disagreement(NARROW_BUMP_DRAW) <= 1.0

@@ -5,8 +5,10 @@ the closed forms, not from the code under test.
 """
 
 import hashlib
+import inspect
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -159,7 +161,8 @@ class TestFixed:
         assert traj.times.tolist() == [0.0]
 
     def test_rhs_of_the_wrong_length_rejected(self):
-        # zip truncated a 3-component result to the 2-component state
+        # the generated step indexes k1 by the state, so the extra
+        # component would pass unseen
         with pytest.raises(ValueError, match="rhs returned a result of length "
                                              "3 for a state of length 2"):
             integrate_fixed(lambda t, y: (y[1], -y[0], 0.0), [1.0, 0.0],
@@ -303,6 +306,108 @@ class TestFixedAgainstScipy:
         # |component| of each
         error = np.max(np.abs(traj.states - ref.y.T), axis=0)
         assert np.all(error / np.max(np.abs(ref.y), axis=1) < 1e-3)
+
+
+def comprehension_rk4(rhs, y0, t_span, dt, blowup_threshold=None):
+    """RK4 on a tuple of floats, with one comprehension per stage.
+
+    The loop form of integrate_fixed: the same grid, guard and messages,
+    with each stage's tuple built by zip over the components. The
+    generated step must reproduce it bit for bit.
+    """
+    t0, t1 = t_span
+    y = tuple(map(float, y0))
+    threshold = (solver.default_blowup_threshold(y) if blowup_threshold
+                 is None else blowup_threshold)
+    times, states = [t0], [y]
+
+    def finish(status, message=None):
+        return Trajectory(np.array(times),
+                          np.array(states).reshape(len(times), len(y)),
+                          status, message)
+
+    if max(map(abs, y)) > threshold:
+        return finish(solver.ABORTED_BLOWUP,
+                      f"initial state already exceeds guard {threshold:g}")
+    steps = solver.fixed_steps(t0, t1, dt)
+    for i in range(steps):
+        t = t0 + dt * i
+        t_next = t0 + dt * (i + 1) if i < steps - 1 else t1
+        h = t_next - t
+        hh = 0.5 * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
+        k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
+        k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        h6 = h / 6.0
+        y = tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        if not all(map(math.isfinite, y)):
+            return finish(solver.ABORTED_BLOWUP,
+                          f"non-finite state near t={t_next:.6g}")
+        times.append(t_next)
+        states.append(y)
+        if max(map(abs, y)) > threshold:
+            return finish(solver.ABORTED_BLOWUP,
+                          f"|state| exceeded {threshold:g} at t={t_next:.6g}")
+    return finish(solver.COMPLETED)
+
+
+def coupled(t, y):
+    # each component reads its neighbours, t and a quadratic term
+    n = len(y)
+    return tuple([y[(j + 1) % n] - t * y[j] + y[j] * y[j - 1]
+                  for j in range(n)])
+
+
+RK4_STEP_2 = """\
+def rk4_step(rhs, t, y, k1, h):
+    (y0, y1) = y
+    hh = 0.5 * h
+    k2 = rhs(t + hh, (y0 + hh * k1[0], y1 + hh * k1[1]))
+    k3 = rhs(t + hh, (y0 + hh * k2[0], y1 + hh * k2[1]))
+    k4 = rhs(t + h, (y0 + h * k3[0], y1 + h * k3[1]))
+    h6 = h / 6.0
+    return (y0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]), \
+y1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+"""
+
+
+class TestGeneratedStep:
+    def test_source_for_two_components(self):
+        assert inspect.getsource(solver._rk4_step(2)) == RK4_STEP_2
+
+    def test_traceback_shows_the_step(self):
+        def rhs(t, y):
+            if t > 0.0:
+                raise ZeroDivisionError("stage")
+            return (1.0,)
+
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate_fixed(rhs, [0.0], (0.0, 1.0), dt=0.5)
+        entry = info.traceback[-2]
+        assert entry.path == "<milnesea.solver._rk4_step(1)>"
+        assert str(entry.statement).strip() == \
+            "k2 = rhs(t + hh, (y0 + hh * k1[0],))"
+
+    # each case: the pool y0 is drawn from, the guard, the expected end
+    @pytest.mark.parametrize("pool, threshold, ends", [
+        ([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308], None,
+         "completed"),
+        ([0.75, 1.0, 1.25], 1e4, "|state| exceeded 10000"),
+        ([1e200, -3e250, 1e-300, -7.0], None, "non-finite state")],
+        ids=["signed-zeros-and-subnormals", "guard", "overflow"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_comprehension_form(self, n, pool, threshold, ends):
+        rng = random.Random(n)
+        y0 = [rng.choice(pool) for _ in range(n)]
+        got = integrate_fixed(coupled, y0, (-0.5, 1.5), dt=0.125,
+                              blowup_threshold=threshold)
+        want = comprehension_rk4(coupled, y0, (-0.5, 1.5), 0.125, threshold)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.status, got.message) == (want.status, want.message)
+        assert (got.message or got.status).startswith(ends)
 
 
 class TestAdaptive:
@@ -458,6 +563,32 @@ PINNED_SYSTEMS = {
     "forced-chain": (forced_chain, [1.0, 0.0, -0.5, 0.25, 2.0], (0.0, 5.0)),
     "ring": (ring, [1.0 + 0.1 * j for j in range(10)], (0.0, 5.0)),
 }
+
+
+class TestFeatureWindows:
+    def test_step_capped_inside_and_before_a_window(self):
+        # away from the window, decay's steps grow well past its width
+        start, end, width = 4.0, 6.0, 0.01
+        traj = integrate_adaptive(decay, [1.0], (0.0, 10.0), rtol=1e-6,
+                                  windows=((start, end, width),))
+        assert traj.completed
+        t, h = traj.times[:-1], np.diff(traj.times)
+        assert np.max(h[t < start]) > 10 * width
+        # the first step into the window lands at most a width inside it
+        assert start <= traj.times[traj.times >= start][0] <= start + width
+        inside = (t >= start) & (t < end)
+        assert np.all(h[inside] <= width * (1 + 1e-12))
+        assert np.max(h[t >= end]) > 10 * width
+
+    def test_window_narrower_than_the_float_spacing(self):
+        # a step of width 2e-17 would not move t = 1 (spacing 2.2e-16): the
+        # run crosses the window in steps of one spacing, not an underflow
+        start, end = 1.0 - 4e-16, 1.0 + 4e-16
+        traj = integrate_adaptive(decay, [1.0], (0.0, 2.0),
+                                  windows=((start, end, 2e-17),))
+        assert traj.completed, traj.message
+        assert np.count_nonzero((traj.times >= start)
+                                & (traj.times < end)) >= 2
 
 
 class TestAdaptiveBits:
