@@ -171,30 +171,25 @@ class MediumSpec:
     The omega profile must have unit background (the model is written in
     units where the asymptotic natural frequency is 1) and stay positive;
     the beta profile must stay nonnegative. Both ranges are proven here,
-    once, through ``extreme_values()``, which ``value(t)`` never leaves;
-    ``omega(t)`` and ``beta(t)`` just evaluate the profiles. The sound
-    speed belongs to the signal (``SignalSpec``), not to the medium.
+    once, through ``extreme_values()``, which ``value(t)`` never leaves,
+    so formulas read ``medium.omega.value(t)`` and ``medium.beta.value(t)``
+    unchecked. The sound speed belongs to the signal (``SignalSpec``),
+    not to the medium.
     """
 
-    omega_profile: CoefficientProfile
-    beta_profile: CoefficientProfile
+    omega: CoefficientProfile
+    beta: CoefficientProfile
 
     def __post_init__(self):
         problems = []
-        om = self.omega_profile
+        om = self.omega
         if om.kind != TABLE and om.base != 1.0:
             problems.append(f"omega profile background must be 1, got {om.base}")
         lo, _ = om.extreme_values()
         if not lo > 0:
             problems.append(f"omega profile dips to {lo}, must stay positive")
-        lo, _ = self.beta_profile.extreme_values()
+        lo, _ = self.beta.extreme_values()
         if not lo >= 0:
             problems.append(f"beta profile dips to {lo}, must stay nonnegative")
         if problems:
             raise InvalidProfileError("; ".join(problems))
-
-    def omega(self, t):
-        return self.omega_profile.value(t)
-
-    def beta(self, t):
-        return self.beta_profile.value(t)

@@ -91,8 +91,8 @@ def milne_rhs(state, spec: SignalSpec, medium: MediumSpec,
               t: float) -> Tuple[float, float]:
     """Right-hand side (p', p'') of the pressure equation, as a tuple."""
     p, pd = state[0], state[1]
-    b = medium.beta(t)
-    w = medium.omega(t)
+    b = medium.beta.value(t)
+    w = medium.omega.value(t)
     pdd = (p * pd * pd - b * pd + b * spec.angular_frequency * p
            + w * w * spec.sound_speed * t * spec.wave_number * p)
     return pd, pdd
@@ -109,8 +109,8 @@ def eq9_residual(p: float, p_dot: float, p_ddot: float, spec: SignalSpec,
     a = spec.amplitude
     if abs(p) > a:
         raise DomainError(f"|p|={abs(p)} exceeds amplitude {a}")
-    b = medium.beta(t)
-    w = medium.omega(t)
+    b = medium.beta.value(t)
+    w = medium.omega.value(t)
     a2 = a * a
     return (p_ddot * p * p / a2
             - p * p_dot * p_dot
@@ -145,8 +145,8 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
         return integrate_fixed(rhs, ic, t_span, dt=dt,
                                blowup_threshold=blowup_threshold)
     if method == "adaptive":
-        windows = tuple(w for w in (medium.omega_profile.feature_window,
-                                    medium.beta_profile.feature_window) if w)
+        windows = tuple(w for w in (medium.omega.feature_window,
+                                    medium.beta.feature_window) if w)
         return integrate_adaptive(rhs, ic, t_span, rtol=rtol, atol=atol,
                                   blowup_threshold=blowup_threshold,
                                   windows=windows)
@@ -154,8 +154,8 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
 
 
 def _potential(p, spec: SignalSpec, medium: MediumSpec, t):
-    b = medium.beta(t)
-    w = medium.omega(t)
+    b = medium.beta.value(t)
+    w = medium.omega.value(t)
     return (0.5 * b * spec.angular_frequency * p * p
             + 0.5 * w * w * spec.sound_speed * t * spec.wave_number * p * p)
 
@@ -184,8 +184,8 @@ def hamiltonian_density(state, spec: SignalSpec, medium: MediumSpec, t):
 
 def envelope_denominator(spec: SignalSpec, medium: MediumSpec, t):
     """beta(t) c k + omega(t)^2 c t k, the stiffness the envelope divides by."""
-    b = medium.beta(t)
-    w = medium.omega(t)
+    b = medium.beta.value(t)
+    w = medium.omega.value(t)
     return (b * spec.angular_frequency
             + w * w * spec.sound_speed * t * spec.wave_number)
 

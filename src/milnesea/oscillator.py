@@ -40,8 +40,8 @@ def damped_rhs(state, beta: float, omega: float) -> Tuple[float, float]:
 def parametric_rhs(state, medium: MediumSpec, t: float) -> Tuple[float, float]:
     """Right-hand side (x', v') with coefficients read from the medium at t."""
     x, v = state[0], state[1]
-    b = medium.beta(t)
-    w = medium.omega(t)
+    b = medium.beta.value(t)
+    w = medium.omega.value(t)
     return v, -b * v - w * w * x
 
 

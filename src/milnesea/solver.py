@@ -136,6 +136,14 @@ def default_blowup_threshold(y0) -> float:
     return min(1e6 * max(1.0, float(np.max(np.abs(y0)))), sys.float_info.max)
 
 
+def check_step(t0: float, t1: float, step: float) -> None:
+    """Reject a step finer than 4 float spacings at max(|t0|, |t1|)."""
+    far = max(abs(t0), abs(t1))
+    if step < 4 * math.ulp(far):
+        raise ValueError(f"step {step!r} is finer than 4 float spacings at "
+                         f"|t| = {far!r} ({4 * math.ulp(far)!r})")
+
+
 def _check_span(t_span):
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
@@ -255,6 +263,7 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     _check_positive("dt", dt)
     steps = fixed_steps(t0, t1, dt)
     check_sample_budget(steps + 1)
+    check_step(t0, t1, dt)
 
     y = tuple(y0.tolist())
     times, states, finish = _recorder(t0, y)
@@ -408,7 +417,9 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         attempts += 1
         if windows:
             h = _cap_step(h, t, windows)
-        h = min(h, t1 - t)
+        last = h >= t1 - t  # t + (t1 - t) may round off t1: record t1
+        if last:
+            h = t1 - t
         if t + h == t:
             return finish(ABORTED_BLOWUP,
                           f"step size underflow at t={t:.6g} "
@@ -447,7 +458,7 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
             continue
 
-        t_new = t + h
+        t_new = t1 if last else t + h
         f_new = k[6]  # FSAL: already rhs(t_new, y_new)
         times.append(t_new)
         states.extend(y_new)

@@ -75,12 +75,12 @@ class TestProfiles:
 
 
 class TestCoefficientAccess:
-    # the ranges are proven when the medium is built; omega(t) and beta(t)
-    # only evaluate the profiles
+    # the ranges are proven when the medium is built; omega.value(t) and
+    # beta.value(t) only evaluate the profiles
     def test_omega_positive_ok(self):
         med = MediumSpec(gaussian(amplitude=-0.5),
                          CoefficientProfile(kind="constant", base=0.0))
-        assert med.omega(10.0) == 0.5
+        assert med.omega.value(10.0) == 0.5
 
     def test_omega_rejects_nonpositive(self):
         with pytest.raises(InvalidProfileError,
@@ -95,14 +95,15 @@ class TestCoefficientAccess:
             MediumSpec(one, gaussian(base=0.1, amplitude=-0.5))
         # a dip that just touches zero is fine, and decays in the tails
         med = MediumSpec(one, gaussian(base=0.1, amplitude=-0.1))
-        assert med.beta(10.0) == 0.0
-        assert med.beta(30.0) == pytest.approx(0.1)
+        assert med.beta.value(10.0) == 0.0
+        assert med.beta.value(30.0) == pytest.approx(0.1)
 
     def test_array_access(self):
         med = MediumSpec(CoefficientProfile(kind="constant", base=1.0),
                          CoefficientProfile(kind="constant", base=2.0))
-        np.testing.assert_array_equal(med.omega(np.zeros(3)), np.ones(3))
-        np.testing.assert_array_equal(med.beta(np.zeros(3)),
+        np.testing.assert_array_equal(med.omega.value(np.zeros(3)),
+                                      np.ones(3))
+        np.testing.assert_array_equal(med.beta.value(np.zeros(3)),
                                       np.full(3, 2.0))
 
 
@@ -110,8 +111,8 @@ class TestMediumSpec:
     def test_accepts_standard_medium(self):
         med = MediumSpec(gaussian(amplitude=0.2),
                          CoefficientProfile(kind="constant", base=0.5))
-        assert med.omega(10.0) == pytest.approx(1.2)
-        assert med.beta(0.0) == 0.5
+        assert med.omega.value(10.0) == pytest.approx(1.2)
+        assert med.beta.value(0.0) == 0.5
 
     def test_omega_background_must_be_one(self):
         with pytest.raises(InvalidProfileError):

@@ -103,7 +103,7 @@ class TestParametric:
     def test_matches_damped_rhs_pointwise(self):
         state = (0.4, -1.1)
         for t in (0.0, 9.0, 10.0, 12.5):
-            beta_t = self.medium.beta(t)
+            beta_t = self.medium.beta.value(t)
             np.testing.assert_allclose(parametric_rhs(state, self.medium, t),
                                        damped_rhs(state, beta_t, 1.0),
                                        rtol=1e-15)

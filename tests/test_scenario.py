@@ -44,8 +44,8 @@ class TestDefaults:
         assert cfg.signal.wave_number == 0.1
         assert cfg.signal.amplitude == 1.0
         assert cfg.signal.sound_speed == 1480.0
-        assert cfg.medium.omega(0.0) == 1.0
-        assert cfg.medium.beta(0.0) == 0.0
+        assert cfg.medium.omega.value(0.0) == 1.0
+        assert cfg.medium.beta.value(0.0) == 0.0
         assert (cfg.t0, cfg.t1, cfg.stride) == (0.0, 2.0, 10)
         assert cfg.method == "fixed"
         assert cfg.dt == DEFAULT_DT
@@ -339,10 +339,9 @@ class TestValidation:
         doc = {"medium": {"beta": {"kind": "table",
                                    "table": [[0.0, 0.1], [5.0, 0.4]]}}}
         cfg = load(doc)
-        assert cfg.medium.beta(2.5) == pytest.approx(0.25)
+        assert cfg.medium.beta.value(2.5) == pytest.approx(0.25)
         again = load(config_to_dict(cfg))
-        assert again.medium.beta_profile.table == \
-            cfg.medium.beta_profile.table
+        assert again.medium.beta.table == cfg.medium.beta.table
         assert config_to_dict(again) == config_to_dict(cfg)
 
 

@@ -143,6 +143,20 @@ class TestFixed:
             integrate_fixed(lambda t, y: (y[0],), [1.0], (0.0, 100.0),
                             blowup_threshold=threshold)
 
+    def test_step_below_the_float_spacing_rejected_before_any_rhs_call(self):
+        # at 1e16 the float spacing is 2, so a step of 0.5 would round to
+        # repeated times; the run fails before it starts
+        calls = []
+
+        def counting(t, y):
+            calls.append(t)
+            return harmonic(t, y)
+
+        with pytest.raises(ValueError, match=r"step 0\.5 is finer than 4 "
+                                             "float spacings"):
+            integrate_fixed(counting, [1.0, 0.0], (1e16, 1e16 + 40), dt=0.5)
+        assert calls == []
+
     @pytest.mark.parametrize("t_span, dt", [
         ((0.0, 1.0), 0.1), ((0.0, 1.05), 0.1), ((-0.0, 0.3), 0.1),
         ((-3.7, 2.2), 0.37), ((1e6, 1e6 + 1.0), 1e-2), ((0.0, 1.0), 2.0),
@@ -418,6 +432,17 @@ class TestAdaptive:
         assert traj.times[0] == 0.0
         assert traj.last_time == 1.0
         assert traj.states[-1][0] == pytest.approx(EXP_DECAY_AT_1, rel=1e-8)
+
+    @pytest.mark.parametrize("t_span", [(-10.0, 0.7), (-3.3, 0.3)])
+    def test_last_step_ends_exactly_on_t1(self, t_span):
+        # the step that crosses zero to t1 rounds t + (t1 - t) past t1 on
+        # the first span and short of it on the second, where a 1.7e-16
+        # step would follow
+        traj = integrate_adaptive(lambda t, y: (-0.01 * y[0],), [1.0],
+                                  t_span, rtol=1e-3, atol=1e-3)
+        assert traj.completed
+        assert traj.last_time == t_span[1]
+        assert np.diff(traj.times).min() > 1e-12
 
     def test_agrees_with_fixed_solver(self):
         # dual-route check: two independent steppers, same problem. Each
