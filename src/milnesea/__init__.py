@@ -20,14 +20,15 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidProfileError, NotComputedError)
 from .medium import CoefficientProfile, MediumSpec
-from .milne import (EnvelopeSample, MilneState, SignalSummary, envelope_q,
-                    eq9_residual, eq14_amplitude, estimate_period_phase,
+from .milne import (EnvelopeSample, MilneState, envelope_q, eq9_residual,
+                    eq14_amplitude, estimate_period_phase,
                     hamiltonian_density, integrate_milne, lagrangian_density,
                     milne_rhs, q_plus_minus_squared)
 from .oscillator import (OscillatorState, analytic_constant_solution,
                          damped_rhs, parametric_rhs)
-from .scenario import (ScenarioConfig, ScenarioResult, config_to_dict,
-                       export_csv, export_json, load_config, run_scenario)
+from .scenario import (DynamicalParams, ScenarioConfig, ScenarioResult,
+                       config_to_dict, export_csv, export_json, load_config,
+                       run_scenario)
 from .solver import (Trajectory, integrate_adaptive, integrate_fixed)
 from .transition import (FormComparison, compare_forms, composed_from_q,
                          expanded_from_q, rotation)

@@ -21,7 +21,7 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -54,32 +54,7 @@ class EnvelopeSample:
     imaginary_branch: bool
 
 
-@dataclass(frozen=True)
-class SignalSummary:
-    """Headline numbers extracted for a signal: energy, period, phase.
-
-    delta is normalised into (-pi, pi] on construction. The
-    ``e_m_bound_violated`` flag is derived, never supplied: it marks
-    summaries whose Milne energy fell below 1, the level the settled
-    envelope analysis assumes.
-    """
-
-    e_m: float
-    tau: float
-    delta: float
-    e_m_bound_violated: bool = field(init=False)
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        for name in ("e_m", "tau", "delta"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(self, "delta", _wrap_angle(self.delta))
-        object.__setattr__(self, "e_m_bound_violated", bool(self.e_m < 1.0))
-
-
-def _wrap_angle(a: float) -> float:
+def wrap_angle(a: float) -> float:
     """Reduce an angle to (-pi, pi]; one already there is kept as it is."""
     if -math.pi < a <= math.pi:
         return float(a)
@@ -277,5 +252,5 @@ def estimate_period_phase(trajectory: Trajectory) -> Tuple[float, float]:
     offsets = phase - omega * times
     mean_angle = math.atan2(float(np.mean(np.sin(offsets))),
                             float(np.mean(np.cos(offsets))))
-    delta = _wrap_angle(-mean_angle)
+    delta = wrap_angle(-mean_angle)
     return tau, delta

@@ -49,16 +49,23 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
 from .errors import ConfigError, InsufficientDataError, NotComputedError
 from .medium import (BUMP_KINDS, CONSTANT, KIND_KEYS, CoefficientProfile,
                      MediumSpec)
-from .milne import (EnvelopeSample, MilneState, SignalSummary,
-                    envelope_denominator, envelope_q, estimate_period_phase,
-                    hamiltonian_density, integrate_milne)
+from .milne import (EnvelopeSample, MilneState, envelope_denominator,
+                    envelope_q, estimate_period_phase, hamiltonian_density,
+                    integrate_milne, wrap_angle)
 from .solver import Trajectory, check_sample_budget, fixed_steps, grid_points
 from .transition import COMPOSED, EXPANDED, FormComparison, compare_forms
 
 class DynamicalParams(NamedTuple):
+    """A signal's Milne energy, phase shift and period."""
+
     e_m: float
     delta: float
     tau: float
+
+    @property
+    def e_m_bound_violated(self) -> bool:
+        """Whether e_m is below 1, the level the settled envelope assumes."""
+        return bool(self.e_m < 1.0)
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,7 @@ class ScenarioResult:
 
     config: ScenarioConfig
     trajectory: Optional[Trajectory] = None
-    summary: Optional[SignalSummary] = None
+    summary: Optional[DynamicalParams] = None  # delta in (-pi, pi]
     envelope: Optional[EnvelopeSample] = None
     transition: Optional[FormComparison] = None
     spectrum: Optional[SpectrumSeries] = None
@@ -540,6 +547,8 @@ def _estimate_summary(trajectory: Trajectory,
             trajectory.times)))
     if not math.isfinite(e_m):
         raise InsufficientDataError("Milne energy is not finite")
+    if not (math.isfinite(tau) and math.isfinite(delta)):
+        raise InsufficientDataError("period or phase shift is not finite")
     return DynamicalParams(e_m, delta, tau)
 
 
@@ -577,8 +586,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if params is None:
             result.skips["summary"] = params_skip_reason
         else:
-            result.summary = SignalSummary(e_m=params.e_m, tau=params.tau,
-                                           delta=params.delta)
+            result.summary = params._replace(delta=wrap_angle(params.delta))
 
     for product in ("envelope", "transition"):
         if product not in requested:

@@ -15,12 +15,11 @@ from milnesea import milne, solver
 from milnesea.acoustic_signal import SignalSpec
 from milnesea.errors import DomainError, InsufficientDataError
 from milnesea.medium import CoefficientProfile, MediumSpec
-from milnesea.milne import (EnvelopeSample, MilneState, SignalSummary,
-                            envelope_denominator, envelope_q, eq9_residual,
-                            eq14_amplitude, estimate_period_phase,
-                            hamiltonian_density, integrate_milne,
-                            lagrangian_density, milne_rhs,
-                            q_plus_minus_squared)
+from milnesea.milne import (EnvelopeSample, MilneState, envelope_denominator,
+                            envelope_q, eq9_residual, eq14_amplitude,
+                            estimate_period_phase, hamiltonian_density,
+                            integrate_milne, lagrangian_density, milne_rhs,
+                            q_plus_minus_squared, wrap_angle)
 from milnesea.solver import Trajectory
 from milnesea.transition import compare_forms
 
@@ -314,33 +313,15 @@ class TestEstimation:
         assert delta == pytest.approx(0.25, abs=5e-3)
 
 
-class TestSignalSummary:
-    def test_flag_derived_from_energy(self):
-        assert SignalSummary(e_m=0.5, tau=1.0, delta=0.0).e_m_bound_violated
-        assert not SignalSummary(e_m=1.0, tau=1.0, delta=0.0).e_m_bound_violated
-
+class TestWrapAngle:
     def test_delta_normalised(self):
-        s = SignalSummary(e_m=2.0, tau=1.0, delta=7.0)
-        assert s.delta == pytest.approx(7.0 - 2.0 * math.pi, rel=1e-12)
-        assert -math.pi < s.delta <= math.pi
+        w = wrap_angle(7.0)
+        assert w == pytest.approx(7.0 - 2.0 * math.pi, rel=1e-12)
+        assert -math.pi < w <= math.pi
 
     def test_delta_in_range_kept_as_given(self):
         # atan2(sin a, cos a) moves this one by one ulp
         delta = 0.12362088731019161
-        assert SignalSummary(e_m=1.0, tau=1.0, delta=delta).delta == delta
-        assert SignalSummary(e_m=1.0, tau=1.0, delta=-math.pi).delta == math.pi
-        assert SignalSummary(e_m=1.0, tau=1.0, delta=math.pi).delta == math.pi
-
-    def test_tau_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SignalSummary(e_m=1.0, tau=0.0, delta=0.0)
-
-    @pytest.mark.parametrize("name, value", [
-        ("e_m", math.nan), ("e_m", math.inf), ("e_m", -math.inf),
-        ("tau", math.inf), ("delta", math.nan), ("delta", math.inf)])
-    def test_values_must_be_finite(self, name, value):
-        # these built (an inf delta died in _wrap_angle with a domain error)
-        given = {"e_m": 1.0, "tau": 1.0, "delta": 0.0, name: value}
-        with pytest.raises(ValueError,
-                           match=f"{name} must be finite, got {value}"):
-            SignalSummary(**given)
+        assert wrap_angle(delta) == delta
+        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(math.pi) == math.pi

@@ -17,8 +17,7 @@ import pytest
 from milnesea import default_config_path, scenario
 from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
-from milnesea.milne import (EnvelopeSample, SignalSummary, envelope_q,
-                            hamiltonian_density)
+from milnesea.milne import EnvelopeSample, envelope_q, hamiltonian_density
 from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
                                ScenarioResult, _estimate_summary, _evaluate,
                                config_to_dict, csv_chunks, export_csv,
@@ -66,6 +65,36 @@ class TestDefaults:
         assert cfg.seed == 42
         assert set(cfg.outputs) == {"trajectory", "summary", "envelope",
                                     "transition"}
+
+
+class TestDynamicalParams:
+    def test_flag_derived_from_energy(self):
+        assert DynamicalParams(e_m=0.5, delta=0.0,
+                               tau=1.0).e_m_bound_violated is True
+        assert DynamicalParams(e_m=1.0, delta=0.0,
+                               tau=1.0).e_m_bound_violated is False
+
+    def test_supplied_delta_wrapped_in_the_summary_only(self, tmp_path):
+        config = load({"dynamical_params": {"e_m": 1.0, "delta": 7.0,
+                                            "tau": 1.0},
+                       "time": {"t0": 0.5, "t1": 0.6},
+                       "outputs": ["summary", "transition"]})
+        result = run_scenario(config)
+        wrapped = 0.7168146928204135
+        assert result.summary == DynamicalParams(1.0, wrapped, 1.0)
+        csv = export_csv(result, "summary", tmp_path / "summary.csv")
+        assert float(csv.read_text().splitlines()[1].split(",")[2]) == wrapped
+        doc = json.loads(export_json(result, tmp_path / "r.json").read_text())
+        assert doc["summary"]["delta"] == wrapped
+        # the sweeps take delta as given; wrapping it would move the bits
+        # of the composed form, which reads cos(2 delta) and sin(2 delta)
+        raw, moved = (compare_forms(1.0, delta, 1.0, config.signal,
+                                    config.medium, output_grid(config))
+                      for delta in (7.0, wrapped))
+        for name in ("composed", "expanded", "discrepancy"):
+            assert (getattr(result.transition, name).tobytes()
+                    == getattr(raw, name).tobytes())
+        assert result.transition.composed.tobytes() != moved.composed.tobytes()
 
 
 class TestValidation:
@@ -457,6 +486,21 @@ class TestRun:
         assert result.skips == {"summary": "estimation failed: need at "
                                            "least two samples in the window"}
 
+    @pytest.mark.parametrize("tau, delta", [(math.inf, 0.0), (math.nan, 0.0),
+                                            (1.0, math.nan)])
+    @pytest.mark.parametrize("outputs", [["summary", "envelope", "transition"],
+                                         ["envelope"]])
+    def test_nonfinite_estimate_skips(self, monkeypatch, tau, delta,
+                                      outputs):
+        monkeypatch.setattr(scenario, "estimate_period_phase",
+                            lambda trajectory: (tau, delta))
+        result = run_scenario(load({
+            **OSCILLATORY_DOC, "time": {"t0": -60.0, "t1": -59.0,
+                                        "stride": 100},
+            "outputs": outputs}))
+        reason = "estimation failed: period or phase shift is not finite"
+        assert result.skips == dict.fromkeys(outputs, reason)
+
     def test_blowup_cascades_into_skips(self, blowup_result):
         result = blowup_result
         traj = result.trajectory
@@ -793,7 +837,8 @@ class TestChunkedCsv:
 
     @pytest.mark.parametrize("e_m", [0.5, 2.0])
     def test_summary_record(self, tmp_path, e_m):
-        text = self.check(tmp_path, "summary", SignalSummary(e_m, 0.7, 0.3))
+        text = self.check(tmp_path, "summary",
+                          DynamicalParams(e_m=e_m, delta=0.3, tau=0.7))
         assert text.splitlines()[1].endswith(str(e_m < 1.0).lower())
 
     def test_empty_trajectory(self, tmp_path):
@@ -891,6 +936,20 @@ class TestParallelCsv:
         monkeypatch.setattr(module, name, refuse)
         assert "".join(csv_chunks("spectrum", data)) == _reference_csv(
             "spectrum", data)
+        assert forks == []
+
+    @pytest.mark.parametrize("name", ["sched_getaffinity", "fork"])
+    def test_no_fork_or_affinity_formats_here(self, monkeypatch, forks, name):
+        data = _records("spectrum", 2 * _CHUNK)
+        available_cpus = scenario._available_cpus
+        set_cpus(monkeypatch, 2)
+        forked = "".join(csv_chunks("spectrum", data))
+        assert len(forks) == 1
+        monkeypatch.setattr(scenario, "_available_cpus", available_cpus)
+        monkeypatch.delattr(os, name)
+        forks.clear()
+        assert scenario._available_cpus() == 1
+        assert "".join(csv_chunks("spectrum", data)) == forked
         assert forks == []
 
     def test_children_reaped_elsewhere(self, monkeypatch, forks):
