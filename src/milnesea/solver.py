@@ -6,7 +6,13 @@ y' = f(t, y). Two integrators are provided:
 * ``integrate_fixed``    classic fourth-order Runge-Kutta on a uniform grid,
   one straight-line step generated per state length (``_rk4_step``),
 * ``integrate_adaptive`` embedded Dormand-Prince 5(4) pair with proportional
-  step control, recording every accepted step.
+  step control, recording every accepted step; each attempt is one
+  straight-line function generated per state length (``_dp_attempt``).
+
+Both generated functions are written from a source template with every
+component spelled out, compiled on first use and cached, and registered
+with ``linecache`` so tracebacks show their source. The two integrators
+share that generator and nothing of their arithmetic.
 
 They are deliberately independent code paths: the adaptive integrator acts
 as the accuracy oracle for the fixed one in the test suite, so neither may
@@ -15,13 +21,16 @@ be expressed in terms of the other.
 A right-hand side ``rhs(t, y)`` indexes its state ``y`` and returns a
 length-n sequence of floats (a tuple is cheapest). Both integrators pass
 ``y`` as a tuple of Python floats, so an RHS must not rely on array
-arithmetic on ``y``; a first result of the wrong length is a
-``ValueError``.
+arithmetic on ``y``. A result of the wrong length is a ``ValueError``:
+``integrate_fixed`` checks the first, and ``integrate_adaptive`` every
+one.
 
 Both record their samples into flat ``array("d")`` buffers, one of times
 and one of states laid end to end, and wrap them as the trajectory's
 arrays when the run ends: 8 bytes per time and per state component, with
-no per-sample Python object kept.
+no per-sample Python object kept. The trajectory also counts the run's
+right-hand-side calls, accepted, rejected and retried steps and its step
+range (see ``Trajectory``).
 
 Divergence is an expected physical regime here (the medium can pump energy
 into a signal until the pressure grows without bound), so hitting the
@@ -34,7 +43,6 @@ from __future__ import annotations
 import functools
 import linecache
 import math
-import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -91,12 +99,27 @@ class Trajectory:
     The integrators pass C-contiguous float64 arrays that view the flat
     buffers they recorded into (see the module docstring), so none is
     copied here; each run has buffers of its own.
+
+    The counters say what the run cost: ``rhs_evals`` right-hand-side
+    calls, ``accepted`` steps (one per recorded sample after the first),
+    ``rejected`` attempts (error test failed) and ``retried`` attempts (a
+    non-finite stage or error norm), and ``h_min``/``h_max``, the least
+    and greatest spacing of the recorded times (None with fewer than two
+    samples). A fixed-step run makes four calls per step and neither
+    rejects nor retries. They are deterministic, and no output file
+    carries them.
     """
 
     times: np.ndarray
     states: np.ndarray
     status: str = COMPLETED
     message: Optional[str] = None
+    rhs_evals: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    retried: int = 0
+    h_min: Optional[float] = None
+    h_max: Optional[float] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -164,13 +187,17 @@ def _check_rhs_length(f, n: int) -> None:
 
 def _recorder(t0: float, y: tuple):
     """Flat sample buffers holding (t0, y), and their finish(status,
-    message) that wraps them as a Trajectory."""
+    message, **counters) that wraps them as a Trajectory, with the
+    accepted steps and step range read off the recorded times."""
     times, states = array("d", [t0]), array("d", y)
 
-    def finish(status, message=None):
-        return Trajectory(np.frombuffer(times),
-                          np.frombuffer(states).reshape(-1, len(y)),
-                          status, message)
+    def finish(status, message=None, **counters):
+        t = np.frombuffer(times)
+        if t.size > 1:
+            h = np.diff(t)
+            counters.update(h_min=float(h.min()), h_max=float(h.max()))
+        return Trajectory(t, np.frombuffer(states).reshape(-1, len(y)),
+                          status, message, accepted=t.size - 1, **counters)
 
     return times, states, finish
 
@@ -202,6 +229,22 @@ def _display(items) -> str:
     return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
+def _generate(name: str, n: int, source: str, **names):
+    """Compile the source generated for state length n and return the
+    function it defines, ``name`` without its leading underscore.
+
+    ``names`` are the globals the source reads. The source is registered
+    with ``linecache`` under a ``<milnesea.solver.name(n)>`` filename, so
+    tracebacks and ``inspect.getsource`` show it.
+    """
+    filename = f"<milnesea.solver.{name}({n})>"
+    namespace = {"__name__": __name__, **names}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    return namespace[name.lstrip("_")]
+
+
 @functools.lru_cache(maxsize=8)
 def _rk4_step(n: int):
     """The classic RK4 step for states of length n, written out per component.
@@ -212,9 +255,7 @@ def _rk4_step(n: int):
     ``_RK4_SOURCE`` with every component spelled out, so no
     per-component loop runs. Each component takes the float operations of
     the array form y + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that form's
-    order, so the result is the same to the last bit. The source is
-    registered with ``linecache`` under a ``<milnesea.solver._rk4_step(n)>``
-    filename, so tracebacks and ``inspect.getsource`` show it.
+    order, so the result is the same to the last bit.
 
     The cost grows with n. On a 2-CPU Xeon host (Python 3.11),
     generation took ~0.4 ms at n = 2, 60-100 ms at n = 1,000 and ~0.9 s
@@ -227,18 +268,12 @@ def _rk4_step(n: int):
     def stage(k, step):
         return _display([f"y{j} + {step} * {k}[{j}]" for j in range(n)])
 
-    source = _RK4_SOURCE.format(
+    return _generate("_rk4_step", n, _RK4_SOURCE.format(
         y=_display([f"y{j}" for j in range(n)]),
         stage2=stage("k1", "hh"), stage3=stage("k2", "hh"),
         stage4=stage("k3", "h"),
         update=_display([f"y{j} + h6 * (k1[{j}] + 2.0 * k2[{j}] + 2.0 * "
-                         f"k3[{j}] + k4[{j}])" for j in range(n)]))
-    filename = f"<milnesea.solver._rk4_step({n})>"
-    namespace = {"__name__": __name__}
-    exec(compile(source, filename, "exec"), namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return namespace["rk4_step"]
+                         f"k3[{j}] + k4[{j}])" for j in range(n)])))
 
 
 def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
@@ -284,14 +319,16 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
         y = step(rhs, t, y, k1, t_next - t)
         if not all(map(math.isfinite, y)):
             return finish(ABORTED_BLOWUP,
-                          f"non-finite state near t={t_next:.6g}")
+                          f"non-finite state near t={t_next:.6g}",
+                          rhs_evals=4 * (i + 1))
         times.append(t_next)
         states.extend(y)
         if max(map(abs, y)) > threshold:
             return finish(ABORTED_BLOWUP,
-                          f"|state| exceeded {threshold:g} at t={t_next:.6g}")
+                          f"|state| exceeded {threshold:g} at t={t_next:.6g}",
+                          rhs_evals=4 * (i + 1))
 
-    return finish(COMPLETED)
+    return finish(COMPLETED, rhs_evals=4 * steps)
 
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order weight
@@ -335,6 +372,91 @@ def _cap_step(h, t, windows):
     return h
 
 
+_DP_SOURCE = """\
+def dp_attempt(rhs, t, y, h, f, km, dots, atol, rtol):
+    {y} = y
+    km[:{n}] = f
+    {f} = f
+    (d2, d3, d4, d5, d6, de) = dots
+{stages}
+    {e} = de().tolist()
+{norm}
+"""
+
+
+@functools.lru_cache(maxsize=8)
+def _dp_attempt(n: int):
+    """One Dormand-Prince 5(4) attempt for states of length n, written out
+    per component.
+
+    Returns ``attempt(rhs, t, y, h, f, km, dots, atol, rtol)``. ``km`` is
+    a flat memoryview of the (7, n) stage buffer and ``f`` a view of the
+    row holding the derivative at (t, y), which the attempt copies to row
+    0. Each stage's result is unpacked into its row of ``km``, so one of
+    the wrong length is a ``ValueError``, and is then checked. The attempt
+    returns ``(y_new, err_norm, calls)``: the fifth-order state tuple, the
+    RMS of its scaled error estimate and the 6 ``rhs`` calls made, or
+    ``(None, nan, i)`` when the result of stage i is not finite.
+
+    ``dots`` holds six calls without arguments: the sums of stages 2 to 6
+    and of the error weights, each ``kT[:, :i].dot(a)`` on the transposed
+    buffer ``kT``. They stay BLAS dgemv products: dgemv adds their terms
+    with fused multiply-adds in a blocked order, which no sum of Python
+    floats reproduces (math.fma needs Python 3.13), so any other form
+    moves the last bits of every trajectory. ``kT[:, :i].dot(a)`` is the
+    same dgemv on the same memory as ``a @ k[:i]``, through a cheaper
+    entry point. Stage 1's (n, 1) product skips dgemv and gives -0.0
+    where dgemv gives +0.0, so stage 1 is the float form ``a1 * f_j +
+    0.0``, which matches dgemv. TestStageSums in tests/test_solver.py
+    checks each of these identities. Everything else is float arithmetic
+    in the order of the array form, so the result is the same to the
+    last bit; the error norm adds its squares left to right for n < 8,
+    as ``np.mean`` does, and calls ``np.mean`` (pairwise) from 8 on.
+
+    The source is generated and cached like ``_rk4_step``'s, and its cost
+    grows with n the same way. On a 2-CPU Xeon host (Python 3.11),
+    generation took ~1.5 ms at n = 2 and ~0.4 s at n = 1,000, where up to
+    20 attempts of an RHS that negates its state took 17 ms against 14 ms
+    for the per-stage loop this replaced. Every caller in the package
+    integrates n = 2, so there is one path and no size threshold.
+    """
+    def names(prefix):
+        return _display([f"{prefix}{j}" for j in range(n)])
+
+    finite = " and ".join(f"isfinite(k{j})" for j in range(n))
+    a1 = float(_A[1][0])
+    stages = []
+    for i in range(1, 7):
+        if i == 1:
+            arg = _display([f"y{j} + h * ({a1!r} * f{j} + 0.0)"
+                            for j in range(n)])
+        else:
+            stages.append(f"    {names('s')} = d{i}().tolist()")
+            arg = _display([f"y{j} + h * s{j}" for j in range(n)])
+        if i == 6:  # stage 6's argument is the fifth-order solution
+            stages.append(f"    {names('z')} = z = {arg}")
+            arg = "z"
+        row = _display([f"km[{i * n + j}]" for j in range(n)])
+        stages += [f"    {row} = {names('k')} = "
+                   f"rhs(t + {_C[i]!r} * h, {arg})",
+                   f"    if not ({finite}):", f"        return None, nan, {i}"]
+    # u if u >= v else v keeps np.maximum's nan, which max() drops: a nan
+    # in y_new gives a nan norm and a retried attempt
+    norm = []
+    for j in range(n):
+        norm += [f"    u{j}, v{j} = abs(y{j}), abs(z{j})",
+                 f"    q{j} = h * e{j} / (atol + rtol * "
+                 f"(u{j} if u{j} >= v{j} else v{j}))"]
+    squares = [f"q{j} * q{j}" for j in range(n)]
+    norm.append("    return z, sqrt(" + (f"({' + '.join(squares)}) / {n}), 6"
+                                         if n < 8 else
+                                         f"mean([{', '.join(squares)}])), 6"))
+    return _generate("_dp_attempt", n, _DP_SOURCE.format(
+        y=names("y"), n=n, f=names("f"), stages="\n".join(stages),
+        e=names("e"), norm="\n".join(norm)),
+        isfinite=math.isfinite, sqrt=math.sqrt, mean=np.mean, nan=math.nan)
+
+
 # a blow-up overflows stage values, stage sums or the error norm; the step
 # loop turns each non-finite one into a rejection or an abort, not a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -363,13 +485,18 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
-    one; its result, any length-n sequence of floats, fills one row of
-    the stage buffer. The sums of stages 2 to 6 and of the error weights
-    are BLAS products on that buffer; stage 1's one-term sum and the rest
-    of the step are float arithmetic in the order of the array form, so
-    the result is the same to the last bit. The step's result is stage
-    6's argument, since the tableau's last row is the fifth-order weight
-    row.
+    one; each of its results, a length-n sequence of floats, is unpacked
+    into one row of a (7, n) stage buffer, so a result of the wrong length
+    is a ``ValueError`` at every stage. Each attempt is one call of the
+    step generated for the state length (``_dp_attempt``): the stage sums
+    stay BLAS products on the buffer, and the rest is float arithmetic in
+    the order of the array form, so the result is the same to the last
+    bit. The step's result is stage 6's argument, since the tableau's
+    last row is the fifth-order weight row. An attempt after the first
+    accepted step starts from row 6 as it stands (first same as last),
+    which after a rejection is the rejected trial's last stage, not
+    rhs(t, y). The pinned bytes (perfbench/golden.json, TestAdaptiveBits)
+    record that behaviour, so its fix waits for a re-record of them.
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
@@ -386,7 +513,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     _check_rhs_length(f, n)
     if not all(map(math.isfinite, f)):
         return Trajectory(np.empty(0), np.empty((0, n)), ABORTED_BLOWUP,
-                          f"non-finite right-hand side at t={t0:.6g}")
+                          f"non-finite right-hand side at t={t0:.6g}",
+                          rhs_evals=1)
     times, states, finish = _recorder(t0, y)
 
     if max(map(abs, y)) > threshold:
@@ -395,25 +523,25 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
     t = t0
     h = float(_initial_step(t0, t1, y0, f, rtol, atol))
-    attempts = 0
+    attempts = rejected = retried = 0
+    rhs_evals = 1  # rhs(t0, y0)
     k = np.empty((7, n))
+    k[0] = f
     kT = k.T
-    # The sums of stages 2 to 6 and of the error weights stay BLAS dgemv
-    # products on the stage buffer: dgemv adds their terms with fused
-    # multiply-adds in a blocked order, which no sum of Python floats
-    # reproduces (math.fma needs Python 3.13), so any other form moves the
-    # last bits of every trajectory. kT[:, :i].dot(a) is the same dgemv on
-    # the same memory as a @ k[:i], through a cheaper entry point. Stage
-    # 1's (n, 1) product skips dgemv and gives -0.0 where dgemv gives
-    # +0.0; the float form a1 * d + 0.0 matches dgemv. TestStageSums in
-    # tests/test_solver.py checks each of these identities.
-    a1 = float(_A[1][0])
-    stages = [(i, _A[i], kT[:, :i], _C[i]) for i in range(1, 7)]
+    km = memoryview(k).cast("B").cast("d")
+    # row 0 holds f until the first accepted step; from then on f is row
+    # 6, which an attempt overwrites whether or not it is accepted (FSAL)
+    f, fsal = km[:n], km[6 * n:]
+    dots = tuple(functools.partial(kT[:, :i].dot, _A[i])
+                 for i in range(2, 7)) + (functools.partial(kT.dot, _E),)
+    attempt = _dp_attempt(n)
+    status, message = COMPLETED, None
 
     while t < t1:
         if attempts >= max_steps:
-            return finish(ABORTED_STEP_LIMIT,
-                          f"gave up after {max_steps} step attempts at t={t:.6g}")
+            status, message = (ABORTED_STEP_LIMIT, f"gave up after "
+                               f"{max_steps} step attempts at t={t:.6g}")
+            break
         attempts += 1
         if windows:
             h = _cap_step(h, t, windows)
@@ -421,56 +549,38 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         if last:
             h = t1 - t
         if t + h == t:
-            return finish(ABORTED_BLOWUP,
-                          f"step size underflow at t={t:.6g} "
-                          "(finite-time singularity suspected)")
+            status, message = (ABORTED_BLOWUP,
+                               f"step size underflow at t={t:.6g} "
+                               "(finite-time singularity suspected)")
+            break
 
-        k[0] = f
-        bad_stage = False
-        for i, a, head, c in stages:
-            sums = (head.dot(a).tolist() if i > 1
-                    else [a1 * d + 0.0 for d in k[0].tolist()])
-            yi = tuple([u + h * d for u, d in zip(y, sums)])
-            k[i] = ki = rhs(t + c * h, yi)
-            if not all(map(math.isfinite, ki)):
-                bad_stage = True
-                break
-        if bad_stage:
-            h *= 0.25
-            continue
-
-        y_new = yi  # stage 6's argument: the fifth-order solution
-        # u if u >= v else v keeps np.maximum's nan, which max() drops: a
-        # nan in y_new gives a nan norm and a rejected attempt
-        scale = [atol + rtol * (u if u >= v else v)
-                 for u, v in zip(map(abs, y), map(abs, y_new))]
-        sq = [q * q for q in [h * e / s
-                              for e, s in zip(kT.dot(_E).tolist(), scale)]]
-        # np.mean adds fewer than 8 terms left to right from the first
-        # (sum() compensates since Python 3.12), and more pairwise
-        err_norm = math.sqrt(functools.reduce(operator.add, sq) / n if n < 8
-                             else np.mean(sq))
-        if not math.isfinite(err_norm):
+        y_new, err_norm, calls = attempt(rhs, t, y, h, f, km, dots, atol,
+                                         rtol)
+        rhs_evals += calls
+        if not math.isfinite(err_norm):  # a non-finite stage or norm
+            retried += 1
             h *= 0.25
             continue
 
         if err_norm > 1.0:
+            rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
             continue
 
         t_new = t1 if last else t + h
-        f_new = k[6]  # FSAL: already rhs(t_new, y_new)
         times.append(t_new)
         states.extend(y_new)
 
         if max(map(abs, y_new)) > threshold:
-            return finish(ABORTED_BLOWUP,
-                          f"|state| exceeded {threshold:g} at t={t_new:.6g}")
+            status, message = (ABORTED_BLOWUP, f"|state| exceeded "
+                               f"{threshold:g} at t={t_new:.6g}")
+            break
 
-        t, y, f = t_new, y_new, f_new
+        t, y, f = t_new, y_new, fsal  # row 6 is already rhs(t_new, y_new)
         if err_norm == 0.0:
             h *= _MAX_FACTOR
         else:
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
 
-    return finish(COMPLETED)
+    return finish(status, message, rhs_evals=rhs_evals, rejected=rejected,
+                  retried=retried)

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from milnesea import cli, default_config_path
+from milnesea.milne import integrate_milne
+from milnesea.scenario import load_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -42,3 +44,17 @@ def test_workload(tmp_path, name):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc, indent=2) + "\n")
     assert _simulate(config, tmp_path / "out") == GOLDEN["workloads"][name]
+
+
+def test_osc_adaptive_counters():
+    # pinned with the golden bytes: a change to the step control or the
+    # FSAL derivative moves these counts, and no output file carries them
+    doc, _ = workloads.make("osc-adaptive", GOLDEN["seed"])
+    config = load_config(json.dumps(doc))
+    traj = integrate_milne(config.signal, config.medium,
+                           (config.t0, config.t1),
+                           ic=config.initial_condition, method=config.method,
+                           rtol=config.rtol, atol=config.atol)
+    assert traj.completed
+    assert (traj.accepted, traj.rejected, traj.retried) == (5731, 667, 0)
+    assert traj.rhs_evals == 1 + 6 * (5731 + 667) == 38389

@@ -4,15 +4,19 @@ Oracle values are frozen from independent high-precision evaluation of
 the closed forms, not from the code under test.
 """
 
+import functools
 import hashlib
 import inspect
 import json
 import math
+import operator
 import random
+import sys
 
 import numpy as np
 import pytest
 from memtrace import peak_bytes
+from test_cli import ADAPTIVE_BLOWUPS
 
 from milnesea import default_config_path, solver
 from milnesea.milne import integrate_milne, milne_rhs
@@ -424,6 +428,227 @@ class TestGeneratedStep:
         assert (got.message or got.status).startswith(ends)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
+                        max_steps=solver.DEFAULT_MAX_STEPS,
+                        blowup_threshold=None, windows=()):
+    """Dormand-Prince 5(4) with one comprehension per stage.
+
+    The loop form of integrate_adaptive: the same step control, guard and
+    messages, with each stage's row of a (7, n) numpy buffer filled by
+    ``k[i] = ki``, its tuple built by zip over the components, and the
+    FSAL derivative kept as the view ``k[6]``, so an attempt after a
+    rejection starts from the rejected trial's last stage. The generated
+    attempt must reproduce it bit for bit.
+    """
+    t0, t1 = t_span
+    y = tuple(map(float, y0))
+    n = len(y)
+    threshold = (solver.default_blowup_threshold(y) if blowup_threshold
+                 is None else blowup_threshold)
+    f = rhs(t0, y)
+    if not all(map(math.isfinite, f)):
+        return Trajectory(np.empty(0), np.empty((0, n)), solver.ABORTED_BLOWUP,
+                          f"non-finite right-hand side at t={t0:.6g}")
+    times, states = [t0], [y]
+
+    def finish(status, message=None):
+        return Trajectory(np.array(times), np.array(states).reshape(-1, n),
+                          status, message)
+
+    if max(map(abs, y)) > threshold:
+        return finish(solver.ABORTED_BLOWUP,
+                      f"initial state already exceeds guard {threshold:g}")
+    t = t0
+    h = float(solver._initial_step(t0, t1, np.array(y), f, rtol, atol))
+    attempts = 0
+    k = np.empty((7, n))
+    kT = k.T
+    a1 = float(solver._A[1][0])
+    stages = [(i, solver._A[i], kT[:, :i], solver._C[i]) for i in range(1, 7)]
+    while t < t1:
+        if attempts >= max_steps:
+            return finish(solver.ABORTED_STEP_LIMIT, f"gave up after "
+                          f"{max_steps} step attempts at t={t:.6g}")
+        attempts += 1
+        if windows:
+            h = solver._cap_step(h, t, windows)
+        last = h >= t1 - t
+        if last:
+            h = t1 - t
+        if t + h == t:
+            return finish(solver.ABORTED_BLOWUP,
+                          f"step size underflow at t={t:.6g} "
+                          "(finite-time singularity suspected)")
+        k[0] = f
+        bad_stage = False
+        for i, a, head, c in stages:
+            sums = (head.dot(a).tolist() if i > 1
+                    else [a1 * d + 0.0 for d in k[0].tolist()])
+            yi = tuple([u + h * d for u, d in zip(y, sums)])
+            k[i] = ki = rhs(t + c * h, yi)
+            if not all(map(math.isfinite, ki)):
+                bad_stage = True
+                break
+        if bad_stage:
+            h *= 0.25
+            continue
+        y_new = yi
+        scale = [atol + rtol * (u if u >= v else v)
+                 for u, v in zip(map(abs, y), map(abs, y_new))]
+        sq = [q * q for q in [h * e / s for e, s in
+                              zip(kT.dot(solver._E).tolist(), scale)]]
+        err_norm = math.sqrt(functools.reduce(operator.add, sq) / n if n < 8
+                             else np.mean(sq))
+        if not math.isfinite(err_norm):
+            h *= 0.25
+            continue
+        if err_norm > 1.0:
+            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            continue
+        t_new = t1 if last else t + h
+        times.append(t_new)
+        states.append(y_new)
+        if max(map(abs, y_new)) > threshold:
+            return finish(solver.ABORTED_BLOWUP,
+                          f"|state| exceeded {threshold:g} at t={t_new:.6g}")
+        t, y, f = t_new, y_new, k[6]
+        if err_norm == 0.0:
+            h *= 5.0
+        else:
+            h *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+    return finish(solver.COMPLETED)
+
+
+def sign_chain(t, y):
+    # each component reads the sign bit of the one before, so a stage
+    # argument of -0.0 where the array form has +0.0 changes the trajectory
+    return tuple([1.0 if math.copysign(1.0, y[j - 1]) < 0.0 else y[j]
+                  for j in range(len(y))])
+
+
+DP_ATTEMPT_2 = """\
+def dp_attempt(rhs, t, y, h, f, km, dots, atol, rtol):
+    (y0, y1) = y
+    km[:2] = f
+    (f0, f1) = f
+    (d2, d3, d4, d5, d6, de) = dots
+    (km[2], km[3]) = (k0, k1) = rhs(t + 0.2 * h, \
+(y0 + h * (0.2 * f0 + 0.0), y1 + h * (0.2 * f1 + 0.0)))
+    if not (isfinite(k0) and isfinite(k1)):
+        return None, nan, 1
+    (s0, s1) = d2().tolist()
+    (km[4], km[5]) = (k0, k1) = rhs(t + 0.3 * h, (y0 + h * s0, y1 + h * s1))
+    if not (isfinite(k0) and isfinite(k1)):
+        return None, nan, 2
+    (s0, s1) = d3().tolist()
+    (km[6], km[7]) = (k0, k1) = rhs(t + 0.8 * h, (y0 + h * s0, y1 + h * s1))
+    if not (isfinite(k0) and isfinite(k1)):
+        return None, nan, 3
+    (s0, s1) = d4().tolist()
+    (km[8], km[9]) = (k0, k1) = rhs(t + 0.8888888888888888 * h, \
+(y0 + h * s0, y1 + h * s1))
+    if not (isfinite(k0) and isfinite(k1)):
+        return None, nan, 4
+    (s0, s1) = d5().tolist()
+    (km[10], km[11]) = (k0, k1) = rhs(t + 1.0 * h, (y0 + h * s0, y1 + h * s1))
+    if not (isfinite(k0) and isfinite(k1)):
+        return None, nan, 5
+    (s0, s1) = d6().tolist()
+    (z0, z1) = z = (y0 + h * s0, y1 + h * s1)
+    (km[12], km[13]) = (k0, k1) = rhs(t + 1.0 * h, z)
+    if not (isfinite(k0) and isfinite(k1)):
+        return None, nan, 6
+    (e0, e1) = de().tolist()
+    u0, v0 = abs(y0), abs(z0)
+    q0 = h * e0 / (atol + rtol * (u0 if u0 >= v0 else v0))
+    u1, v1 = abs(y1), abs(z1)
+    q1 = h * e1 / (atol + rtol * (u1 if u1 >= v1 else v1))
+    return z, sqrt((q0 * q0 + q1 * q1) / 2), 6
+"""
+
+
+class TestGeneratedAttempt:
+    def test_source_for_two_components(self):
+        assert inspect.getsource(solver._dp_attempt(2)) == DP_ATTEMPT_2
+
+    def test_traceback_shows_the_attempt(self):
+        def rhs(t, y):
+            if t > 0.0:
+                raise ZeroDivisionError("stage")
+            return (1.0,)
+
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate_adaptive(rhs, [0.0], (0.0, 1.0))
+        entry = info.traceback[-2]
+        assert entry.path == "<milnesea.solver._dp_attempt(1)>"
+        assert str(entry.statement).strip() == (
+            "(km[1],) = (k0,) = "
+            "rhs(t + 0.2 * h, (y0 + h * (0.2 * f0 + 0.0),))")
+
+    # each case: the system, the pool y0 is drawn from, the tolerances, the
+    # guard, the step limit, the expected end and a counter the runs must
+    # move
+    @pytest.mark.parametrize(
+        "rhs, pool, rtol, atol, threshold, max_steps, ends, counter", [
+            (sign_chain, [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308],
+             1e-6, 1e-12, None, solver.DEFAULT_MAX_STEPS, "completed",
+             "accepted"),
+            (coupled, [0.75, 1.0, 1.25], 1e-3, 1e-12, 1e4,
+             solver.DEFAULT_MAX_STEPS, "|state| exceeded 10000", "rejected"),
+            # stages overflow, at each of the six across n, until the step
+            # underflows
+            (coupled, [0.75, 1.0, 1.25], 1e-4, 1e-2, sys.float_info.max,
+             solver.DEFAULT_MAX_STEPS, "step size underflow", "retried"),
+            (coupled, [0.75, 1.0, 1.25], 1e-3, 1e-12, None, 40,
+             "gave up after 40", "rejected")],
+        ids=["signed-zeros-and-subnormals", "guard", "overflow",
+             "step-limit"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_comprehension_form(self, n, rhs, pool, rtol, atol,
+                                            threshold, max_steps, ends,
+                                            counter):
+        rng = random.Random(n)
+        y0 = [rng.choice(pool) for _ in range(n)]
+        got = integrate_adaptive(rhs, y0, (-0.5, 1.5), rtol=rtol,
+                                 atol=atol, max_steps=max_steps,
+                                 blowup_threshold=threshold)
+        want = comprehension_dopri(rhs, y0, (-0.5, 1.5), rtol, atol,
+                                   max_steps=max_steps,
+                                   blowup_threshold=threshold)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.status, got.message) == (want.status, want.message)
+        assert (got.message or got.status).startswith(ends)
+        assert getattr(got, counter) > 0
+
+    # BUMPS caps its steps in the bump windows; each blow-up retries
+    # non-finite stages until the step underflows, and error-norm-overflow
+    # also retries a non-finite error norm
+    @pytest.mark.parametrize("doc, retries", [
+        (BUMPS, False), (TABLE_BETA, False),
+        *[(doc, True) for doc in ADAPTIVE_BLOWUPS.values()]],
+        ids=["bumps", "table-beta", *ADAPTIVE_BLOWUPS.keys()])
+    def test_milne_runs_match_the_comprehension_form(self, doc, retries):
+        config = load_config(json.dumps(doc))
+        span = (config.t0, config.t1)
+        got = integrate_milne(config.signal, config.medium, span,
+                              ic=config.initial_condition, method="adaptive",
+                              rtol=config.rtol, atol=config.atol,
+                              blowup_threshold=config.blowup_threshold)
+        want = comprehension_dopri(
+            lambda t, y: milne_rhs(y, config.signal, config.medium, t),
+            config.initial_condition, span, config.rtol, config.atol,
+            blowup_threshold=config.blowup_threshold,
+            windows=tuple(w for w in (config.medium.omega.feature_window,
+                                      config.medium.beta.feature_window)
+                          if w))
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.status, got.message) == (want.status, want.message)
+        assert (got.retried > 0) == retries
+
+
 class TestAdaptive:
     def test_exponential_decay_tracks_tolerance(self):
         traj = integrate_adaptive(decay, [1.0], (0.0, 1.0),
@@ -544,6 +769,21 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="rhs returned a result of length "
                                              "1 for a state of length 2"):
             integrate_adaptive(lambda t, y: (y[1],), [1.0, 0.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("later", [(-1.0,), (-1.0, 0.0, 0.0)],
+                             ids=["shorter", "longer"])
+    def test_later_result_of_the_wrong_length_rejected(self, later):
+        # the stage buffer broadcast a 1-component result across its row:
+        # a "completed" run with a wrong y1
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0], -y[1]) if len(calls) == 1 else later
+
+        with pytest.raises(ValueError, match="values to unpack"):
+            integrate_adaptive(rhs, [1.0, 0.0], (0.0, 1.0))
+        assert len(calls) == 2
 
     def test_rhs_receives_float_time_and_tuple_state(self):
         seen = set()
@@ -720,6 +960,68 @@ class TestStageSums:
         b = np.append(solver._A[6], 0.0)
         self.assert_same_bits(lambda k: k.T[:, :6].dot(solver._A[6]),
                               lambda k: b @ k)
+
+
+def counting(rhs):
+    """rhs, and the list its wrapper appends each call's t to."""
+    calls = []
+
+    def wrapper(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    return wrapper, calls
+
+
+class TestCounters:
+    def test_fixed_run_makes_four_calls_per_step(self):
+        rhs, calls = counting(harmonic)
+        traj = integrate_fixed(rhs, [1.0, 0.0], (0.0, 2.65), dt=0.1)
+        assert traj.completed and len(traj) == 28
+        assert traj.rhs_evals == len(calls) == 4 * 27
+        assert (traj.accepted, traj.rejected, traj.retried) == (27, 0, 0)
+        # whole steps of dt, rounded on the grid, and a last one of 0.05
+        assert traj.h_min == pytest.approx(0.05, rel=1e-12)
+        assert traj.h_max == pytest.approx(0.1, rel=1e-12)
+
+    def test_fixed_abort_counts_the_step_that_overflowed(self):
+        rhs, calls = counting(lambda t, y: (y[0] * y[0] * y[0],))
+        traj = integrate_fixed(rhs, [1e30], (0.0, 1.0), dt=0.1,
+                               blowup_threshold=1e300)
+        assert traj.message.startswith("non-finite state")
+        assert traj.rhs_evals == len(calls) == 4 * (traj.accepted + 1)
+
+    @pytest.mark.parametrize("method", [integrate_fixed, integrate_adaptive])
+    def test_run_without_a_step(self, method):
+        traj = method(decay, [2.0], (0.0, 1.0), blowup_threshold=1.0)
+        assert traj.message.startswith("initial state already exceeds")
+        assert (traj.accepted, traj.rejected, traj.retried) == (0, 0, 0)
+        assert traj.h_min is traj.h_max is None
+
+    # each case: the system, y0, rtol, atol and the guard
+    @pytest.mark.parametrize("system", [
+        (harmonic, [1.0, 0.0], 1e-9, 1e-12, None),
+        (coupled, [0.75, 1.0, 1.25], 1e-3, 1e-12, 1e4),
+        (coupled, [0.75, 1.0, 1.25], 1e-4, 1e-2, sys.float_info.max)],
+        ids=["completed", "rejections", "retries"])
+    def test_adaptive_counts_every_call(self, system):
+        fn, y0, rtol, atol, threshold = system
+        rhs, calls = counting(fn)
+        traj = integrate_adaptive(rhs, y0, (-0.5, 1.5), rtol=rtol,
+                                  atol=atol, blowup_threshold=threshold)
+        assert traj.rhs_evals == len(calls)
+        assert traj.accepted == len(traj) - 1
+        # 1 call at t0 and 6 per attempt; a retried attempt stops at its
+        # first non-finite stage, or makes all 6 if the norm overflowed
+        assert traj.retried <= (traj.rhs_evals - 1
+                                - 6 * (traj.accepted + traj.rejected)) \
+            <= 6 * traj.retried
+        steps = np.diff(traj.times)
+        assert (traj.h_min, traj.h_max) == (steps.min(), steps.max())
+
+    def test_non_finite_start_counts_one_call(self):
+        traj = integrate_adaptive(lambda t, y: (math.inf,), [1.0], (0.0, 1.0))
+        assert (traj.rhs_evals, traj.accepted, len(traj)) == (1, 0, 0)
 
 
 class TestTrajectory:
