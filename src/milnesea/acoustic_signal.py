@@ -11,6 +11,7 @@ angular frequency pins down the other two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,11 @@ class SignalSpec:
 
     Stores amplitude, sound speed and wave number; the angular frequency
     (sound_speed * wave_number) and the wavelength (2 pi / wave_number)
-    are derived from them. The classmethods build an instance from any
-    one of the three wave parameters.
+    are derived from them. The angular frequency is computed once per
+    instance, since the pressure right-hand side reads it on every call;
+    it is not a field, so equality, hashing and the config echo ignore
+    it. The classmethods build an instance from any one of the three
+    wave parameters.
     """
 
     amplitude: float
@@ -48,7 +52,7 @@ class SignalSpec:
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    @property
+    @functools.cached_property
     def angular_frequency(self) -> float:
         return self.sound_speed * self.wave_number
 

@@ -17,17 +17,17 @@ Supported profile kinds:
 Ranges are proven once, when a MediumSpec is built, from extreme_values(),
 which value(t) never leaves for any t; coefficient reads check nothing.
 
-Each profile builds its scalar kernel once, at construction: a float t
-is evaluated by that kernel without an array round trip, and an array t
-by the same numpy expressions over whole arrays. Both give the same
-value, bit for bit.
+Each profile builds its scalar kernel once, at construction: a closure
+of its parameters, so ``value`` on a float t is one call of that kernel,
+with no array round trip and no float() of a value that is one already.
+An array t is evaluated by the same float operations over whole arrays.
+Both give the same value, bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,30 +47,27 @@ KIND_KEYS = {CONSTANT: ("base",),
              TABLE: ("table",)}
 
 
-# Kernels: the profile's parameters come first, t last. The bump formulas
-# serve float and array t alike; they keep numpy's exp and cosh, whose
-# results math.exp and math.cosh do not always match in the last bit.
-def _constant(base, t):
-    return base
+# Bump kernels: given the profile's parameters and finish, each returns
+# the bump as a function of t alone, its result passed through finish:
+# float for the scalar kernel, np.asarray for array t, so the one formula
+# serves both in one call. They keep numpy's exp and cosh, whose results
+# math.exp and math.cosh do not always match in the last bit.
+def _gaussian(base, amplitude, center, width, finish):
+    def gaussian(t):
+        # z * z overflows to inf far out, and exp(-inf) gives base
+        with np.errstate(over="ignore"):
+            z = (t - center) / width
+            return finish(base + amplitude * np.exp(-0.5 * z * z))
+    return gaussian
 
 
-def _gaussian(base, amplitude, center, width, t):
-    # z * z overflows to inf far out, and exp(-inf) gives base
-    with np.errstate(over="ignore"):
-        z = (t - center) / width
-        return base + amplitude * np.exp(-0.5 * z * z)
-
-
-def _sech2(base, amplitude, center, width, t):
-    # c * c rounds scalar and array t alike; inf far out gives base
-    with np.errstate(over="ignore"):
-        c = np.cosh((t - center) / width)
-        return base + amplitude / (c * c)
-
-
-def _table(ts, vs, lo, hi, t):
-    # clamped: interpolation can round just past a knot value
-    return min(max(float(np.interp(t, ts, vs)), lo), hi)
+def _sech2(base, amplitude, center, width, finish):
+    def sech2(t):
+        # c * c rounds scalar and array t alike; inf far out gives base
+        with np.errstate(over="ignore"):
+            c = np.cosh((t - center) / width)
+            return finish(base + amplitude / (c * c))
+    return sech2
 
 
 @dataclass(frozen=True)
@@ -107,37 +104,50 @@ class CoefficientProfile:
             if not all(map(math.isfinite, numbers)):
                 raise InvalidProfileError(f"profile {key} must be finite, "
                                           f"got {value!r}")
-        # not a field: equality, hashing and the config echo ignore it
-        object.__setattr__(self, "_kernel", self._build_kernel())
-
-    def _build_kernel(self):
-        if self.kind == CONSTANT:
-            return functools.partial(_constant, float(self.base))
+        # not fields: equality, hashing and the config echo ignore them
         if self.kind == TABLE:
             ts, vs = np.array(self.table).T
-            return functools.partial(_table, ts, vs, float(vs.min()),
-                                     float(vs.max()))
+            object.__setattr__(self, "_knots", (ts, vs, float(vs.min()),
+                                                float(vs.max())))
+        object.__setattr__(self, "_kernel", self._build_kernel())
+
+    def __reduce__(self):
+        # the kernel is a closure: a copy is rebuilt from the fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def _build_kernel(self):
+        """The scalar kernel: a closure of the profile's parameters that
+        maps a float t to a float."""
+        if self.kind == CONSTANT:
+            base = float(self.base)
+            return lambda t: base
+        if self.kind == TABLE:
+            # clamped: interpolation can round just past a knot value
+            ts, vs, lo, hi = self._knots
+            return lambda t: min(max(float(np.interp(t, ts, vs)), lo), hi)
+        return self._bump(float)
+
+    def _bump(self, finish):
         bump = _gaussian if self.kind == GAUSSIAN_BUMP else _sech2
-        return functools.partial(bump, self.base, self.amplitude,
-                                 self.center, self.width)
+        return bump(self.base, self.amplitude, self.center, self.width, finish)
 
     def value(self, t):
         """Evaluate the profile at float or array t.
 
         A float t (np.float64 included) gives a float from the scalar
-        kernel; any other t is evaluated as an array, and a 0-d one
-        gives a float too.
+        kernel in one call; any other t is evaluated as an array, and a
+        0-d one gives a float too.
         """
         if isinstance(t, float):
-            return float(self._kernel(t))
+            return self._kernel(t)
         t = np.asarray(t, dtype=float)
         if self.kind == CONSTANT:
             out = np.full(t.shape, float(self.base))
         elif self.kind == TABLE:
-            ts, vs, lo, hi = self._kernel.args  # knots and clamps, built once
+            ts, vs, lo, hi = self._knots
             out = np.clip(np.interp(t, ts, vs), lo, hi)
         else:
-            out = self._kernel(t)
+            out = self._bump(np.asarray)(t)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -161,7 +171,7 @@ class CoefficientProfile:
             lo = self.base + min(0.0, self.amplitude)
             hi = self.base + max(0.0, self.amplitude)
             return float(lo), float(hi)
-        return self._kernel.args[2:]  # the clamps value() applies
+        return self._knots[2:]  # the clamps value() applies
 
 
 @dataclass(frozen=True)

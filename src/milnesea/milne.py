@@ -64,8 +64,12 @@ def wrap_angle(a: float) -> float:
 
 def milne_rhs(state, spec: SignalSpec, medium: MediumSpec,
               t: float) -> Tuple[float, float]:
-    """Right-hand side (p', p'') of the pressure equation, as a tuple."""
-    p, pd = state[0], state[1]
+    """Right-hand side (p', p'') of the pressure equation, as a tuple.
+
+    ``state`` is exactly (p, p'): a state of any other length is a
+    ``ValueError``.
+    """
+    p, pd = state
     b = medium.beta.value(t)
     w = medium.omega.value(t)
     pdd = (p * pd * pd - b * pd + b * spec.angular_frequency * p

@@ -3,8 +3,8 @@
 Everything dynamical in this package is a small first-order system
 y' = f(t, y). Two integrators are provided:
 
-* ``integrate_fixed``    classic fourth-order Runge-Kutta on a uniform grid,
-  one straight-line step generated per state length (``_rk4_step``),
+* ``integrate_fixed``    classic fourth-order Runge-Kutta on a uniform grid;
+  the whole run is one loop generated per state length (``_rk4_run``),
 * ``integrate_adaptive`` embedded Dormand-Prince 5(4) pair with proportional
   step control, recording every accepted step; each attempt is one
   straight-line function generated per state length (``_dp_attempt``).
@@ -21,9 +21,9 @@ be expressed in terms of the other.
 A right-hand side ``rhs(t, y)`` indexes its state ``y`` and returns a
 length-n sequence of floats (a tuple is cheapest). Both integrators pass
 ``y`` as a tuple of Python floats, so an RHS must not rely on array
-arithmetic on ``y``. A result of the wrong length is a ``ValueError``:
-``integrate_fixed`` checks the first, and ``integrate_adaptive`` every
-one.
+arithmetic on ``y``. Both unpack every result, so one of the wrong
+length is a ``ValueError``; the first one's message names both
+lengths.
 
 Both record their samples into flat ``array("d")`` buffers, one of times
 and one of states laid end to end, and wrap them as the trajectory's
@@ -212,21 +212,14 @@ def _prepare(y0, blowup_threshold):
     return y0, float(blowup_threshold)
 
 
-_RK4_SOURCE = """\
-def rk4_step(rhs, t, y, k1, h):
-    {y} = y
-    hh = 0.5 * h
-    k2 = rhs(t + hh, {stage2})
-    k3 = rhs(t + hh, {stage3})
-    k4 = rhs(t + h, {stage4})
-    h6 = h / 6.0
-    return {update}
-"""
-
-
 def _display(items) -> str:
     """Tuple display of the expressions in items (a 1-tuple keeps its comma)."""
     return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _names(prefix: str, n: int) -> str:
+    """Tuple display of the n names prefix0, prefix1, ..."""
+    return _display([f"{prefix}{j}" for j in range(n)])
 
 
 def _generate(name: str, n: int, source: str, **names):
@@ -245,35 +238,67 @@ def _generate(name: str, n: int, source: str, **names):
     return namespace[name.lstrip("_")]
 
 
-@functools.lru_cache(maxsize=8)
-def _rk4_step(n: int):
-    """The classic RK4 step for states of length n, written out per component.
+_RK4_RUN_SOURCE = """\
+def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend):
+    {y} = y
+    {k1} = k1
+    lo, last = -thr, steps - 1
+    for i in range(steps):
+        if i:
+            {k1} = rhs(t, y)
+        t_next = t0 + dt * (i + 1) if i < last else t1
+        h = t_next - t
+        hh = 0.5 * h
+        {k2} = rhs(t + hh, {stage2})
+        {k3} = rhs(t + hh, {stage3})
+        {k4} = rhs(t + h, {stage4})
+        h6 = h / 6.0
+        y = {y} = {update}
+        if not ({in_range}):
+            return i, y
+        append(t_next)
+        extend(y)
+        t = t_next
+    return steps, y
+"""
 
-    Returns ``step(rhs, t, y, k1, h)``: given the state tuple ``y`` at
-    ``t`` and ``k1 = rhs(t, y)``, it makes the three further ``rhs``
-    calls and returns the state tuple at ``t + h``. The source comes from
-    ``_RK4_SOURCE`` with every component spelled out, so no
-    per-component loop runs. Each component takes the float operations of
-    the array form y + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that form's
-    order, so the result is the same to the last bit.
+
+@functools.lru_cache(maxsize=8)
+def _rk4_run(n: int):
+    """The classic RK4 run for states of length n, written out per component.
+
+    Returns ``run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend)``.
+    From the state tuple ``y`` at the grid's first time ``t`` and
+    ``k1 = rhs(t, y)``, it makes ``steps`` steps on integrate_fixed's
+    grid and passes each new time to ``append`` and state to ``extend``.
+    The time is carried as ``t = t_next``, the same float as
+    ``t0 + dt * i``. Every stage result and state is unpacked into names,
+    so a result of the wrong length is a ``ValueError``, and each state
+    component is tested once, ``-thr <= y_j <= thr``, which fails on nan,
+    on inf and past the guard alike. The run returns ``(steps_done, y)``:
+    ``steps`` and the last state, or the steps recorded before the first
+    state that failed, and that state. Each component takes the float
+    operations of the array form y + (h/6) (k1 + 2 k2 + 2 k3 + k4) in
+    that form's order, so the result is the same to the last bit.
 
     The cost grows with n. On a 2-CPU Xeon host (Python 3.11),
-    generation took ~0.4 ms at n = 2, 60-100 ms at n = 1,000 and ~0.9 s
-    at n = 10,000. From n ~ 1,000 up the written-out step no longer beats
-    per-component comprehensions: 10 steps of an RHS that returns its
-    state tied at n = 1,000 (~3-5 ms each) and took 31-35 ms against
-    29-33 ms at n = 10,000. Every caller in the package integrates n = 2,
-    so there is one path and no size threshold.
+    generation took 0.3-0.6 ms at n = 2 and 60-100 ms at n = 1,000. From
+    n ~ 1,000 up the written-out run no longer beats per-component
+    comprehensions: 10 steps of an RHS that returns its state took
+    3-6 ms either way at n = 1,000. Every caller in the package
+    integrates n = 2, so there is one path and no size threshold.
     """
     def stage(k, step):
-        return _display([f"y{j} + {step} * {k}[{j}]" for j in range(n)])
+        return _display([f"y{j} + {step} * {k}_{j}" for j in range(n)])
 
-    return _generate("_rk4_step", n, _RK4_SOURCE.format(
-        y=_display([f"y{j}" for j in range(n)]),
+    return _generate("_rk4_run", n, _RK4_RUN_SOURCE.format(
+        y=_names("y", n), k1=_names("k1_", n), k2=_names("k2_", n),
+        k3=_names("k3_", n), k4=_names("k4_", n),
         stage2=stage("k1", "hh"), stage3=stage("k2", "hh"),
         stage4=stage("k3", "h"),
-        update=_display([f"y{j} + h6 * (k1[{j}] + 2.0 * k2[{j}] + 2.0 * "
-                         f"k3[{j}] + k4[{j}])" for j in range(n)])))
+        update=_display([f"y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * "
+                         f"k3_{j} + k4_{j})" for j in range(n)]),
+        in_range=" and ".join(f"lo <= y{j} <= thr" for j in range(n))))
 
 
 def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
@@ -288,10 +313,11 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     right-hand side aborts the same way without recording.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
-    one. The step is generated once per state length (``_rk4_step``) and
-    updates each component in the order of the array form
+    one. The whole run is generated once per state length (``_rk4_run``)
+    and updates each component in the order of the array form
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the result is the same to the
-    last bit.
+    last bit. It returns at the first state out of range, and the two
+    aborts above are told apart here.
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
@@ -307,28 +333,23 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
         return finish(ABORTED_BLOWUP,
                       f"initial state already exceeds guard {threshold:g}")
 
-    step = _rk4_step(len(y))
-    for i in range(steps):
-        t = t0 + dt * i  # not t0: the grid's first time is +0.0 for -0.0
-        t_next = t0 + dt * (i + 1) if i < steps - 1 else t1
-        k1 = rhs(t, y)
-        if i == 0:
-            # the step indexes k1 by the state, so extra entries would
-            # pass unseen
-            _check_rhs_length(k1, len(y))
-        y = step(rhs, t, y, k1, t_next - t)
-        if not all(map(math.isfinite, y)):
-            return finish(ABORTED_BLOWUP,
-                          f"non-finite state near t={t_next:.6g}",
-                          rhs_evals=4 * (i + 1))
-        times.append(t_next)
-        states.extend(y)
-        if max(map(abs, y)) > threshold:
-            return finish(ABORTED_BLOWUP,
-                          f"|state| exceeded {threshold:g} at t={t_next:.6g}",
-                          rhs_evals=4 * (i + 1))
+    t = t0 + dt * 0  # not t0: the grid's first time is +0.0 for -0.0
+    k1 = rhs(t, y)
+    _check_rhs_length(k1, len(y))  # the run's unpacking names neither length
+    done, y = _rk4_run(len(y))(rhs, t, y, k1, t0, dt, t1, steps, threshold,
+                               times.append, states.extend)
+    if done == steps:
+        return finish(COMPLETED, rhs_evals=4 * steps)
 
-    return finish(COMPLETED, rhs_evals=4 * steps)
+    t_next = t0 + dt * (done + 1) if done < steps - 1 else t1
+    if not all(map(math.isfinite, y)):
+        return finish(ABORTED_BLOWUP, f"non-finite state near t={t_next:.6g}",
+                      rhs_evals=4 * (done + 1))
+    times.append(t_next)
+    states.extend(y)
+    return finish(ABORTED_BLOWUP,
+                  f"|state| exceeded {threshold:g} at t={t_next:.6g}",
+                  rhs_evals=4 * (done + 1))
 
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order weight
@@ -413,16 +434,13 @@ def _dp_attempt(n: int):
     last bit; the error norm adds its squares left to right for n < 8,
     as ``np.mean`` does, and calls ``np.mean`` (pairwise) from 8 on.
 
-    The source is generated and cached like ``_rk4_step``'s, and its cost
+    The source is generated and cached like ``_rk4_run``'s, and its cost
     grows with n the same way. On a 2-CPU Xeon host (Python 3.11),
     generation took ~1.5 ms at n = 2 and ~0.4 s at n = 1,000, where up to
     20 attempts of an RHS that negates its state took 17 ms against 14 ms
     for the per-stage loop this replaced. Every caller in the package
     integrates n = 2, so there is one path and no size threshold.
     """
-    def names(prefix):
-        return _display([f"{prefix}{j}" for j in range(n)])
-
     finite = " and ".join(f"isfinite(k{j})" for j in range(n))
     a1 = float(_A[1][0])
     stages = []
@@ -431,13 +449,13 @@ def _dp_attempt(n: int):
             arg = _display([f"y{j} + h * ({a1!r} * f{j} + 0.0)"
                             for j in range(n)])
         else:
-            stages.append(f"    {names('s')} = d{i}().tolist()")
+            stages.append(f"    {_names('s', n)} = d{i}().tolist()")
             arg = _display([f"y{j} + h * s{j}" for j in range(n)])
         if i == 6:  # stage 6's argument is the fifth-order solution
-            stages.append(f"    {names('z')} = z = {arg}")
+            stages.append(f"    {_names('z', n)} = z = {arg}")
             arg = "z"
         row = _display([f"km[{i * n + j}]" for j in range(n)])
-        stages += [f"    {row} = {names('k')} = "
+        stages += [f"    {row} = {_names('k', n)} = "
                    f"rhs(t + {_C[i]!r} * h, {arg})",
                    f"    if not ({finite}):", f"        return None, nan, {i}"]
     # u if u >= v else v keeps np.maximum's nan, which max() drops: a nan
@@ -452,8 +470,8 @@ def _dp_attempt(n: int):
                                          if n < 8 else
                                          f"mean([{', '.join(squares)}])), 6"))
     return _generate("_dp_attempt", n, _DP_SOURCE.format(
-        y=names("y"), n=n, f=names("f"), stages="\n".join(stages),
-        e=names("e"), norm="\n".join(norm)),
+        y=_names("y", n), n=n, f=_names("f", n),
+        stages="\n".join(stages), e=_names("e", n), norm="\n".join(norm)),
         isfinite=math.isfinite, sqrt=math.sqrt, mean=np.mean, nan=math.nan)
 
 

@@ -46,15 +46,36 @@ def test_workload(tmp_path, name):
     assert _simulate(config, tmp_path / "out") == GOLDEN["workloads"][name]
 
 
+def integrate(config):
+    return integrate_milne(config.signal, config.medium,
+                           (config.t0, config.t1),
+                           ic=config.initial_condition, method=config.method,
+                           dt=config.dt, rtol=config.rtol, atol=config.atol,
+                           blowup_threshold=config.blowup_threshold)
+
+
+def counters(traj):
+    return traj.accepted, traj.rejected, traj.retried, traj.rhs_evals
+
+
+def test_fixed_counters():
+    # both ends of the generated RK4 run: osc-fixed completes, and the
+    # shipped scenario stops at the guard with the offending state recorded
+    doc, _ = workloads.make("osc-fixed", GOLDEN["seed"])
+    traj = integrate(load_config(json.dumps(doc)))
+    assert traj.completed
+    assert counters(traj) == (12000, 0, 0, 48000)
+    traj = integrate(load_config(default_config_path().read_text()))
+    assert traj.status == "aborted-blowup"
+    assert traj.message.startswith("|state| exceeded")
+    assert counters(traj) == (1321, 0, 0, 5284)
+
+
 def test_osc_adaptive_counters():
     # pinned with the golden bytes: a change to the step control or the
     # FSAL derivative moves these counts, and no output file carries them
     doc, _ = workloads.make("osc-adaptive", GOLDEN["seed"])
-    config = load_config(json.dumps(doc))
-    traj = integrate_milne(config.signal, config.medium,
-                           (config.t0, config.t1),
-                           ic=config.initial_condition, method=config.method,
-                           rtol=config.rtol, atol=config.atol)
+    traj = integrate(load_config(json.dumps(doc)))
     assert traj.completed
     assert (traj.accepted, traj.rejected, traj.retried) == (5731, 667, 0)
     assert traj.rhs_evals == 1 + 6 * (5731 + 667) == 38389

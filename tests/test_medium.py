@@ -1,6 +1,7 @@
 """Coefficient profile and medium validation checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ class TestProfiles:
         assert CoefficientProfile(kind="constant").feature_window is None
         table = CoefficientProfile(kind="table", table=((0.0, 1.0),))
         assert table.feature_window is None
+
+    @pytest.mark.parametrize("profile", [
+        CoefficientProfile(kind="constant", base=0.7),
+        gaussian(),
+        CoefficientProfile(kind="sech2-bump", amplitude=0.2, width=2.0),
+        CoefficientProfile(kind="table", table=((0.0, 1.0), (1.0, 3.0)))],
+        ids=["constant", "gaussian-bump", "sech2-bump", "table"])
+    def test_pickled_copy_reads_the_same(self, profile):
+        # the scalar kernel is a closure; the copy builds its own
+        copy = pickle.loads(pickle.dumps(profile))
+        assert copy == profile
+        ts = [-3.0, 0.25, 1.0, 10.5]
+        assert [copy.value(t) for t in ts] == [profile.value(t) for t in ts]
 
     def test_kind_validation(self):
         with pytest.raises(InvalidProfileError):

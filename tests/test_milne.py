@@ -48,6 +48,13 @@ class TestRhs:
         out = milne_rhs((0.5, 2.0), spec_k01(), const_medium(), 0.1)
         assert out[1] == pytest.approx(45.4, rel=1e-14)
 
+    @pytest.mark.parametrize("state", [(1.0,), (1.0, 0.0, 0.0)],
+                             ids=["short", "long"])
+    def test_state_is_exactly_p_and_rate(self, state):
+        # a third entry used to be ignored
+        with pytest.raises(ValueError, match="values to unpack"):
+            milne_rhs(state, spec_k01(), const_medium(), 0.0)
+
     def test_time_dependence_through_profiles(self):
         med = MediumSpec(
             CoefficientProfile(kind="constant", base=1.0),

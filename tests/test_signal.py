@@ -1,5 +1,7 @@
 """Travelling-wave field, inversion and discrete wave-operator checks."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from milnesea.acoustic_signal import (SignalSpec, invert_position,
                                       pressure_at, wave_residual)
 from milnesea.errors import DomainError
+from milnesea.scenario import config_to_dict, load_config
 
 WATER = dict(amplitude=1.0, sound_speed=1480.0)
 
@@ -30,6 +33,30 @@ class TestSignalSpec:
         spec = water_spec()
         assert spec.angular_frequency == 148.0
         assert spec.wavelength == pytest.approx(62.83185307179586, rel=1e-15)
+
+    def test_angular_frequency_computed_once(self):
+        spec = water_spec()
+        # stored on first read, outside the fields
+        assert "angular_frequency" not in {
+            f.name for f in dataclasses.fields(spec)}
+        assert vars(spec)["angular_frequency"] == 148.0
+        # so equality, hashing and the config echo ignore it
+        fresh = SignalSpec(1.0, 1480.0, 0.1)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        config = load_config(json.dumps({"signal": {
+            "amplitude": 1.0, "angular_frequency": 148.0}}))
+        assert config_to_dict(config)["signal"] == {
+            "amplitude": 1.0, "sound_speed": 1480.0, "wave_number": 0.1}
+        # a replaced wave number is not read from the old instance
+        moved = dataclasses.replace(spec, wave_number=0.37)
+        assert moved.angular_frequency.hex() == (1480.0 * 0.37).hex()
+        for built in (water_spec(),
+                      SignalSpec.from_wavelength(1.0, 1480.0, spec.wavelength),
+                      SignalSpec.from_angular_frequency(1.0, 1480.0, 148.0)):
+            assert built.angular_frequency.hex() == \
+                (built.sound_speed * built.wave_number).hex()
+            assert built.angular_frequency == pytest.approx(148.0,
+                                                            rel=1e-15)
 
     def test_positivity(self):
         with pytest.raises(ValueError):

@@ -179,12 +179,26 @@ class TestFixed:
         assert traj.times.tolist() == [0.0]
 
     def test_rhs_of_the_wrong_length_rejected(self):
-        # the generated step indexes k1 by the state, so the extra
-        # component would pass unseen
+        # the first result's check names both lengths
         with pytest.raises(ValueError, match="rhs returned a result of length "
                                              "3 for a state of length 2"):
             integrate_fixed(lambda t, y: (y[1], -y[0], 0.0), [1.0, 0.0],
                             (0.0, 1.0))
+
+    @pytest.mark.parametrize("later", [(-1.0,), (-1.0, 0.0, 0.0)],
+                             ids=["shorter", "longer"])
+    def test_later_result_of_the_wrong_length_rejected(self, later):
+        # the step indexed each result by the state: the longer one passed
+        # unseen
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0], -y[1]) if len(calls) <= 5 else later
+
+        with pytest.raises(ValueError, match="values to unpack"):
+            integrate_fixed(rhs, [1.0, 0.0], (0.0, 1.0), dt=0.1)
+        assert len(calls) == 6
 
 
 def array_rk4(rhs, y0, t_span, dt, blowup_threshold):
@@ -378,22 +392,49 @@ def coupled(t, y):
                   for j in range(n)])
 
 
-RK4_STEP_2 = """\
-def rk4_step(rhs, t, y, k1, h):
+RK4_RUN_2 = """\
+def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend):
     (y0, y1) = y
-    hh = 0.5 * h
-    k2 = rhs(t + hh, (y0 + hh * k1[0], y1 + hh * k1[1]))
-    k3 = rhs(t + hh, (y0 + hh * k2[0], y1 + hh * k2[1]))
-    k4 = rhs(t + h, (y0 + h * k3[0], y1 + h * k3[1]))
-    h6 = h / 6.0
-    return (y0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]), \
-y1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+    (k1_0, k1_1) = k1
+    lo, last = -thr, steps - 1
+    for i in range(steps):
+        if i:
+            (k1_0, k1_1) = rhs(t, y)
+        t_next = t0 + dt * (i + 1) if i < last else t1
+        h = t_next - t
+        hh = 0.5 * h
+        (k2_0, k2_1) = rhs(t + hh, (y0 + hh * k1_0, y1 + hh * k1_1))
+        (k3_0, k3_1) = rhs(t + hh, (y0 + hh * k2_0, y1 + hh * k2_1))
+        (k4_0, k4_1) = rhs(t + h, (y0 + h * k3_0, y1 + h * k3_1))
+        h6 = h / 6.0
+        y = (y0, y1) = (y0 + h6 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0), \
+y1 + h6 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1))
+        if not (lo <= y0 <= thr and lo <= y1 <= thr):
+            return i, y
+        append(t_next)
+        extend(y)
+        t = t_next
+    return steps, y
 """
+
+
+def unit_rates(t, y):
+    # +1, -1, +1, ...: from zero, every component reaches +-1 exactly
+    return tuple([(-1.0) ** j for j in range(len(y))])
+
+
+def squares(t, y):
+    # y' = y^2 blows up, and overflows to inf without a nan
+    return tuple([v * v for v in y])
+
+
+def nan_late(t, y):
+    return tuple([-v if t < 0.3 else math.nan for v in y])
 
 
 class TestGeneratedStep:
     def test_source_for_two_components(self):
-        assert inspect.getsource(solver._rk4_step(2)) == RK4_STEP_2
+        assert inspect.getsource(solver._rk4_run(2)) == RK4_RUN_2
 
     def test_traceback_shows_the_step(self):
         def rhs(t, y):
@@ -404,24 +445,34 @@ class TestGeneratedStep:
         with pytest.raises(ZeroDivisionError) as info:
             integrate_fixed(rhs, [0.0], (0.0, 1.0), dt=0.5)
         entry = info.traceback[-2]
-        assert entry.path == "<milnesea.solver._rk4_step(1)>"
+        assert entry.path == "<milnesea.solver._rk4_run(1)>"
         assert str(entry.statement).strip() == \
-            "k2 = rhs(t + hh, (y0 + hh * k1[0],))"
+            "(k2_0,) = rhs(t + hh, (y0 + hh * k1_0,))"
 
-    # each case: the pool y0 is drawn from, the guard, the expected end
-    @pytest.mark.parametrize("pool, threshold, ends", [
-        ([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308], None,
+    # each case: the system, the pool y0 is drawn from, the guard, the
+    # expected end
+    @pytest.mark.parametrize("rhs, pool, threshold, ends", [
+        (coupled, [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308], None,
          "completed"),
-        ([0.75, 1.0, 1.25], 1e4, "|state| exceeded 10000"),
-        ([1e200, -3e250, 1e-300, -7.0], None, "non-finite state")],
-        ids=["signed-zeros-and-subnormals", "guard", "overflow"])
+        (coupled, [0.75, 1.0, 1.25], 1e4, "|state| exceeded 10000"),
+        (coupled, [1e200, -3e250, 1e-300, -7.0], None, "non-finite state"),
+        # the state is +-1 at t = 0.5, on the guard: recorded, and the run
+        # goes on to the next step
+        (unit_rates, [0.0, -0.0], 1.0, "|state| exceeded 1 at t=0.625"),
+        # no finite state passes this guard: only the overflow ends the run
+        (squares, [1e200, -1e200, 1e155, 3.0], sys.float_info.max,
+         "non-finite state"),
+        (nan_late, [0.75, 1.0, 1.25], None, "non-finite state near t=0.375")],
+        ids=["signed-zeros-and-subnormals", "guard", "overflow",
+             "on-the-guard", "overflow-to-inf", "nan-rhs"])
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_matches_the_comprehension_form(self, n, pool, threshold, ends):
+    def test_matches_the_comprehension_form(self, n, rhs, pool, threshold,
+                                            ends):
         rng = random.Random(n)
         y0 = [rng.choice(pool) for _ in range(n)]
-        got = integrate_fixed(coupled, y0, (-0.5, 1.5), dt=0.125,
+        got = integrate_fixed(rhs, y0, (-0.5, 1.5), dt=0.125,
                               blowup_threshold=threshold)
-        want = comprehension_rk4(coupled, y0, (-0.5, 1.5), 0.125, threshold)
+        want = comprehension_rk4(rhs, y0, (-0.5, 1.5), 0.125, threshold)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
         assert (got.status, got.message) == (want.status, want.message)
