@@ -20,10 +20,10 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      InvalidProfileError, NotComputedError)
 from .medium import CoefficientProfile, MediumSpec
-from .milne import (EnvelopeSample, MilneState, envelope_q, eq9_residual,
-                    eq14_amplitude, estimate_period_phase,
-                    hamiltonian_density, integrate_milne, lagrangian_density,
-                    milne_rhs, q_plus_minus_squared)
+from .milne import (EnvelopeSample, MilneState, envelope_q,
+                    estimate_period_phase, hamiltonian_density,
+                    integrate_milne, lagrangian_density, milne_rhs,
+                    q_plus_minus_squared)
 from .oscillator import (OscillatorState, analytic_constant_solution,
                          damped_rhs, parametric_rhs)
 from .scenario import (DynamicalParams, ScenarioConfig, ScenarioResult,

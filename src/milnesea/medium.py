@@ -109,6 +109,12 @@ class CoefficientProfile:
             ts, vs = np.array(self.table).T
             object.__setattr__(self, "_knots", (ts, vs, float(vs.min()),
                                                 float(vs.max())))
+        # each field is finite, but base + amplitude can still overflow,
+        # and MediumSpec checks one end of the range, not the other
+        extremes = self.extreme_values()
+        if not all(map(math.isfinite, extremes)):
+            raise InvalidProfileError(f"profile range must be finite, got "
+                                      f"{extremes!r}")
         object.__setattr__(self, "_kernel", self._build_kernel())
 
     def __reduce__(self):

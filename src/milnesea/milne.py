@@ -2,14 +2,9 @@
 
 The pressure p(t) of a signal interacting with the medium obeys a
 Milne-type equation: a second-order ODE whose nonlinearity is quadratic
-in the rate,
+in the rate. Solved for p'', it reads
 
     p'' = p p'^2 - beta(t) p' + beta(t) c k p + omega(t)^2 c t k p
-
-(solved for p''). ``eq9_residual`` keeps the unreduced form of the law,
-before the arccos term is linearised, as an independent cross-check: a
-candidate solution can be substituted into both and should not satisfy
-one without the other.
 
 Alongside the dynamics live the quadratic energy functionals (Lagrangian
 and Hamiltonian densities; the latter on the envelope state is the Milne
@@ -28,7 +23,7 @@ import numpy as np
 
 from . import solver
 from .acoustic_signal import SignalSpec
-from .errors import DomainError, InsufficientDataError
+from .errors import InsufficientDataError
 from .medium import MediumSpec
 from .solver import Trajectory, integrate_adaptive, integrate_fixed
 
@@ -44,8 +39,8 @@ class EnvelopeSample:
 
     ``q_squared`` may come out positive or negative; ``magnitude`` is
     sqrt(|q_squared|) either way, and ``imaginary_branch`` records which
-    side the sample is on (see envelope_q and eq14_amplitude for the two
-    polarity conventions in use). Scalar t gives Python floats and bools.
+    side the sample is on (see envelope_q for its polarity convention).
+    Scalar t gives Python floats and bools.
     """
 
     t: float
@@ -75,28 +70,6 @@ def milne_rhs(state, spec: SignalSpec, medium: MediumSpec,
     pdd = (p * pd * pd - b * pd + b * spec.angular_frequency * p
            + w * w * spec.sound_speed * t * spec.wave_number * p)
     return pd, pdd
-
-
-def eq9_residual(p: float, p_dot: float, p_ddot: float, spec: SignalSpec,
-                 medium: MediumSpec, t: float) -> float:
-    """Residual of the unreduced pressure law at one phase point.
-
-    Zero (to roundoff) for exact solutions. This form still contains the
-    arccos(p / amplitude) term that the evolution equation replaces by
-    its leading linearisation, so it only accepts |p| <= amplitude.
-    """
-    a = spec.amplitude
-    if abs(p) > a:
-        raise DomainError(f"|p|={abs(p)} exceeds amplitude {a}")
-    b = medium.beta.value(t)
-    w = medium.omega.value(t)
-    a2 = a * a
-    return (p_ddot * p * p / a2
-            - p * p_dot * p_dot
-            + b * p_dot * p * p / a2
-            - b * spec.angular_frequency * p
-            - w * w * p * math.acos(p / a)
-            - w * w * spec.sound_speed * t * spec.wave_number * p)
 
 
 def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
@@ -197,24 +170,6 @@ def q_plus_minus_squared(e_m: float, tau: float, spec: SignalSpec,
     """
     q_minus = envelope_q(e_m, tau, spec, medium, t).q_squared
     return -q_minus, q_minus
-
-
-def eq14_amplitude(q_plus_sq: float, q_minus_sq: float, tau: float,
-                   t: float) -> EnvelopeSample:
-    """Combined amplitude square q_plus^2 cos^2(t-tau) + q_minus^2 sin^2(t-tau).
-
-    Polarity note: here a *negative* radicand marks the imaginary branch
-    (the square root itself goes imaginary). That is the opposite
-    convention from envelope_q, whose radicand sits under a +-i prefactor
-    so a *positive* value is the imaginary side there. Callers comparing
-    the two must account for the sign flip.
-    """
-    ct = math.cos(t - tau)
-    st = math.sin(t - tau)
-    rad = q_plus_sq * ct * ct + q_minus_sq * st * st
-    return EnvelopeSample(t=float(t), q_squared=float(rad),
-                          magnitude=math.sqrt(abs(rad)),
-                          imaginary_branch=bool(rad < 0))
 
 
 def estimate_period_phase(trajectory: Trajectory) -> Tuple[float, float]:

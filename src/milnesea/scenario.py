@@ -375,6 +375,8 @@ def load_config(text: str) -> ScenarioConfig:
         problems.append(f"time.stride: must be >= 1, got {stride}")
 
     run = _read(_block(raw, "solver", problems) or {}, "solver", problems)
+    if run is not None and run["rtol"] > 0:
+        _build(problems, "solver", solver.check_rtol, run["rtol"])
     if run is not None and run["dt"] > 0 and stride >= 1:
         h = _output_step(run["method"], run["dt"], stride)
         if not math.isfinite(h):

@@ -6,10 +6,12 @@ y' = f(t, y). Two integrators are provided:
 * ``integrate_fixed``    classic fourth-order Runge-Kutta on a uniform grid;
   the whole run is one loop generated per state length (``_rk4_run``),
 * ``integrate_adaptive`` embedded Dormand-Prince 5(4) pair with proportional
-  step control, recording every accepted step; each attempt is one
-  straight-line function generated per state length (``_dp_attempt``).
+  step control, recording every accepted step; the whole run is likewise
+  one loop generated per state length (``_dp_run``), whose BLAS stage
+  sums write into one preallocated vector (``dot``'s ``out``) instead of
+  allocating an array each.
 
-Both generated functions are written from a source template with every
+Both generated runs are written from a source template with every
 component spelled out, compiled on first use and cached, and registered
 with ``linecache`` so tracebacks show their source. The two integrators
 share that generator and nothing of their arithmetic.
@@ -58,6 +60,9 @@ DEFAULT_DT = 1e-3
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 DEFAULT_MAX_STEPS = 10_000_000
+# scipy's floor for rtol; below it the stages' rounding alone fails the
+# error test, and a run creeps on in steps too small to move the state
+MIN_RTOL = 100 * sys.float_info.epsilon
 
 # rhs(t, y): y is indexed, never used in array arithmetic; the result is a
 # length-n sequence of floats (see the module docstring)
@@ -165,6 +170,13 @@ def check_step(t0: float, t1: float, step: float) -> None:
     if step < 4 * math.ulp(far):
         raise ValueError(f"step {step!r} is finer than 4 float spacings at "
                          f"|t| = {far!r} ({4 * math.ulp(far)!r})")
+
+
+def check_rtol(rtol: float) -> None:
+    """Reject an rtol below MIN_RTOL, which no double can meet."""
+    if rtol < MIN_RTOL:
+        raise ValueError(f"rtol must be at least 100 machine epsilons "
+                         f"({MIN_RTOL!r}), got {rtol!r}")
 
 
 def _check_span(t_span):
@@ -369,18 +381,16 @@ _A = [
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
 
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-
 
 def _initial_step(t0, t1, y0, f0, rtol, atol):
+    """First step: 0.01 d0 / d1 from the scaled RMS norms of y0 and f0, or
+    1e-3 of the span where that is not a finite positive step (a norm too
+    small to trust, or one that overflows on a tolerance near 0)."""
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    if d0 >= 1e-5 and d1 >= 1e-5:
-        h = 0.01 * d0 / d1
-    else:
+    h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 0.0
+    if not 0.0 < h < math.inf:
         h = 1e-3 * (t1 - t0)
     return min(h, t1 - t0)
 
@@ -393,53 +403,105 @@ def _cap_step(h, t, windows):
     return h
 
 
-_DP_SOURCE = """\
-def dp_attempt(rhs, t, y, h, f, km, dots, atol, rtol):
+_DP_RUN_SOURCE = """\
+def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
+           max_steps, append, extend):
     {y} = y
-    km[:{n}] = f
-    {f} = f
+    fsal = km[{row6}:]
     (d2, d3, d4, d5, d6, de) = dots
+    lo = -thr
+    attempts = rejected = retried = calls = 0
+    while t < t1:
+        if attempts >= max_steps:
+            return "limit", t, calls, rejected, retried
+        attempts += 1
+        if windows:
+            h = cap(h, t, windows)
+        last = h >= t1 - t  # t + (t1 - t) may round off t1: record t1
+        if last:
+            h = t1 - t
+        if t + h == t:
+            return "underflow", t, calls, rejected, retried
+        km[:{n}] = f
+        {f} = f
 {stages}
-    {e} = de().tolist()
+        calls += 6
+        de()
+        {e} = sm
 {norm}
+        if not isfinite(err):
+            retried += 1
+            h *= 0.25
+            continue
+        if err > 1.0:  # safety factor 0.9, step factors 0.2 to 5
+            rejected += 1
+            g = 0.9 * err ** -0.2
+            h *= g if g > 0.2 else 0.2
+            continue
+        t = t1 if last else t + h
+        append(t)
+        extend(z)
+        if not ({in_range}):
+            return "guard", t, calls, rejected, retried
+        {y} = z
+        f = fsal
+        if err == 0.0:
+            h *= 5.0
+        else:
+            g = 0.9 * err ** -0.2
+            g = g if g > 0.2 else 0.2
+            h *= g if g < 5.0 else 5.0
+    return None, t, calls, rejected, retried
 """
 
 
 @functools.lru_cache(maxsize=8)
-def _dp_attempt(n: int):
-    """One Dormand-Prince 5(4) attempt for states of length n, written out
-    per component.
+def _dp_run(n: int):
+    """The Dormand-Prince 5(4) run for states of length n, written out per
+    component.
 
-    Returns ``attempt(rhs, t, y, h, f, km, dots, atol, rtol)``. ``km`` is
-    a flat memoryview of the (7, n) stage buffer and ``f`` a view of the
-    row holding the derivative at (t, y), which the attempt copies to row
-    0. Each stage's result is unpacked into its row of ``km``, so one of
-    the wrong length is a ``ValueError``, and is then checked. The attempt
-    returns ``(y_new, err_norm, calls)``: the fifth-order state tuple, the
-    RMS of its scaled error estimate and the 6 ``rhs`` calls made, or
-    ``(None, nan, i)`` when the result of stage i is not finite.
+    Returns ``run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr,
+    windows, max_steps, append, extend)``, integrate_adaptive's step
+    loop: from the state tuple ``y`` at ``t`` and the first step ``h``
+    it attempts steps until ``t1``, passing each accepted time to
+    ``append`` and state to ``extend``. It returns ``(end, t, calls,
+    rejected, retried)``: ``end`` is None at t1, "limit" (``max_steps``
+    attempts made), "underflow" (a step too small to move t) or "guard"
+    (a state recorded outside [-thr, thr]), ``t`` where that happened.
+
+    ``km`` is a flat memoryview of the (7, n) stage buffer and ``f`` a
+    view of the row holding the derivative at (t, y), which each attempt
+    copies to row 0; on acceptance ``f`` becomes row 6 (first same as
+    last). Each stage's result is unpacked into its row of ``km``, so one
+    of the wrong length is a ``ValueError``. A non-finite stage or error
+    norm retries the step at a quarter of its size. Each component is
+    guarded once, ``-thr <= z_j <= thr``, which fails on inf and past the
+    guard alike; a nan state has a nan norm and never gets there. The
+    step factors are conditional expressions that give what ``min`` and
+    ``max`` give, nan included.
 
     ``dots`` holds six calls without arguments: the sums of stages 2 to 6
-    and of the error weights, each ``kT[:, :i].dot(a)`` on the transposed
-    buffer ``kT``. They stay BLAS dgemv products: dgemv adds their terms
-    with fused multiply-adds in a blocked order, which no sum of Python
-    floats reproduces (math.fma needs Python 3.13), so any other form
-    moves the last bits of every trajectory. ``kT[:, :i].dot(a)`` is the
-    same dgemv on the same memory as ``a @ k[:i]``, through a cheaper
-    entry point. Stage 1's (n, 1) product skips dgemv and gives -0.0
-    where dgemv gives +0.0, so stage 1 is the float form ``a1 * f_j +
-    0.0``, which matches dgemv. TestStageSums in tests/test_solver.py
-    checks each of these identities. Everything else is float arithmetic
-    in the order of the array form, so the result is the same to the
-    last bit; the error norm adds its squares left to right for n < 8,
-    as ``np.mean`` does, and calls ``np.mean`` (pairwise) from 8 on.
+    and of the error weights, each ``kT[:, :i].dot(a, sums)`` on the
+    transposed buffer ``kT``, written into the one n-vector ``sums``,
+    which the memoryview ``sm`` reads back, so no sum allocates an array.
+    They stay BLAS dgemv products: dgemv adds their terms with fused
+    multiply-adds in a blocked order, which no sum of Python floats
+    reproduces (math.fma needs Python 3.13), so any other form moves the
+    last bits of every trajectory. The dgemv is ``a @ k[:i]``'s, on the
+    same memory, through a cheaper entry point. Stage 1's (n, 1) product
+    skips dgemv and gives -0.0 where dgemv gives +0.0, so stage 1 is the
+    float form ``a1 * f_j + 0.0``, which matches dgemv. TestStageSums in
+    tests/test_solver.py checks each of these identities. The rest is
+    float arithmetic in the order of the array form, so the result is
+    the same to the last bit; the error norm adds its squares left to
+    right for n < 8, as ``np.mean`` does, and calls ``np.mean``
+    (pairwise) from 8 on.
 
     The source is generated and cached like ``_rk4_run``'s, and its cost
     grows with n the same way. On a 2-CPU Xeon host (Python 3.11),
-    generation took ~1.5 ms at n = 2 and ~0.4 s at n = 1,000, where up to
-    20 attempts of an RHS that negates its state took 17 ms against 14 ms
-    for the per-stage loop this replaced. Every caller in the package
-    integrates n = 2, so there is one path and no size threshold.
+    generation took 1.7-2.0 ms at n = 2 and 0.35-0.41 s at n = 1,000.
+    Every caller in the package integrates n = 2, so there is one path
+    and no size threshold.
     """
     finite = " and ".join(f"isfinite(k{j})" for j in range(n))
     a1 = float(_A[1][0])
@@ -449,30 +511,33 @@ def _dp_attempt(n: int):
             arg = _display([f"y{j} + h * ({a1!r} * f{j} + 0.0)"
                             for j in range(n)])
         else:
-            stages.append(f"    {_names('s', n)} = d{i}().tolist()")
+            stages += [f"        d{i}()", f"        {_names('s', n)} = sm"]
             arg = _display([f"y{j} + h * s{j}" for j in range(n)])
         if i == 6:  # stage 6's argument is the fifth-order solution
-            stages.append(f"    {_names('z', n)} = z = {arg}")
+            stages.append(f"        {_names('z', n)} = z = {arg}")
             arg = "z"
         row = _display([f"km[{i * n + j}]" for j in range(n)])
-        stages += [f"    {row} = {_names('k', n)} = "
+        stages += [f"        {row} = {_names('k', n)} = "
                    f"rhs(t + {_C[i]!r} * h, {arg})",
-                   f"    if not ({finite}):", f"        return None, nan, {i}"]
+                   f"        if not ({finite}):", f"            calls += {i}",
+                   "            retried += 1", "            h *= 0.25",
+                   "            continue"]
     # u if u >= v else v keeps np.maximum's nan, which max() drops: a nan
-    # in y_new gives a nan norm and a retried attempt
+    # in z gives a nan norm and a retried attempt
     norm = []
     for j in range(n):
-        norm += [f"    u{j}, v{j} = abs(y{j}), abs(z{j})",
-                 f"    q{j} = h * e{j} / (atol + rtol * "
+        norm += [f"        u{j}, v{j} = abs(y{j}), abs(z{j})",
+                 f"        q{j} = h * e{j} / (atol + rtol * "
                  f"(u{j} if u{j} >= v{j} else v{j}))"]
     squares = [f"q{j} * q{j}" for j in range(n)]
-    norm.append("    return z, sqrt(" + (f"({' + '.join(squares)}) / {n}), 6"
+    norm.append("        err = sqrt(" + (f"({' + '.join(squares)}) / {n})"
                                          if n < 8 else
-                                         f"mean([{', '.join(squares)}])), 6"))
-    return _generate("_dp_attempt", n, _DP_SOURCE.format(
-        y=_names("y", n), n=n, f=_names("f", n),
-        stages="\n".join(stages), e=_names("e", n), norm="\n".join(norm)),
-        isfinite=math.isfinite, sqrt=math.sqrt, mean=np.mean, nan=math.nan)
+                                         f"mean([{', '.join(squares)}]))"))
+    return _generate("_dp_run", n, _DP_RUN_SOURCE.format(
+        y=_names("y", n), n=n, row6=6 * n, f=_names("f", n),
+        stages="\n".join(stages), e=_names("e", n), norm="\n".join(norm),
+        in_range=" and ".join(f"lo <= z{j} <= thr" for j in range(n))),
+        isfinite=math.isfinite, sqrt=math.sqrt, mean=np.mean, cap=_cap_step)
 
 
 # a blow-up overflows stage values, stage sums or the error norm; the step
@@ -488,7 +553,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
     Step sizes follow the standard proportional controller on the RMS of
     the scaled local error estimate (scale = atol + rtol*|y|). The initial
-    point and every accepted step point are recorded.
+    point and every accepted step point are recorded. ``rtol`` must be at
+    least MIN_RTOL (see check_rtol).
 
     ``windows`` holds (start, end, width) spans where ``rhs`` has a
     feature as narrow as width, which a step grown on the slow dynamics
@@ -503,22 +569,21 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
-    one; each of its results, a length-n sequence of floats, is unpacked
-    into one row of a (7, n) stage buffer, so a result of the wrong length
-    is a ``ValueError`` at every stage. Each attempt is one call of the
-    step generated for the state length (``_dp_attempt``): the stage sums
-    stay BLAS products on the buffer, and the rest is float arithmetic in
-    the order of the array form, so the result is the same to the last
-    bit. The step's result is stage 6's argument, since the tableau's
-    last row is the fifth-order weight row. An attempt after the first
-    accepted step starts from row 6 as it stands (first same as last),
-    which after a rejection is the rejected trial's last stage, not
+    one; a result of the wrong length is a ``ValueError`` at every stage.
+    The whole step loop is one call of the run generated for the state
+    length (``_dp_run``), whose stage sums stay BLAS products on a (7, n)
+    stage buffer, written into one n-vector, so the result is the array
+    form's to the last bit. The step's result is stage 6's argument, since
+    the tableau's last row is the fifth-order weight row. An attempt after
+    the first accepted step starts from row 6 as it stands (first same as
+    last), which after a rejection is the rejected trial's last stage, not
     rhs(t, y). The pinned bytes (perfbench/golden.json, TestAdaptiveBits)
     record that behaviour, so its fix waits for a re-record of them.
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
     _check_positive("rtol", rtol)
+    check_rtol(rtol)
     _check_positive("atol", atol)
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) \
             or max_steps < 1:
@@ -539,66 +604,28 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         return finish(ABORTED_BLOWUP,
                       f"initial state already exceeds guard {threshold:g}")
 
-    t = t0
     h = float(_initial_step(t0, t1, y0, f, rtol, atol))
-    attempts = rejected = retried = 0
-    rhs_evals = 1  # rhs(t0, y0)
     k = np.empty((7, n))
     k[0] = f
     kT = k.T
+    sums = np.empty(n)
+    dots = tuple(functools.partial(kT[:, :i].dot, _A[i], sums)
+                 for i in range(2, 7)) + (functools.partial(kT.dot, _E, sums),)
     km = memoryview(k).cast("B").cast("d")
-    # row 0 holds f until the first accepted step; from then on f is row
-    # 6, which an attempt overwrites whether or not it is accepted (FSAL)
-    f, fsal = km[:n], km[6 * n:]
-    dots = tuple(functools.partial(kT[:, :i].dot, _A[i])
-                 for i in range(2, 7)) + (functools.partial(kT.dot, _E),)
-    attempt = _dp_attempt(n)
+    # row 0 holds f until the first accepted step, and row 6 from then on
+    end, t, calls, rejected, retried = _dp_run(n)(
+        rhs, t0, y, h, km[:n], t1, km, dots, memoryview(sums), atol, rtol,
+        threshold, windows, max_steps, times.append, states.extend)
+
     status, message = COMPLETED, None
-
-    while t < t1:
-        if attempts >= max_steps:
-            status, message = (ABORTED_STEP_LIMIT, f"gave up after "
-                               f"{max_steps} step attempts at t={t:.6g}")
-            break
-        attempts += 1
-        if windows:
-            h = _cap_step(h, t, windows)
-        last = h >= t1 - t  # t + (t1 - t) may round off t1: record t1
-        if last:
-            h = t1 - t
-        if t + h == t:
-            status, message = (ABORTED_BLOWUP,
-                               f"step size underflow at t={t:.6g} "
-                               "(finite-time singularity suspected)")
-            break
-
-        y_new, err_norm, calls = attempt(rhs, t, y, h, f, km, dots, atol,
-                                         rtol)
-        rhs_evals += calls
-        if not math.isfinite(err_norm):  # a non-finite stage or norm
-            retried += 1
-            h *= 0.25
-            continue
-
-        if err_norm > 1.0:
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
-            continue
-
-        t_new = t1 if last else t + h
-        times.append(t_new)
-        states.extend(y_new)
-
-        if max(map(abs, y_new)) > threshold:
-            status, message = (ABORTED_BLOWUP, f"|state| exceeded "
-                               f"{threshold:g} at t={t_new:.6g}")
-            break
-
-        t, y, f = t_new, y_new, fsal  # row 6 is already rhs(t_new, y_new)
-        if err_norm == 0.0:
-            h *= _MAX_FACTOR
-        else:
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
-
-    return finish(status, message, rhs_evals=rhs_evals, rejected=rejected,
+    if end == "limit":
+        status, message = (ABORTED_STEP_LIMIT, f"gave up after {max_steps} "
+                           f"step attempts at t={t:.6g}")
+    elif end == "underflow":
+        status, message = (ABORTED_BLOWUP, f"step size underflow at "
+                           f"t={t:.6g} (finite-time singularity suspected)")
+    elif end == "guard":
+        status, message = (ABORTED_BLOWUP,
+                           f"|state| exceeded {threshold:g} at t={t:.6g}")
+    return finish(status, message, rhs_evals=1 + calls, rejected=rejected,
                   retried=retried)

@@ -7,10 +7,20 @@ import numpy as np
 import pytest
 
 from milnesea.errors import InvalidProfileError
-from milnesea.medium import CoefficientProfile, MediumSpec
+from milnesea.medium import BUMP_KINDS, CoefficientProfile, MediumSpec
 
 EXP_HALF = 0.6065306597126334      # exp(-1/2)
 SECH2_1 = 0.41997434161402614      # 1 / cosh(1)^2
+
+
+def assert_scalar_reads_match_array(prof):
+    ts = [0.0, -0.0, 1e-3, 0.7, 354.9, 355.0, 355.1, 709.0, 711.0,
+          1e200, math.inf, math.nan]
+    ts += [-t for t in ts]
+    got = np.array([prof.value(t) for t in ts]).tobytes()
+    assert got == prof.value(np.array(ts)).tobytes()
+    # an np.float64 t takes the scalar kernel too
+    assert got == np.array([prof.value(np.float64(t)) for t in ts]).tobytes()
 
 
 def gaussian(base=1.0, amplitude=0.5, center=10.0, width=1.0):
@@ -76,6 +86,26 @@ class TestProfiles:
         assert copy == profile
         ts = [-3.0, 0.25, 1.0, 10.5]
         assert [copy.value(t) for t in ts] == [profile.value(t) for t in ts]
+
+    # x = (t - center) / width is t itself here: c * c overflows past
+    # |x| ~ 355 and cosh itself past ~710
+    @pytest.mark.parametrize("kind", BUMP_KINDS)
+    @pytest.mark.parametrize("base, amplitude", [
+        (1.0, 0.5), (0.0, 0.5), (-0.0, -0.5), (0.0, -0.5)])
+    def test_scalar_read_has_the_array_reads_bytes(self, kind, base,
+                                                   amplitude):
+        prof = CoefficientProfile(kind=kind, base=base, amplitude=amplitude,
+                                  center=0.0, width=1.0)
+        assert_scalar_reads_match_array(prof)
+
+    # numpy scalar fields warn on overflow where float fields do not
+    @pytest.mark.parametrize("kind", BUMP_KINDS)
+    def test_float64_fields_read_quietly(self, kind):
+        prof = CoefficientProfile(kind=kind, base=np.float64(1.0),
+                                  amplitude=np.float64(0.5),
+                                  center=np.float64(0.0),
+                                  width=np.float64(1e-3))
+        assert_scalar_reads_match_array(prof)
 
     def test_kind_validation(self):
         with pytest.raises(InvalidProfileError):
@@ -167,6 +197,15 @@ class TestMediumSpec:
         with pytest.raises(InvalidProfileError,
                            match=f"profile {key} must be finite"):
             CoefficientProfile(**profile)
+
+    @pytest.mark.parametrize("kind", BUMP_KINDS)
+    @pytest.mark.parametrize("base, amplitude", [
+        (1.7e308, 1.7e308), (-1.7e308, -1.7e308)])
+    def test_range_that_overflows_is_refused(self, kind, base, amplitude):
+        # each number is finite, but base + amplitude is not
+        with pytest.raises(InvalidProfileError,
+                           match="profile range must be finite"):
+            CoefficientProfile(kind=kind, base=base, amplitude=amplitude)
 
     def test_beta_must_stay_nonnegative(self):
         with pytest.raises(InvalidProfileError):

@@ -13,11 +13,10 @@ import pytest
 
 from milnesea import milne, solver
 from milnesea.acoustic_signal import SignalSpec
-from milnesea.errors import DomainError, InsufficientDataError
+from milnesea.errors import InsufficientDataError
 from milnesea.medium import CoefficientProfile, MediumSpec
 from milnesea.milne import (EnvelopeSample, MilneState, envelope_denominator,
-                            envelope_q, eq9_residual, eq14_amplitude,
-                            estimate_period_phase, hamiltonian_density,
+                            envelope_q, estimate_period_phase, hamiltonian_density,
                             integrate_milne, lagrangian_density, milne_rhs,
                             q_plus_minus_squared, wrap_angle)
 from milnesea.solver import Trajectory
@@ -63,28 +62,6 @@ class TestRhs:
         at_peak = milne_rhs((1.0, 0.0), spec_k01(), med, 10.0)
         # beta(10) = 0.5 -> 0.5*148 + 1480*10*0.1 = 74 + 1480
         assert at_peak[1] == pytest.approx(1554.0, rel=1e-14)
-
-
-class TestEq9Residual:
-    def test_zero_pressure_gives_zero(self):
-        assert eq9_residual(0.0, 3.0, -1.0, spec_k01(), const_medium(),
-                            0.7) == 0.0
-
-    def test_frozen_general_value(self):
-        # p=0.5, p'=1, p''=2, beta=0.5, omega=1, t=0.2:
-        #   2*0.25 - 0.5 + 0.5*0.25 - 37 - 0.5*acos(0.5) - 14.8
-        got = eq9_residual(0.5, 1.0, 2.0, spec_k01(), const_medium(), 0.2)
-        assert got == pytest.approx(-52.1985987755983, rel=1e-13)
-
-    def test_domain_limited_to_amplitude(self):
-        with pytest.raises(DomainError):
-            eq9_residual(1.5, 0.0, 0.0, spec_k01(), const_medium(), 0.0)
-
-    def test_amplitude_scaling(self):
-        # with |p| = amplitude the arccos term vanishes
-        spec = spec_k01(amplitude=0.25)
-        got = eq9_residual(0.25, 0.0, 0.0, spec, const_medium(), 0.0)
-        assert got == pytest.approx(-0.5 * 148.0 * 0.25, rel=1e-14)
 
 
 class TestIntegration:
@@ -262,23 +239,6 @@ class TestEnvelope:
             assert qp + qm == 0.0
             assert qm == envelope_q(1.3, 0.7, spec_k01(), const_medium(),
                                     float(t)).q_squared
-
-    def test_eq14_combination(self):
-        # rad = qp cos^2(t-tau) + qm sin^2(t-tau)
-        s = eq14_amplitude(-0.02, 0.02, 1.0, 1.0)
-        assert s.q_squared == pytest.approx(-0.02, rel=1e-15)
-        assert s.imaginary_branch is True  # negative radicand here
-        assert s.magnitude == pytest.approx(math.sqrt(0.02), rel=1e-15)
-        s2 = eq14_amplitude(-0.02, 0.02, 1.0, 1.0 + math.pi / 2.0)
-        assert s2.q_squared == pytest.approx(0.02, rel=1e-12)
-        assert s2.imaginary_branch is False
-
-    def test_eq14_polarity_is_opposite_of_envelope_q(self):
-        # same radicand magnitude, opposite flag conventions
-        env = envelope_q(1.0, 0.0, spec_k01(), const_medium(), 0.0)
-        amp = eq14_amplitude(-env.q_squared, env.q_squared, 0.0, 0.0)
-        assert env.q_squared > 0 and env.imaginary_branch
-        assert amp.q_squared < 0 and amp.imaginary_branch
 
 
 def synthetic_trajectory(omega, delta, t0=0.0, t1=None, dt=1e-3, decay=0.0):

@@ -23,7 +23,8 @@ from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
                                config_to_dict, csv_chunks, export_csv,
                                export_json, grid_sweep, load_config, output_grid,
                                result_to_dict, run_scenario)
-from milnesea.solver import DEFAULT_DT, DEFAULT_MAX_STEPS, Trajectory
+from milnesea.solver import (DEFAULT_DT, DEFAULT_MAX_STEPS, MIN_RTOL,
+                             Trajectory)
 from milnesea.transition import FormComparison, compare_forms
 
 
@@ -363,6 +364,24 @@ class TestValidation:
         assert problems_of({"environment": {}, "outputs": [product]}) == [
             f"outputs: {product!r} requested but environment.{block} is "
             "missing"]
+
+    def test_rtol_below_100_machine_epsilons_is_a_problem(self):
+        # no double meets it: a run would creep to the step limit
+        doc = {"solver": {"method": "adaptive", "rtol": 1e-300,
+                          "atol": 1e-300}}
+        assert problems_of(doc) == [
+            "solver: rtol must be at least 100 machine epsilons "
+            "(2.220446049250313e-14), got 1e-300"]
+        doc["solver"]["rtol"] = MIN_RTOL
+        config = load(doc)
+        assert load(config_to_dict(config)) == config
+
+    def test_bump_whose_range_overflows_is_a_problem(self):
+        doc = {"medium": {"beta": {"kind": "gaussian-bump", "base": 1.7e308,
+                                   "amplitude": 1.7e308, "center": 1.0,
+                                   "width": 1.0}}}
+        assert problems_of(doc) == [
+            "medium.beta: profile range must be finite, got (1.7e+308, inf)"]
 
     def test_table_profile_round_trips(self):
         doc = {"medium": {"beta": {"kind": "table",

@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 
 import numpy as np
@@ -490,7 +491,7 @@ def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
     ``k[i] = ki``, its tuple built by zip over the components, and the
     FSAL derivative kept as the view ``k[6]``, so an attempt after a
     rejection starts from the rejected trial's last stage. The generated
-    attempt must reproduce it bit for bit.
+    run must reproduce it bit for bit.
     """
     t0, t1 = t_span
     y = tuple(map(float, y0))
@@ -578,50 +579,116 @@ def sign_chain(t, y):
                   for j in range(len(y))])
 
 
-DP_ATTEMPT_2 = """\
-def dp_attempt(rhs, t, y, h, f, km, dots, atol, rtol):
+DP_RUN_2 = """\
+def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
+           max_steps, append, extend):
     (y0, y1) = y
-    km[:2] = f
-    (f0, f1) = f
+    fsal = km[12:]
     (d2, d3, d4, d5, d6, de) = dots
-    (km[2], km[3]) = (k0, k1) = rhs(t + 0.2 * h, \
+    lo = -thr
+    attempts = rejected = retried = calls = 0
+    while t < t1:
+        if attempts >= max_steps:
+            return "limit", t, calls, rejected, retried
+        attempts += 1
+        if windows:
+            h = cap(h, t, windows)
+        last = h >= t1 - t  # t + (t1 - t) may round off t1: record t1
+        if last:
+            h = t1 - t
+        if t + h == t:
+            return "underflow", t, calls, rejected, retried
+        km[:2] = f
+        (f0, f1) = f
+        (km[2], km[3]) = (k0, k1) = rhs(t + 0.2 * h, \
 (y0 + h * (0.2 * f0 + 0.0), y1 + h * (0.2 * f1 + 0.0)))
-    if not (isfinite(k0) and isfinite(k1)):
-        return None, nan, 1
-    (s0, s1) = d2().tolist()
-    (km[4], km[5]) = (k0, k1) = rhs(t + 0.3 * h, (y0 + h * s0, y1 + h * s1))
-    if not (isfinite(k0) and isfinite(k1)):
-        return None, nan, 2
-    (s0, s1) = d3().tolist()
-    (km[6], km[7]) = (k0, k1) = rhs(t + 0.8 * h, (y0 + h * s0, y1 + h * s1))
-    if not (isfinite(k0) and isfinite(k1)):
-        return None, nan, 3
-    (s0, s1) = d4().tolist()
-    (km[8], km[9]) = (k0, k1) = rhs(t + 0.8888888888888888 * h, \
+        if not (isfinite(k0) and isfinite(k1)):
+            calls += 1
+            retried += 1
+            h *= 0.25
+            continue
+        d2()
+        (s0, s1) = sm
+        (km[4], km[5]) = (k0, k1) = rhs(t + 0.3 * h, (y0 + h * s0, \
+y1 + h * s1))
+        if not (isfinite(k0) and isfinite(k1)):
+            calls += 2
+            retried += 1
+            h *= 0.25
+            continue
+        d3()
+        (s0, s1) = sm
+        (km[6], km[7]) = (k0, k1) = rhs(t + 0.8 * h, (y0 + h * s0, \
+y1 + h * s1))
+        if not (isfinite(k0) and isfinite(k1)):
+            calls += 3
+            retried += 1
+            h *= 0.25
+            continue
+        d4()
+        (s0, s1) = sm
+        (km[8], km[9]) = (k0, k1) = rhs(t + 0.8888888888888888 * h, \
 (y0 + h * s0, y1 + h * s1))
-    if not (isfinite(k0) and isfinite(k1)):
-        return None, nan, 4
-    (s0, s1) = d5().tolist()
-    (km[10], km[11]) = (k0, k1) = rhs(t + 1.0 * h, (y0 + h * s0, y1 + h * s1))
-    if not (isfinite(k0) and isfinite(k1)):
-        return None, nan, 5
-    (s0, s1) = d6().tolist()
-    (z0, z1) = z = (y0 + h * s0, y1 + h * s1)
-    (km[12], km[13]) = (k0, k1) = rhs(t + 1.0 * h, z)
-    if not (isfinite(k0) and isfinite(k1)):
-        return None, nan, 6
-    (e0, e1) = de().tolist()
-    u0, v0 = abs(y0), abs(z0)
-    q0 = h * e0 / (atol + rtol * (u0 if u0 >= v0 else v0))
-    u1, v1 = abs(y1), abs(z1)
-    q1 = h * e1 / (atol + rtol * (u1 if u1 >= v1 else v1))
-    return z, sqrt((q0 * q0 + q1 * q1) / 2), 6
+        if not (isfinite(k0) and isfinite(k1)):
+            calls += 4
+            retried += 1
+            h *= 0.25
+            continue
+        d5()
+        (s0, s1) = sm
+        (km[10], km[11]) = (k0, k1) = rhs(t + 1.0 * h, (y0 + h * s0, \
+y1 + h * s1))
+        if not (isfinite(k0) and isfinite(k1)):
+            calls += 5
+            retried += 1
+            h *= 0.25
+            continue
+        d6()
+        (s0, s1) = sm
+        (z0, z1) = z = (y0 + h * s0, y1 + h * s1)
+        (km[12], km[13]) = (k0, k1) = rhs(t + 1.0 * h, z)
+        if not (isfinite(k0) and isfinite(k1)):
+            calls += 6
+            retried += 1
+            h *= 0.25
+            continue
+        calls += 6
+        de()
+        (e0, e1) = sm
+        u0, v0 = abs(y0), abs(z0)
+        q0 = h * e0 / (atol + rtol * (u0 if u0 >= v0 else v0))
+        u1, v1 = abs(y1), abs(z1)
+        q1 = h * e1 / (atol + rtol * (u1 if u1 >= v1 else v1))
+        err = sqrt((q0 * q0 + q1 * q1) / 2)
+        if not isfinite(err):
+            retried += 1
+            h *= 0.25
+            continue
+        if err > 1.0:  # safety factor 0.9, step factors 0.2 to 5
+            rejected += 1
+            g = 0.9 * err ** -0.2
+            h *= g if g > 0.2 else 0.2
+            continue
+        t = t1 if last else t + h
+        append(t)
+        extend(z)
+        if not (lo <= z0 <= thr and lo <= z1 <= thr):
+            return "guard", t, calls, rejected, retried
+        (y0, y1) = z
+        f = fsal
+        if err == 0.0:
+            h *= 5.0
+        else:
+            g = 0.9 * err ** -0.2
+            g = g if g > 0.2 else 0.2
+            h *= g if g < 5.0 else 5.0
+    return None, t, calls, rejected, retried
 """
 
 
 class TestGeneratedAttempt:
     def test_source_for_two_components(self):
-        assert inspect.getsource(solver._dp_attempt(2)) == DP_ATTEMPT_2
+        assert inspect.getsource(solver._dp_run(2)) == DP_RUN_2
 
     def test_traceback_shows_the_attempt(self):
         def rhs(t, y):
@@ -632,7 +699,7 @@ class TestGeneratedAttempt:
         with pytest.raises(ZeroDivisionError) as info:
             integrate_adaptive(rhs, [0.0], (0.0, 1.0))
         entry = info.traceback[-2]
-        assert entry.path == "<milnesea.solver._dp_attempt(1)>"
+        assert entry.path == "<milnesea.solver._dp_run(1)>"
         assert str(entry.statement).strip() == (
             "(km[1],) = (k0,) = "
             "rhs(t + 0.2 * h, (y0 + h * (0.2 * f0 + 0.0),))")
@@ -793,6 +860,31 @@ class TestAdaptive:
         (name, value), = tols.items()
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             integrate_adaptive(decay, [1.0], (0.0, 1.0), **tols)
+
+    def test_tolerance_no_double_can_meet_ends_before_any_attempt(self):
+        # with the initial step's fallback alone this run creeps on in
+        # steps of ~1e-17 to max_steps (10^7 attempts, about a minute)
+        rhs, calls = counting(lambda t, y: (-y[0],))
+        with pytest.raises(ValueError, match=re.escape(
+                "rtol must be at least 100 machine epsilons "
+                "(2.220446049250313e-14), got 1e-300")):
+            integrate_adaptive(rhs, [1.0], (0.0, 1.0), rtol=1e-300,
+                               atol=1e-300)
+        assert calls == []
+        traj = integrate_adaptive(rhs, [1.0], (0.0, 1.0),
+                                  rtol=solver.MIN_RTOL, atol=1e-300)
+        assert traj.completed
+        assert traj.rhs_evals < 1_000
+
+    def test_initial_step_falls_back_when_the_estimate_overflows(self):
+        # |f0| / scale overflows, so 0.01 d0 / d1 is 0.0: the run used to
+        # end at once in a step-size underflow at t0
+        with np.errstate(over="ignore"):
+            h = solver._initial_step(0.0, 2.0, np.array([1.0]), (1e300,),
+                                     1e-9, 1e-12)
+        assert h == 2e-3
+        traj = integrate_adaptive(lambda t, y: (1e300,), [1.0], (0.0, 2.0))
+        assert traj.message == "|state| exceeded 1e+06 at t=0.002"
 
     @pytest.mark.parametrize("name", ["rtol", "atol", "blowup_threshold"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -975,11 +1067,16 @@ def stage_buffers():
             yield k
 
 
+def stale(n):
+    """An n-vector of nans, standing for what an earlier sum left."""
+    return np.full(n, math.nan)
+
+
 class TestStageSums:
-    """The step's stage-sum forms give the bytes of the `@` products.
+    """The run's stage-sum forms give the bytes of the `@` products.
 
     ``a @ k[:i]`` (BLAS dgemv on the stage buffer) is the reference. The
-    step computes the same sums in cheaper forms, each of which must
+    run computes the same sums in cheaper forms, each of which must
     match it bit for bit; a numpy or BLAS change that breaks one fails
     here by name, not only through the golden hashes.
     """
@@ -996,6 +1093,14 @@ class TestStageSums:
         self.assert_same_bits(lambda k: k.T[:, :i].dot(a),
                               lambda k: a @ k[:i])
 
+    @pytest.mark.parametrize("i", range(2, 7))
+    def test_stages_2_to_6_dot_into_one_vector(self, i):
+        # the run reuses one vector, so what an earlier sum left in it,
+        # nan included, must not show
+        a = solver._A[i]
+        self.assert_same_bits(lambda k: k.T[:, :i].dot(a, stale(len(k.T))),
+                              lambda k: a @ k[:i])
+
     def test_stage_1_as_floats(self):
         # k.T[:, :1].dot(a) skips dgemv and gives -0.0 where it gives +0.0
         a1 = float(solver._A[1][0])
@@ -1004,6 +1109,10 @@ class TestStageSums:
 
     def test_error_weights_dot_the_transposed_buffer(self):
         self.assert_same_bits(lambda k: k.T.dot(solver._E),
+                              lambda k: solver._E @ k)
+
+    def test_error_weights_dot_into_one_vector(self):
+        self.assert_same_bits(lambda k: k.T.dot(solver._E, stale(len(k.T))),
                               lambda k: solver._E @ k)
 
     def test_fifth_order_sum_is_stage_6s(self):
