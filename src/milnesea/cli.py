@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands (every CSV is written as bytes by ``scenario.write_csv``):
 
 * ``simulate``    run a full scenario from a JSON config, writing one CSV
                   per computed product plus a result.json summary
@@ -9,9 +9,9 @@ Subcommands:
 * ``envelope``    envelope-square sweep for given E_M and tau
 * ``transition``  the transition product's CSV rows at one evaluation time
 
-Exit codes: 0 on success, 1 for configuration or usage errors, 2 when the
-run went through but some requested product had to be skipped (partial
-outputs are still written).
+Exit codes: 0 on success, 1 for configuration or usage errors or a
+closed stdout (then silent), 2 when the run went through but some
+requested product had to be skipped (partial outputs are still written).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .scenario import (config_to_dict, csv_chunks, export_csv, export_json,
-                       grid_sweep, load_config, output_grid, run_scenario)
+from .scenario import (config_to_dict, export_csv, export_json, grid_sweep,
+                       load_config, output_grid, run_scenario, write_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(chunks, out: str):
-    """Write CSV text chunks to stdout ("-") or to the file at `out`."""
-    if out == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w") as f:
-            f.writelines(chunks)
-
-
 def _load(path: str, **blocks):
     """The config at `path`, top-level `blocks` replaced by options.
 
@@ -133,24 +125,21 @@ def _cmd_simulate(args) -> int:
     return 2 if result.skips else 0
 
 
-def _cmd_table(args) -> int:
+def _table(args):
     """One environment product of a scenario holding only the options
-    given for its block."""
+    given for its block (None if skipped), and why it was skipped."""
     product = args.command
     given = {key: v for key, v in vars(args).items()
              if key not in ("command", "block", "out") and v is not None}
-    config = load_config(json.dumps({"environment": {args.block: given},
-                                     "outputs": [product]}))
-    result = run_scenario(config)
-    if product in result.skips:
-        print(f"{product} skipped: {result.skips[product]}", file=sys.stderr)
-        return 2
-    _emit(csv_chunks(product, getattr(result, product)), args.out)
-    return 0
+    result = run_scenario(load_config(json.dumps(
+        {"environment": {args.block: given}, "outputs": [product]})))
+    reason = result.skips.get(product)
+    return getattr(result, product), reason and f"{product} skipped: {reason}"
 
 
-def _cmd_sweep(args) -> int:
-    """The envelope over the output grid, or the transition at one time."""
+def _sweep(args):
+    """The envelope over the output grid, or the transition at one time,
+    cut before the first bad time, and why it was cut."""
     product = args.command
     if args.t is not None and not math.isfinite(args.t):
         raise ValueError(f"t must be finite, got {args.t}")
@@ -158,22 +147,34 @@ def _cmd_sweep(args) -> int:
         "e_m": args.em, "delta": args.delta, "tau": args.tau})
     grid = output_grid(config) if args.t is None else np.array([args.t])
     data, reason = grid_sweep(product, config, config.dynamical_params, grid)
-    _emit(csv_chunks(product, data), args.out)
-    if reason is not None:
-        print(f"{product} sweep stopped: {reason}", file=sys.stderr)
-        return 2
-    return 0
+    return data, reason and f"{product} sweep stopped: {reason}"
 
 
-_HANDLERS = {"simulate": _cmd_simulate, "spectrum": _cmd_table,
-             "bathymetry": _cmd_table, "envelope": _cmd_sweep,
-             "transition": _cmd_sweep}
+def _cmd_csv(args) -> int:
+    """A table or sweep command: its CSV to stdout ("-") or to the file at
+    --out, then, where it was skipped or cut short, why, and exit 2."""
+    data, note = (_table if "block" in args else _sweep)(args)
+    if data is not None:
+        if args.out == "-":
+            sys.stdout.flush()
+            write_csv(args.command, data, sys.stdout.buffer)
+        else:
+            with open(args.out, "wb") as f:
+                write_csv(args.command, data, f)
+    if note is None:
+        return 0
+    print(note, file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return (_cmd_csv if "out" in args else _cmd_simulate)(args)
+    except BrokenPipeError:
+        # stdout closed early (`| head`): the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print("configuration rejected:", file=sys.stderr)
         for problem in exc.problems:

@@ -18,8 +18,8 @@ with a reason instead of failing the whole run; configuration mistakes,
 by contrast, are rejected up front by ``load_config`` with an exhaustive
 problem list.
 
-All exports are deterministic: the same config yields byte-identical CSV
-and JSON files.
+All exports are byte-identical for the same config; ``write_csv`` writes
+every CSV as bytes, on every CPU, and ``export_json`` the summary JSON.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -102,11 +103,11 @@ class ScenarioResult:
     skips: dict = field(default_factory=dict)
 
 
-# Every product's CSV layout, shared by export_csv, result_to_dict,
-# _first_nonfinite and every CLI command: the CSV header, the
-# %-format of one record, and data -> columns, one entry per record. A
-# product's data is the ScenarioResult attribute of its name; a record is
-# one line, except a transition record: one grid time, two lines.
+# Every product's CSV layout, shared by write_csv, result_to_dict and
+# _first_nonfinite: the CSV header, the %-format of one record, and
+# data -> columns, one entry per record. A product's data is the
+# ScenarioResult attribute of its name; a record is one line, except a
+# transition record: one grid time, two lines.
 _Product = namedtuple("_Product", "header line columns")
 _TABLE = {
     "trajectory": _Product(
@@ -627,11 +628,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # records per %-operation: enough to amortise each chunk's slicing, few
 # enough that a chunk of the widest records (transition) is ~1.3 MB of text
 _CHUNK = 4096
-# bytes of a child's text read back at a time. Each piece is held three
-# times at once (the bytes read, their str, and the writer's encoding), so
-# 64 KiB keeps the read-back near 0.2 MiB, where 1 MiB pieces cost ~3 MiB
-# of peak memory; the reads and yields are still few (16 per MiB)
-_PIECE = 1 << 16
 
 
 def _available_cpus() -> int:
@@ -642,17 +638,18 @@ def _available_cpus() -> int:
 
 
 def _record_lines(line: str, columns, lo: int, hi: int):
-    """The CSV lines of records lo..hi, one %-operation per _CHUNK records."""
+    """ASCII lines of records lo..hi, one %-operation per _CHUNK records."""
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
         # Python floats and strs format faster than numpy scalars
         cols = [np.asarray(c[start:stop]).tolist() for c in columns]
-        yield line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+        yield (line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+               ).encode("ascii")
 
 
 def _fork_range(line: str, columns, lo: int, hi: int):
-    """(pid, file) of a child writing records lo..hi's lines to the file as
-    ASCII; None where the file or the fork cannot be had."""
+    """(pid, file) of a child writing records lo..hi's lines to the file;
+    None where the file or the fork cannot be had."""
     try:
         out = tempfile.TemporaryFile()
     except OSError:
@@ -672,8 +669,7 @@ def _fork_range(line: str, columns, lo: int, hi: int):
     if pid == 0:
         status = 1
         try:
-            for text in _record_lines(line, columns, lo, hi):
-                out.write(text.encode("ascii"))
+            out.writelines(_record_lines(line, columns, lo, hi))
             out.flush()
             status = 0
         finally:
@@ -693,16 +689,18 @@ def _reap(pids: dict, lo: int) -> bool:
     return status == 0
 
 
-def csv_chunks(product: str, data):
-    """One product's CSV text in pieces: the header line, then the lines of
-    each run of _CHUNK records, formatted by one %-operation per run.
+def write_csv(product: str, data, out) -> None:
+    """Write one product's CSV into the binary file `out`: the header line,
+    then the lines of each run of _CHUNK records, formatted by one
+    %-operation per run and encoded to ASCII once.
 
     The records split into one contiguous range per available CPU, each of
     at least _CHUNK records. A forked child formats each range but the
-    first into a temporary file while this process formats the first; the
-    ranges then follow in order. A range whose child fails, or cannot be
-    forked, is formatted here. Each record is formatted on its own, so the
-    text does not depend on where ranges or chunks are cut.
+    first into a temporary file while this process formats the first; each
+    child's file is then copied into `out` as written, in order. A range
+    whose child fails, or cannot be forked, is formatted here. Each record
+    is formatted on its own, so the bytes do not depend on where ranges or
+    chunks are cut. A failed write propagates once every child is reaped.
     """
     p = _TABLE[product]
     columns = p.columns(data)
@@ -715,24 +713,21 @@ def csv_chunks(product: str, data):
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             if (child := _fork_range(line, columns, lo, hi)) is not None:
                 pids[lo], files[lo] = child
-        yield p.header + "\n"
+        out.write(f"{p.header}\n".encode("ascii"))
         for lo, hi in zip(cuts, cuts[1:]):
             if lo in pids and _reap(pids, lo):
-                out = files[lo]
-                out.seek(0)
-                while piece := out.read(_PIECE):
-                    yield piece.decode("ascii")
+                files[lo].seek(0)
+                shutil.copyfileobj(files[lo], out)
             else:
-                yield from _record_lines(line, columns, lo, hi)
+                out.writelines(_record_lines(line, columns, lo, hi))
     finally:
-        # the consumer stopped early or raised: stop and reap the rest
         for pid in pids.values():
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-        for out in files.values():
-            out.close()
+        for f in files.values():
+            f.close()
 
 
 def _require_product(result: ScenarioResult, product: str):
@@ -752,8 +747,8 @@ def export_csv(result: ScenarioResult, product: str, destination) -> Path:
     """
     _require_product(result, product)
     path = Path(destination)
-    with path.open("w") as f:
-        f.writelines(csv_chunks(product, getattr(result, product)))
+    with path.open("wb") as f:
+        write_csv(product, getattr(result, product), f)
     return path
 
 

@@ -384,13 +384,13 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 def _initial_step(t0, t1, y0, f0, rtol, atol):
     """First step: 0.01 d0 / d1 from the scaled RMS norms of y0 and f0, or
-    1e-3 of the span where that is not a finite positive step (a norm too
-    small to trust, or one that overflows on a tolerance near 0)."""
+    1e-3 of the span where that step is 0, inf or too small to move t0 (a
+    norm too small to trust, or one that a tolerance near 0 inflates)."""
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 0.0
-    if not 0.0 < h < math.inf:
+    if not (0.0 < h < math.inf and t0 + h > t0):
         h = 1e-3 * (t1 - t0)
     return min(h, t1 - t0)
 
@@ -566,7 +566,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
     Aborts with ABORTED_BLOWUP when an accepted state exceeds the guard
     or the step size underflows near a finite-time singularity, and with
-    ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted.
+    ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted. A
+    first step that cannot move t0 is a ``ValueError``.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
     one; a result of the wrong length is a ``ValueError`` at every stage.
@@ -605,6 +606,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
                       f"initial state already exceeds guard {threshold:g}")
 
     h = float(_initial_step(t0, t1, y0, f, rtol, atol))
+    if t0 + h == t0:
+        raise ValueError(f"first step h = {h!r} does not move t0 = {t0!r}")
     k = np.empty((7, n))
     k[0] = f
     kT = k.T

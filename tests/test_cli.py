@@ -441,6 +441,19 @@ def test_adaptive_blowup_is_data_not_a_warning(tmp_path, capsys, doc):
                for line in lines[1:] for v in line.split(","))
 
 
+def test_adaptive_span_that_cannot_move_t0_is_an_error(tmp_path, capsys):
+    # the config loads, but no first step moves t0 = 1e16: no trajectory
+    # of one sample is written as a blow-up
+    doc = {"time": {"t0": 1e16, "t1": 1e16 + 40, "stride": 10000},
+           "solver": {"method": "adaptive"}, "outputs": ["trajectory"]}
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, doc)),
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: first step h = 0.04 does not move t0 = 1e+16\n")
+    assert not out.exists()
+
+
 class TestNonFinite:
     def test_overflowing_energy_skips_envelope_and_transition(
             self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scenario configuration parsing, run orchestration, and exports."""
 
+import io
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from memtrace import peak_bytes
 
 from milnesea import default_config_path, scenario
 from milnesea.environment import BathymetryProfile, SpectrumSeries
@@ -20,12 +22,16 @@ from milnesea.errors import ConfigError, NotComputedError
 from milnesea.milne import EnvelopeSample, envelope_q, hamiltonian_density
 from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
                                ScenarioResult, _estimate_summary, _evaluate,
-                               config_to_dict, csv_chunks, export_csv,
-                               export_json, grid_sweep, load_config, output_grid,
-                               result_to_dict, run_scenario)
+                               config_to_dict, export_csv, export_json,
+                               grid_sweep, load_config, output_grid,
+                               result_to_dict, run_scenario, write_csv)
 from milnesea.solver import (DEFAULT_DT, DEFAULT_MAX_STEPS, MIN_RTOL,
                              Trajectory)
 from milnesea.transition import FormComparison, compare_forms
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def load(doc: dict):
@@ -36,6 +42,13 @@ def problems_of(doc: dict):
     with pytest.raises(ConfigError) as err:
         load(doc)
     return err.value.problems
+
+
+def csv_text(product: str, data) -> str:
+    """The bytes write_csv writes for `product`, decoded."""
+    out = io.BytesIO()
+    write_csv(product, data, out)
+    return out.getvalue().decode("ascii")
 
 
 class TestDefaults:
@@ -674,8 +687,8 @@ class TestArraySweep:
                                   grid)
         assert reason == "envelope denominator vanishes at t=0.0"
         # exactly the rows of the times before t = 0
-        text = "".join(csv_chunks(product, data))
-        assert text == "".join(csv_chunks(product, point(grid[:8])))
+        text = csv_text(product, data)
+        assert text == csv_text(product, point(grid[:8]))
         lines = text.splitlines()
         per_time = 1 if product == "envelope" else 2
         assert [float(line.split(",")[0]) for line in lines[1:]] == \
@@ -698,8 +711,8 @@ class TestArraySweep:
                                   grid)
         assert reason == f"{product} is not finite at t={first!r}"
         n = int(np.searchsorted(grid, first))
-        text = "".join(csv_chunks(product, data))
-        assert text == "".join(csv_chunks(product, point(grid[:n])))
+        text = csv_text(product, data)
+        assert text == csv_text(product, point(grid[:n]))
         assert len(text.splitlines()) == 1 + n * (
             1 if product == "envelope" else 2)
         words = ("true", "false", "composed", "expanded")
@@ -838,7 +851,7 @@ class TestChunkedCsv:
     @staticmethod
     def check(tmp_path, product, data):
         expected = _reference_csv(product, data)
-        assert "".join(csv_chunks(product, data)) == expected
+        assert csv_text(product, data) == expected
         config = replace(load_config("{}"), outputs=(product,))
         result = ScenarioResult(config=config, **{product: data})
         path = export_csv(result, product, tmp_path / f"{product}.csv")
@@ -868,7 +881,7 @@ class TestChunkedCsv:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children csv_chunks forks, in order; afterwards no
+    """The pids of the children write_csv forks, in order; afterwards no
     child of this process is left, running or unreaped."""
     pids = []
 
@@ -889,8 +902,25 @@ def set_cpus(monkeypatch, n: int):
     monkeypatch.setattr(scenario, "_available_cpus", lambda: n)
 
 
+class FailingSink(io.RawIOBase):
+    """A binary file whose `fail_at`-th write raises OSError("disk full")."""
+
+    def __init__(self, fail_at=2):
+        super().__init__()
+        self.fail_at, self.writes = fail_at, 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError("disk full")
+        return len(b)
+
+
 class TestParallelCsv:
-    """Ranges of a large CSV are formatted by forked children; the text
+    """Ranges of a large CSV are formatted by forked children; the bytes
     must not depend on how many, and no child may outlive the export."""
 
     @pytest.mark.parametrize("n", [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
@@ -902,32 +932,15 @@ class TestParallelCsv:
                                             product, n):
         data = _records(product, n)
         set_cpus(monkeypatch, 1)
-        serial = "".join(csv_chunks(product, data))
+        serial = csv_text(product, data)
         assert serial == _reference_csv(product, data)
         assert forks == []
         # 5 workers start at most 4 children
         for workers in (2, 3, 5):
             set_cpus(monkeypatch, workers)
             forks.clear()
-            assert "".join(csv_chunks(product, data)) == serial
+            assert csv_text(product, data) == serial
             assert len(forks) == min(workers, n // _CHUNK) - 1
-
-    @pytest.mark.parametrize("product", ["transition", "bathymetry"])
-    def test_read_back_in_pieces_cut_inside_lines(self, monkeypatch, forks,
-                                                  product):
-        data = _records(product, 3 * _CHUNK + 5)
-        set_cpus(monkeypatch, 1)
-        serial = "".join(csv_chunks(product, data))
-        set_cpus(monkeypatch, 3)
-        monkeypatch.setattr(scenario, "_PIECE", 7)
-        pieces = list(csv_chunks(product, data))
-        assert "".join(pieces) == serial
-        assert len(forks) == 2
-        # the two children's ranges, about 2/3 of the text, come back 7
-        # bytes at a time
-        short = [p for p in pieces if len(p) <= 7]
-        assert not all(p.endswith("\n") for p in short)
-        assert sum(map(len, short)) > len(serial) // 2
 
     def test_failed_child_falls_back(self, monkeypatch, forks):
         parent, record_lines = os.getpid(), scenario._record_lines
@@ -940,7 +953,7 @@ class TestParallelCsv:
         data = _records("transition", 3 * _CHUNK + 1)
         set_cpus(monkeypatch, 3)
         monkeypatch.setattr(scenario, "_record_lines", fails_in_child)
-        assert "".join(csv_chunks("transition", data)) == _reference_csv(
+        assert csv_text("transition", data) == _reference_csv(
             "transition", data)
         assert len(forks) == 2
 
@@ -953,7 +966,7 @@ class TestParallelCsv:
         data = _records("spectrum", 2 * _CHUNK)
         set_cpus(monkeypatch, 2)
         monkeypatch.setattr(module, name, refuse)
-        assert "".join(csv_chunks("spectrum", data)) == _reference_csv(
+        assert csv_text("spectrum", data) == _reference_csv(
             "spectrum", data)
         assert forks == []
 
@@ -962,13 +975,13 @@ class TestParallelCsv:
         data = _records("spectrum", 2 * _CHUNK)
         available_cpus = scenario._available_cpus
         set_cpus(monkeypatch, 2)
-        forked = "".join(csv_chunks("spectrum", data))
+        forked = csv_text("spectrum", data)
         assert len(forks) == 1
         monkeypatch.setattr(scenario, "_available_cpus", available_cpus)
         monkeypatch.delattr(os, name)
         forks.clear()
         assert scenario._available_cpus() == 1
-        assert "".join(csv_chunks("spectrum", data)) == forked
+        assert csv_text("spectrum", data) == forked
         assert forks == []
 
     def test_children_reaped_elsewhere(self, monkeypatch, forks):
@@ -978,48 +991,87 @@ class TestParallelCsv:
         set_cpus(monkeypatch, 3)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            text = "".join(csv_chunks("bathymetry", data))
-            gen = csv_chunks("bathymetry", data)
-            next(gen)
-            gen.close()
+            text = csv_text("bathymetry", data)
+            with pytest.raises(OSError, match="disk full"):
+                write_csv("bathymetry", data, FailingSink())
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert text == _reference_csv("bathymetry", data)
         assert len(forks) == 4
 
-    @staticmethod
-    def assert_reaped(pids):
-        for pid in pids:
+    def check_reaped_and_closed(self, monkeypatch, forks, product, sink):
+        files, fork_range = [], scenario._fork_range
+
+        def keep_file(*args):
+            child = fork_range(*args)
+            files.append(child[1])
+            return child
+
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(scenario, "_fork_range", keep_file)
+        data = _records(product, 3 * _CHUNK)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(product, data, sink)
+        assert sink.writes == sink.fail_at
+        assert len(forks) == 2
+        for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+        assert all(f.closed for f in files)
 
     def test_close_after_the_header_reaps_children(self, monkeypatch, forks):
-        set_cpus(monkeypatch, 3)
-        gen = csv_chunks("bathymetry", _records("bathymetry", 3 * _CHUNK))
-        assert next(gen) == "x,zeta\n"
-        assert len(forks) == 2
-        gen.close()
-        self.assert_reaped(forks)
+        # the export stops at the first write after the header, before
+        # either child is waited for
+        self.check_reaped_and_closed(monkeypatch, forks, "bathymetry",
+                                     FailingSink(fail_at=2))
 
     def test_failed_write_reaps_children(self, monkeypatch, forks):
-        set_cpus(monkeypatch, 3)
-        gen = csv_chunks("trajectory", _records("trajectory", 3 * _CHUNK))
-        next(gen), next(gen)
-        with pytest.raises(OSError, match="disk full"):
-            gen.throw(OSError("disk full"))
-        assert len(forks) == 2
-        self.assert_reaped(forks)
+        # the header and the first range are written; the copy of the
+        # first child's file fails, with the second child still unreaped
+        self.check_reaped_and_closed(monkeypatch, forks, "trajectory",
+                                     FailingSink(fail_at=3))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_export_peak_stays_near_one_chunk(self, tmp_path, monkeypatch,
+                                              cpus):
+        # the parent formats one chunk, or copies one buffer, at a time:
+        # ~640 KiB of traced peak on the spectrum and ~525 KiB on the
+        # bathymetry, where one range of either is megabytes of text
+        doc, _ = workloads.make("env-tables", 0)
+        result = run_scenario(load(doc))
+        set_cpus(monkeypatch, cpus)
+        for product, bound in (("spectrum", 800), ("bathymetry", 656)):
+            path = tmp_path / f"{product}.csv"
+            _, peak = peak_bytes(lambda: export_csv(result, product, path))
+            assert peak < bound * 1024, (product, peak)
+
+    # -X dev -W error: an unclosed file or a fork warning fails the child
+    CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "milnesea.cli"]
+    ENV = {**os.environ,
+           "PYTHONPATH": str(Path(scenario.__file__).parents[1])}
 
     def test_cli_pipe_output_is_not_duplicated(self, forks):
         # children exit without flushing the parent's stdout buffer
-        src = Path(scenario.__file__).parents[1]
         done = subprocess.run(
-            [sys.executable, "-m", "milnesea.cli", "spectrum",
-             "--wind-speed", "10", "--samples", "20000"],
-            stdout=subprocess.PIPE, check=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            [*self.CLI, "spectrum", "--wind-speed", "10", "--samples",
+             "20000"], capture_output=True, check=True, timeout=60,
+            env=self.ENV)
+        assert done.stderr == b""
         lines = done.stdout.decode().splitlines()
         assert len(lines) == 20_001
         assert lines[0] == "k,S"
         k = [float(row.split(",")[0]) for row in lines[1:]]
         assert all(a < b for a, b in zip(k, k[1:]))
+
+    def test_cli_closed_stdout_ends_quietly(self, forks):
+        # the reader stops after two lines, as `| head -2` does: ~0.9 MB
+        # is still unwritten, so a write meets the closed pipe
+        with subprocess.Popen(
+                [*self.CLI, "spectrum", "--wind-speed", "10", "--samples",
+                 "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=self.ENV) as child:
+            assert child.stdout.readline() == b"k,S\n"
+            assert child.stdout.readline().startswith(b"0.001,")
+            child.stdout.close()
+            assert child.wait(timeout=60) == 1
+            assert child.stderr.read() == b""

@@ -886,6 +886,37 @@ class TestAdaptive:
         traj = integrate_adaptive(lambda t, y: (1e300,), [1.0], (0.0, 2.0))
         assert traj.message == "|state| exceeded 1e+06 at t=0.002"
 
+    def test_first_step_that_cannot_move_t0_refused(self):
+        # at t0 = 1e16 the float spacing is 2, so neither the first step,
+        # 0.01, nor its fallback, 1e-3 of the span, moves t: this run used
+        # to end at once as a suspected finite-time singularity
+        rhs, calls = counting(lambda t, y: (-y[0],))
+        with pytest.raises(ValueError, match=re.escape(
+                "first step h = 0.04 does not move t0 = 1e+16")):
+            integrate_adaptive(rhs, [1.0], (1e16, 1e16 + 40))
+        assert len(calls) == 1
+
+    def test_first_step_below_the_spacing_at_t0_falls_back(self):
+        # p' = 0 scaled by atol 1e-16 makes 0.01 d0 / d1 9.3e-17, which
+        # does not move t0 = 9 (spacing 1.8e-15): this harmless oscillator
+        # used to end at once as a suspected finite-time singularity
+        traj = integrate_adaptive(lambda t, y: (y[1], -54.0 * y[0]),
+                                  [1.0, 0.0], (9.0, 10.0), rtol=2e-4,
+                                  atol=1e-16)
+        assert traj.completed
+        assert traj.times[1] == 9.0 + 1e-3
+        assert traj.states[-1, 0] == pytest.approx(math.cos(54 ** 0.5),
+                                                   rel=0.02)
+
+    def test_first_step_below_the_spacing_at_t1_runs(self):
+        # h starts at 1e-17, under 4 float spacings at t1 = 1 (8.9e-16),
+        # but it moves t0 = 0, and the run completes
+        traj = integrate_adaptive(lambda t, y: (1e15,), [1.0], (0.0, 1.0),
+                                  blowup_threshold=1e300)
+        assert traj.completed
+        assert traj.times[1] - traj.times[0] < 4 * math.ulp(1.0)
+        assert (len(traj), traj.rhs_evals) == (27, 157)
+
     @pytest.mark.parametrize("name", ["rtol", "atol", "blowup_threshold"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_tolerances_and_guard(self, name, value):
