@@ -34,7 +34,7 @@ import tempfile
 import warnings
 from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -494,15 +494,6 @@ def output_grid(config: ScenarioConfig) -> np.ndarray:
     return config.t0 + h * np.arange(grid_points(config.t1 - config.t0, h))
 
 
-def _evaluate(product: str, config: ScenarioConfig, params: DynamicalParams,
-              t):
-    """The envelope or the transition forms of `params` at time(s) t."""
-    if product == "envelope":
-        return envelope_q(params.e_m, params.tau, config.signal,
-                          config.medium, t)
-    return compare_forms(*params, config.signal, config.medium, t)
-
-
 def _first_nonfinite(product: str, data) -> Optional[int]:
     """Index of the first record whose CSV would write a non-finite number."""
     # one boolean per value, never a stacked copy of the float columns:
@@ -515,13 +506,19 @@ def _first_nonfinite(product: str, data) -> Optional[int]:
 
 def grid_sweep(product: str, config: ScenarioConfig, params: DynamicalParams,
                grid: np.ndarray):
-    """`product` over the grid in one call, cut before the first bad time.
+    """The envelope or the transition forms of `params` over the grid in
+    one call, cut before the first bad time.
 
     A time is bad where the CSV would write a non-finite number, as it
     does where the envelope denominator vanishes. Returns the product at
-    the times before it and why that time is bad (None if none is).
+    the times before it, sliced from the one evaluation, and why that
+    time is bad (None if none is).
     """
-    data = _evaluate(product, config, params, grid)
+    if product == "envelope":
+        data = envelope_q(params.e_m, params.tau, config.signal,
+                          config.medium, grid)
+    else:
+        data = compare_forms(*params, config.signal, config.medium, grid)
     i = _first_nonfinite(product, data)
     if i is None:
         return data, None
@@ -529,7 +526,8 @@ def grid_sweep(product: str, config: ScenarioConfig, params: DynamicalParams,
     what = ("envelope denominator vanishes"
             if envelope_denominator(config.signal, config.medium, t) == 0.0
             else f"{product} is not finite")
-    return _evaluate(product, config, params, grid[:i]), f"{what} at t={t!r}"
+    head = {f.name: getattr(data, f.name)[:i] for f in fields(data)}
+    return replace(data, **head), f"{what} at t={t!r}"
 
 
 def _estimate_summary(trajectory: Trajectory,
@@ -591,13 +589,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         else:
             result.summary = params._replace(delta=wrap_angle(params.delta))
 
-    for product in ("envelope", "transition"):
-        if product not in requested:
-            continue
+    sweeps = [p for p in ("envelope", "transition") if p in requested]
+    grid = output_grid(config) if sweeps and params is not None else None
+    for product in sweeps:
         data, reason = None, params_skip_reason
         if params is not None:
-            data, reason = grid_sweep(product, config, params,
-                                      output_grid(config))
+            data, reason = grid_sweep(product, config, params, grid)
         if reason is None:
             setattr(result, product, data)
         else:
@@ -785,9 +782,11 @@ def result_to_dict(result: ScenarioResult) -> dict:
 
 
 def export_json(result: ScenarioResult, destination) -> Path:
-    """Write the run summary document (schema_version 1) as stable JSON."""
+    """Write the run summary document (schema_version 1) as stable JSON,
+    encoded to ASCII bytes as write_csv's lines are, so neither newline
+    translation nor the locale's encoding can change them."""
     path = Path(destination)
     text = json.dumps(result_to_dict(result), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-    path.write_text(text)
+    path.write_bytes(text.encode("ascii"))
     return path

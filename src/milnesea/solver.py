@@ -31,13 +31,14 @@ Both record their samples into flat ``array("d")`` buffers, one of times
 and one of states laid end to end, and wrap them as the trajectory's
 arrays when the run ends: 8 bytes per time and per state component, with
 no per-sample Python object kept. The trajectory also counts the run's
-right-hand-side calls, accepted, rejected and retried steps and its step
-range (see ``Trajectory``).
+right-hand-side calls, rejected and retried steps, and reads its accepted
+steps and step range off its times (see ``Trajectory``).
 
 Divergence is an expected physical regime here (the medium can pump energy
 into a signal until the pressure grows without bound), so hitting the
 blow-up guard is reported as a trajectory status instead of raised as an
-exception. Callers inspect ``Trajectory.status``.
+exception. Callers inspect ``Trajectory.status``. Both runs end by one
+rule (``_recorder``), so both keep only finite states.
 """
 
 from __future__ import annotations
@@ -106,13 +107,12 @@ class Trajectory:
     copied here; each run has buffers of its own.
 
     The counters say what the run cost: ``rhs_evals`` right-hand-side
-    calls, ``accepted`` steps (one per recorded sample after the first),
-    ``rejected`` attempts (error test failed) and ``retried`` attempts (a
-    non-finite stage or error norm), and ``h_min``/``h_max``, the least
-    and greatest spacing of the recorded times (None with fewer than two
-    samples). A fixed-step run makes four calls per step and neither
-    rejects nor retries. They are deterministic, and no output file
-    carries them.
+    calls, ``rejected`` attempts (error test failed) and ``retried``
+    attempts (a non-finite stage or error norm). The step statistics
+    ``accepted``, ``h_min`` and ``h_max`` are read off ``times``, so they
+    cannot disagree with the samples. A fixed-step run makes four calls
+    per step and neither rejects nor retries. They are deterministic, and
+    no output file carries them.
     """
 
     times: np.ndarray
@@ -120,11 +120,8 @@ class Trajectory:
     status: str = COMPLETED
     message: Optional[str] = None
     rhs_evals: int = 0
-    accepted: int = 0
     rejected: int = 0
     retried: int = 0
-    h_min: Optional[float] = None
-    h_max: Optional[float] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -152,6 +149,18 @@ class Trajectory:
     @property
     def last_time(self) -> float:
         return float(self.times[-1])
+
+    @property
+    def accepted(self) -> int:
+        return max(len(self) - 1, 0)
+
+    @property
+    def h_min(self) -> Optional[float]:
+        return float(np.diff(self.times).min()) if len(self) > 1 else None
+
+    @property
+    def h_max(self) -> Optional[float]:
+        return float(np.diff(self.times).max()) if len(self) > 1 else None
 
 
 def default_blowup_threshold(y0) -> float:
@@ -197,19 +206,36 @@ def _check_rhs_length(f, n: int) -> None:
                          f"state of length {n}")
 
 
-def _recorder(t0: float, y: tuple):
-    """Flat sample buffers holding (t0, y), and their finish(status,
-    message, **counters) that wraps them as a Trajectory, with the
-    accepted steps and step range read off the recorded times."""
+def _recorder(t0: float, y: tuple, threshold: float, max_steps=None):
+    """Flat sample buffers holding (t0, y), and their finish(end, t,
+    state=None, rhs_evals=0, **counters), both integrators' one end-of-run
+    rule: it records an out-of-range ``state`` at t if finite, and wraps
+    the buffers as a Trajectory with the status and message of ``end``
+    ("t1", "initial", "guard", "underflow" or "limit") from one table.
+    """
     times, states = array("d", [t0]), array("d", y)
 
-    def finish(status, message=None, **counters):
-        t = np.frombuffer(times)
-        if t.size > 1:
-            h = np.diff(t)
-            counters.update(h_min=float(h.min()), h_max=float(h.max()))
-        return Trajectory(t, np.frombuffer(states).reshape(-1, len(y)),
-                          status, message, accepted=t.size - 1, **counters)
+    def finish(end, t, state=None, rhs_evals=0, **counters):
+        if end == "guard" and all(map(math.isfinite, state)):
+            times.append(t)
+            states.extend(state)
+        elif end == "guard":
+            end = "non-finite"
+        status, text = {
+            "t1": (COMPLETED, None),
+            "initial": (ABORTED_BLOWUP,
+                        "initial state already exceeds guard {thr:g}"),
+            "guard": (ABORTED_BLOWUP, "|state| exceeded {thr:g} at t={t:.6g}"),
+            "non-finite": (ABORTED_BLOWUP, "non-finite state near t={t:.6g}"),
+            "underflow": (ABORTED_BLOWUP, "step size underflow at t={t:.6g} "
+                          "(finite-time singularity suspected)"),
+            "limit": (ABORTED_STEP_LIMIT,
+                      "gave up after {max_steps} step attempts at t={t:.6g}"),
+        }[end]
+        message = text and text.format(t=t, thr=threshold, max_steps=max_steps)
+        return Trajectory(np.frombuffer(times),
+                          np.frombuffer(states).reshape(-1, len(y)),
+                          status, message, rhs_evals, **counters)
 
     return times, states, finish
 
@@ -267,11 +293,11 @@ def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend):
         h6 = h / 6.0
         y = {y} = {update}
         if not ({in_range}):
-            return i, y
+            return "guard", t_next, y, 4 * i + 4
         append(t_next)
         extend(y)
         t = t_next
-    return steps, y
+    return "t1", t, None, 4 * steps
 """
 
 
@@ -287,11 +313,11 @@ def _rk4_run(n: int):
     ``t0 + dt * i``. Every stage result and state is unpacked into names,
     so a result of the wrong length is a ``ValueError``, and each state
     component is tested once, ``-thr <= y_j <= thr``, which fails on nan,
-    on inf and past the guard alike. The run returns ``(steps_done, y)``:
-    ``steps`` and the last state, or the steps recorded before the first
-    state that failed, and that state. Each component takes the float
-    operations of the array form y + (h/6) (k1 + 2 k2 + 2 k3 + k4) in
-    that form's order, so the result is the same to the last bit.
+    on inf and past the guard alike. It returns ``(end, t, state, calls)``:
+    "t1", t1 and None, or "guard" and the first failed state, unrecorded,
+    and its time; ``calls`` is 4 per step made. Each component takes the
+    float operations of the array form y + (h/6) (k1 + 2 k2 + 2 k3 + k4)
+    in that form's order, so the result is the same to the last bit.
 
     The cost grows with n. On a 2-CPU Xeon host (Python 3.11),
     generation took 0.3-0.6 ms at n = 2 and 60-100 ms at n = 1,000. From
@@ -321,15 +347,15 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     last time moved or appended onto t1 (see fixed_steps). Every step is
     recorded. If any state component exceeds ``blowup_threshold`` in
     magnitude the offending state is recorded (it is still finite) and
-    integration stops with status ABORTED_BLOWUP; a non-finite
-    right-hand side aborts the same way without recording.
+    integration stops with status ABORTED_BLOWUP; a non-finite state
+    aborts the same way without recording.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
     one. The whole run is generated once per state length (``_rk4_run``)
     and updates each component in the order of the array form
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the result is the same to the
-    last bit. It returns at the first state out of range, and the two
-    aborts above are told apart here.
+    last bit. It returns at the first state out of range, and
+    ``_recorder``'s rule tells the two aborts above apart.
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
@@ -339,29 +365,15 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     check_step(t0, t1, dt)
 
     y = tuple(y0.tolist())
-    times, states, finish = _recorder(t0, y)
-
+    times, states, finish = _recorder(t0, y, threshold)
     if max(map(abs, y)) > threshold:
-        return finish(ABORTED_BLOWUP,
-                      f"initial state already exceeds guard {threshold:g}")
+        return finish("initial", t0)
 
     t = t0 + dt * 0  # not t0: the grid's first time is +0.0 for -0.0
     k1 = rhs(t, y)
     _check_rhs_length(k1, len(y))  # the run's unpacking names neither length
-    done, y = _rk4_run(len(y))(rhs, t, y, k1, t0, dt, t1, steps, threshold,
-                               times.append, states.extend)
-    if done == steps:
-        return finish(COMPLETED, rhs_evals=4 * steps)
-
-    t_next = t0 + dt * (done + 1) if done < steps - 1 else t1
-    if not all(map(math.isfinite, y)):
-        return finish(ABORTED_BLOWUP, f"non-finite state near t={t_next:.6g}",
-                      rhs_evals=4 * (done + 1))
-    times.append(t_next)
-    states.extend(y)
-    return finish(ABORTED_BLOWUP,
-                  f"|state| exceeded {threshold:g} at t={t_next:.6g}",
-                  rhs_evals=4 * (done + 1))
+    return finish(*_rk4_run(len(y))(rhs, t, y, k1, t0, dt, t1, steps,
+                                    threshold, times.append, states.extend))
 
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order weight
@@ -413,7 +425,7 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
     attempts = rejected = retried = calls = 0
     while t < t1:
         if attempts >= max_steps:
-            return "limit", t, calls, rejected, retried
+            return "limit", t, None, calls, rejected, retried
         attempts += 1
         if windows:
             h = cap(h, t, windows)
@@ -421,7 +433,7 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
         if last:
             h = t1 - t
         if t + h == t:
-            return "underflow", t, calls, rejected, retried
+            return "underflow", t, None, calls, rejected, retried
         km[:{n}] = f
         {f} = f
 {stages}
@@ -439,10 +451,10 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
             h *= g if g > 0.2 else 0.2
             continue
         t = t1 if last else t + h
+        if not ({in_range}):
+            return "guard", t, z, calls, rejected, retried
         append(t)
         extend(z)
-        if not ({in_range}):
-            return "guard", t, calls, rejected, retried
         {y} = z
         f = fsal
         if err == 0.0:
@@ -451,7 +463,7 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
             g = 0.9 * err ** -0.2
             g = g if g > 0.2 else 0.2
             h *= g if g < 5.0 else 5.0
-    return None, t, calls, rejected, retried
+    return "t1", t, None, calls, rejected, retried
 """
 
 
@@ -464,10 +476,10 @@ def _dp_run(n: int):
     windows, max_steps, append, extend)``, integrate_adaptive's step
     loop: from the state tuple ``y`` at ``t`` and the first step ``h``
     it attempts steps until ``t1``, passing each accepted time to
-    ``append`` and state to ``extend``. It returns ``(end, t, calls,
-    rejected, retried)``: ``end`` is None at t1, "limit" (``max_steps``
+    ``append`` and state to ``extend``. It returns ``(end, t, state,
+    calls, rejected, retried)``: ``end`` is "t1", "limit" (``max_steps``
     attempts made), "underflow" (a step too small to move t) or "guard"
-    (a state recorded outside [-thr, thr]), ``t`` where that happened.
+    (``state``, unrecorded, is past [-thr, thr]), ``t`` where that happened.
 
     ``km`` is a flat memoryview of the (7, n) stage buffer and ``f`` a
     view of the row holding the derivative at (t, y), which each attempt
@@ -476,9 +488,9 @@ def _dp_run(n: int):
     of the wrong length is a ``ValueError``. A non-finite stage or error
     norm retries the step at a quarter of its size. Each component is
     guarded once, ``-thr <= z_j <= thr``, which fails on inf and past the
-    guard alike; a nan state has a nan norm and never gets there. The
-    step factors are conditional expressions that give what ``min`` and
-    ``max`` give, nan included.
+    guard alike (``_recorder`` tells them apart); a nan state has a nan
+    norm and never gets there. The step factors are conditional
+    expressions that give what ``min`` and ``max`` give, nan included.
 
     ``dots`` holds six calls without arguments: the sums of stages 2 to 6
     and of the error weights, each ``kT[:, :i].dot(a, sums)`` on the
@@ -565,9 +577,10 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     narrower than that cannot stall the run.
 
     Aborts with ABORTED_BLOWUP when an accepted state exceeds the guard
-    or the step size underflows near a finite-time singularity, and with
-    ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted. A
-    first step that cannot move t0 is a ``ValueError``.
+    (recorded only if finite) or the step size underflows near a
+    finite-time singularity, and with ABORTED_STEP_LIMIT when
+    ``max_steps`` step attempts are exhausted. A first step that cannot
+    move t0 is a ``ValueError``.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
     one; a result of the wrong length is a ``ValueError`` at every stage.
@@ -599,11 +612,9 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         return Trajectory(np.empty(0), np.empty((0, n)), ABORTED_BLOWUP,
                           f"non-finite right-hand side at t={t0:.6g}",
                           rhs_evals=1)
-    times, states, finish = _recorder(t0, y)
-
+    times, states, finish = _recorder(t0, y, threshold, max_steps)
     if max(map(abs, y)) > threshold:
-        return finish(ABORTED_BLOWUP,
-                      f"initial state already exceeds guard {threshold:g}")
+        return finish("initial", t0, rhs_evals=1)
 
     h = float(_initial_step(t0, t1, y0, f, rtol, atol))
     if t0 + h == t0:
@@ -616,19 +627,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
                  for i in range(2, 7)) + (functools.partial(kT.dot, _E, sums),)
     km = memoryview(k).cast("B").cast("d")
     # row 0 holds f until the first accepted step, and row 6 from then on
-    end, t, calls, rejected, retried = _dp_run(n)(
+    end, t, z, calls, rejected, retried = _dp_run(n)(
         rhs, t0, y, h, km[:n], t1, km, dots, memoryview(sums), atol, rtol,
         threshold, windows, max_steps, times.append, states.extend)
-
-    status, message = COMPLETED, None
-    if end == "limit":
-        status, message = (ABORTED_STEP_LIMIT, f"gave up after {max_steps} "
-                           f"step attempts at t={t:.6g}")
-    elif end == "underflow":
-        status, message = (ABORTED_BLOWUP, f"step size underflow at "
-                           f"t={t:.6g} (finite-time singularity suspected)")
-    elif end == "guard":
-        status, message = (ABORTED_BLOWUP,
-                           f"|state| exceeded {threshold:g} at t={t:.6g}")
-    return finish(status, message, rhs_evals=1 + calls, rejected=rejected,
+    return finish(end, t, z, rhs_evals=1 + calls, rejected=rejected,
                   retried=retried)

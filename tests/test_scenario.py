@@ -21,7 +21,7 @@ from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
 from milnesea.milne import EnvelopeSample, envelope_q, hamiltonian_density
 from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
-                               ScenarioResult, _estimate_summary, _evaluate,
+                               ScenarioResult, _estimate_summary,
                                config_to_dict, export_csv, export_json,
                                grid_sweep, load_config, output_grid,
                                result_to_dict, run_scenario, write_csv)
@@ -624,7 +624,11 @@ SWEPT_MEDIA = {
 
 
 def point_of(product, config):
-    return partial(_evaluate, product, config, config.dynamical_params)
+    e_m, delta, tau = config.dynamical_params
+    if product == "envelope":
+        return partial(envelope_q, e_m, tau, config.signal, config.medium)
+    return partial(compare_forms, e_m, delta, tau, config.signal,
+                   config.medium)
 
 
 def beta_zero_config(t0, dt, e_m):
@@ -665,17 +669,29 @@ class TestArraySweep:
 
     @pytest.mark.parametrize("product", ["envelope", "transition"])
     def test_clean_grid_is_evaluated_once(self, product, monkeypatch):
-        config = beta_zero_config(0.125, 0.125, 1.0)  # t = 0 is off the grid
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return _evaluate(*args)
-        monkeypatch.setattr(scenario, "_evaluate", counted)
-        data, reason = grid_sweep(product, config, config.dynamical_params,
-                                  output_grid(config))
-        assert reason is None and len(calls) == 1
-        assert len(data.t) == 8
+        def counted(name):
+            kernel = getattr(scenario, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return kernel(*args)
+            return wrapper
+        for name in ("envelope_q", "compare_forms"):
+            monkeypatch.setattr(scenario, name, counted(name))
+        # t = 0 is off the first grid and the ninth time of the second: a
+        # cut grid is sliced from its one evaluation too
+        for t0, cut in ((0.125, None),
+                        (-1.0, "envelope denominator vanishes at t=0.0")):
+            config = beta_zero_config(t0, 0.125, 1.0)
+            calls.clear()
+            data, reason = grid_sweep(product, config,
+                                      config.dynamical_params,
+                                      output_grid(config))
+            assert reason == cut and len(data.t) == 8
+            assert calls == ["envelope_q" if product == "envelope"
+                             else "compare_forms"]
 
     @pytest.mark.parametrize("product", ["envelope", "transition"])
     def test_zero_denominator_mid_grid(self, product):

@@ -411,11 +411,11 @@ def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend):
         y = (y0, y1) = (y0 + h6 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0), \
 y1 + h6 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1))
         if not (lo <= y0 <= thr and lo <= y1 <= thr):
-            return i, y
+            return "guard", t_next, y, 4 * i + 4
         append(t_next)
         extend(y)
         t = t_next
-    return steps, y
+    return "t1", t, None, 4 * steps
 """
 
 
@@ -487,7 +487,8 @@ def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
     """Dormand-Prince 5(4) with one comprehension per stage.
 
     The loop form of integrate_adaptive: the same step control, guard and
-    messages, with each stage's row of a (7, n) numpy buffer filled by
+    messages, an accepted non-finite state left unrecorded as in
+    comprehension_rk4, and each stage's row of a (7, n) numpy buffer filled by
     ``k[i] = ki``, its tuple built by zip over the components, and the
     FSAL derivative kept as the view ``k[6]``, so an attempt after a
     rejection starts from the rejected trial's last stage. The generated
@@ -559,6 +560,9 @@ def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
         t_new = t1 if last else t + h
+        if not all(map(math.isfinite, y_new)):
+            return finish(solver.ABORTED_BLOWUP,
+                          f"non-finite state near t={t_new:.6g}")
         times.append(t_new)
         states.append(y_new)
         if max(map(abs, y_new)) > threshold:
@@ -570,6 +574,12 @@ def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
         else:
             h *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
     return finish(solver.COMPLETED)
+
+
+def steep(t, y):
+    # a constant rate: the error estimate stays finite, so a step from near
+    # the largest float onto inf is accepted
+    return tuple([1e307] * len(y))
 
 
 def sign_chain(t, y):
@@ -589,7 +599,7 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
     attempts = rejected = retried = calls = 0
     while t < t1:
         if attempts >= max_steps:
-            return "limit", t, calls, rejected, retried
+            return "limit", t, None, calls, rejected, retried
         attempts += 1
         if windows:
             h = cap(h, t, windows)
@@ -597,7 +607,7 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
         if last:
             h = t1 - t
         if t + h == t:
-            return "underflow", t, calls, rejected, retried
+            return "underflow", t, None, calls, rejected, retried
         km[:2] = f
         (f0, f1) = f
         (km[2], km[3]) = (k0, k1) = rhs(t + 0.2 * h, \
@@ -670,10 +680,10 @@ y1 + h * s1))
             h *= g if g > 0.2 else 0.2
             continue
         t = t1 if last else t + h
+        if not (lo <= z0 <= thr and lo <= z1 <= thr):
+            return "guard", t, z, calls, rejected, retried
         append(t)
         extend(z)
-        if not (lo <= z0 <= thr and lo <= z1 <= thr):
-            return "guard", t, calls, rejected, retried
         (y0, y1) = z
         f = fsal
         if err == 0.0:
@@ -682,7 +692,7 @@ y1 + h * s1))
             g = 0.9 * err ** -0.2
             g = g if g > 0.2 else 0.2
             h *= g if g < 5.0 else 5.0
-    return None, t, calls, rejected, retried
+    return "t1", t, None, calls, rejected, retried
 """
 
 
@@ -719,9 +729,13 @@ class TestGeneratedAttempt:
             (coupled, [0.75, 1.0, 1.25], 1e-4, 1e-2, sys.float_info.max,
              solver.DEFAULT_MAX_STEPS, "step size underflow", "retried"),
             (coupled, [0.75, 1.0, 1.25], 1e-3, 1e-12, None, 40,
-             "gave up after 40", "rejected")],
+             "gave up after 40", "rejected"),
+            # no finite state passes this guard: the accepted inf ends the
+            # run, unrecorded
+            (steep, [1.6e308, 1.7e308], 1e-6, 1e-12, None,
+             solver.DEFAULT_MAX_STEPS, "non-finite state", "accepted")],
         ids=["signed-zeros-and-subnormals", "guard", "overflow",
-             "step-limit"])
+             "step-limit", "overflow-to-inf"])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_the_comprehension_form(self, n, rhs, pool, rtol, atol,
                                             threshold, max_steps, ends,
@@ -831,6 +845,14 @@ class TestAdaptive:
         assert traj.status == solver.ABORTED_BLOWUP
         assert np.all(np.isfinite(traj.states))
         assert 9.0 < traj.last_time < 12.1
+
+    def test_state_that_overflows_is_not_recorded(self):
+        # every finite state passes the default guard, the largest float;
+        # the accepted step onto inf ends the run as in integrate_fixed
+        traj = integrate_adaptive(lambda t, y: (1e305,), [1.7e308],
+                                  (0.0, 1e5))
+        assert traj.message == "non-finite state near t=102"
+        assert len(traj) > 1 and np.all(np.isfinite(traj.states))
 
     def test_step_limit(self):
         traj = integrate_adaptive(harmonic, [1.0, 0.0], (0.0, 100.0),
@@ -1184,8 +1206,10 @@ class TestCounters:
 
     @pytest.mark.parametrize("method", [integrate_fixed, integrate_adaptive])
     def test_run_without_a_step(self, method):
-        traj = method(decay, [2.0], (0.0, 1.0), blowup_threshold=1.0)
+        rhs, calls = counting(decay)
+        traj = method(rhs, [2.0], (0.0, 1.0), blowup_threshold=1.0)
         assert traj.message.startswith("initial state already exceeds")
+        assert traj.rhs_evals == len(calls)
         assert (traj.accepted, traj.rejected, traj.retried) == (0, 0, 0)
         assert traj.h_min is traj.h_max is None
 
@@ -1236,6 +1260,13 @@ class TestTrajectory:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0]), np.zeros((1, 1)), status="done")
+
+    def test_step_statistics_are_read_off_the_times(self):
+        traj = Trajectory(np.array([0.0, 0.5, 2.0]), np.zeros((3, 1)))
+        assert (traj.accepted, traj.h_min, traj.h_max) == (2, 0.5, 1.5)
+        with pytest.raises(TypeError):
+            Trajectory(np.array([0.0]), np.zeros((1, 1)), accepted=3)
+
     def test_order_check_matches_the_difference_test(self):
         # a > b exactly when a - b > 0, with inf, nan and overflow included;
         # the comparison takes no difference, so it never warns
