@@ -777,7 +777,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
         doc["solver_status"] = {"status": traj.status,
                                 "message": traj.message,
                                 "samples": len(traj),
-                                "last_time": traj.last_time if len(traj) else None}
+                                "last_time": traj.last_time}
     return doc
 
 

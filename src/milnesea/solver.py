@@ -37,8 +37,9 @@ steps and step range off its times (see ``Trajectory``).
 Divergence is an expected physical regime here (the medium can pump energy
 into a signal until the pressure grows without bound), so hitting the
 blow-up guard is reported as a trajectory status instead of raised as an
-exception. Callers inspect ``Trajectory.status``. Both runs end by one
-rule (``_recorder``), so both keep only finite states.
+exception. Callers inspect ``Trajectory.status``. Both runs test the guard
+before any RHS call and end by one rule (``_recorder``), so both keep t0
+and only finite states.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class Trajectory:
 
     ``times`` is strictly increasing and ``states`` has one row per time.
     ``status`` is one of COMPLETED, ABORTED_BLOWUP, ABORTED_STEP_LIMIT;
-    aborted trajectories carry a diagnostic ``message`` and keep every
-    finite state recorded up to the abort.
+    aborted trajectories carry a diagnostic ``message``. An integrator's
+    trajectory holds its t0 sample and every finite state up to the end.
 
     The integrators pass C-contiguous float64 arrays that view the flat
     buffers they recorded into (see the module docstring), so none is
@@ -209,9 +210,9 @@ def _check_rhs_length(f, n: int) -> None:
 def _recorder(t0: float, y: tuple, threshold: float, max_steps=None):
     """Flat sample buffers holding (t0, y), and their finish(end, t,
     state=None, rhs_evals=0, **counters), both integrators' one end-of-run
-    rule: it records an out-of-range ``state`` at t if finite, and wraps
-    the buffers as a Trajectory with the status and message of ``end``
-    ("t1", "initial", "guard", "underflow" or "limit") from one table.
+    rule: it records an out-of-range finite ``state`` at t and wraps the
+    buffers as a Trajectory with the status and message of ``end`` ("t1",
+    "initial", "guard", "non-finite", "underflow" or "limit") from one table.
     """
     times, states = array("d", [t0]), array("d", y)
 
@@ -576,11 +577,12 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     The width is floored at the float spacing at t, so a window
     narrower than that cannot stall the run.
 
-    Aborts with ABORTED_BLOWUP when an accepted state exceeds the guard
-    (recorded only if finite) or the step size underflows near a
-    finite-time singularity, and with ABORTED_STEP_LIMIT when
-    ``max_steps`` step attempts are exhausted. A first step that cannot
-    move t0 is a ``ValueError``.
+    Aborts with ABORTED_BLOWUP when the initial state exceeds the guard
+    (tested before any ``rhs`` call), when rhs(t0, y0) is non-finite,
+    when an accepted state exceeds the guard (recorded only if finite) or
+    when the step size underflows near a finite-time singularity, and with
+    ABORTED_STEP_LIMIT when ``max_steps`` step attempts are exhausted. A
+    first step that cannot move t0 is a ``ValueError``.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
     one; a result of the wrong length is a ``ValueError`` at every stage.
@@ -606,15 +608,13 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
 
     n = y0.size
     y = tuple(y0.tolist())
+    times, states, finish = _recorder(t0, y, threshold, max_steps)
+    if max(map(abs, y)) > threshold:
+        return finish("initial", t0)
     f = rhs(t0, y)
     _check_rhs_length(f, n)
     if not all(map(math.isfinite, f)):
-        return Trajectory(np.empty(0), np.empty((0, n)), ABORTED_BLOWUP,
-                          f"non-finite right-hand side at t={t0:.6g}",
-                          rhs_evals=1)
-    times, states, finish = _recorder(t0, y, threshold, max_steps)
-    if max(map(abs, y)) > threshold:
-        return finish("initial", t0, rhs_evals=1)
+        return finish("non-finite", t0, rhs_evals=1)
 
     h = float(_initial_step(t0, t1, y0, f, rtol, atol))
     if t0 + h == t0:

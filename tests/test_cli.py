@@ -506,6 +506,24 @@ class TestNonFinite:
         assert all(math.isfinite(float(v))
                    for line in lines[1:] for v in line.split(","))
 
+    @pytest.mark.parametrize("method, near", [("adaptive", "0"),
+                                              ("fixed", "0.001")])
+    def test_non_finite_first_derivative_keeps_t0(self, tmp_path, capsys,
+                                                  method, near):
+        # the state's first derivative overflows at t0: both integrators
+        # record (t0, y0) and end by the same rule
+        doc = {"initial_condition": {"p0": 1e300, "p_dot0": 1e300},
+               "solver": {"method": method}, "outputs": ["trajectory"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == (
+            b"t,p,p_dot\n0,1.0000000000000001e+300,1.0000000000000001e+300\n")
+        assert strict_json(out / "result.json")["solver_status"] == {
+            "status": "aborted-blowup",
+            "message": f"non-finite state near t={near}",
+            "samples": 1, "last_time": 0.0}
+
     def test_overflowing_energy_estimate_skips_the_summary(self, tmp_path,
                                                            capsys):
         # the blow-up's last recorded state is far past the guard, and its

@@ -486,23 +486,20 @@ def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
                         blowup_threshold=None, windows=()):
     """Dormand-Prince 5(4) with one comprehension per stage.
 
-    The loop form of integrate_adaptive: the same step control, guard and
-    messages, an accepted non-finite state left unrecorded as in
-    comprehension_rk4, and each stage's row of a (7, n) numpy buffer filled by
-    ``k[i] = ki``, its tuple built by zip over the components, and the
-    FSAL derivative kept as the view ``k[6]``, so an attempt after a
-    rejection starts from the rejected trial's last stage. The generated
-    run must reproduce it bit for bit.
+    The loop form of integrate_adaptive: the same start (the guard tested
+    before any rhs call, then a non-finite first derivative ends the run at
+    t0), step control, guard and messages, an accepted non-finite state
+    left unrecorded as in comprehension_rk4, and each stage's row of a
+    (7, n) numpy buffer filled by ``k[i] = ki``, its tuple built by zip
+    over the components, and the FSAL derivative kept as the view
+    ``k[6]``, so an attempt after a rejection starts from the rejected
+    trial's last stage. The generated run must reproduce it bit for bit.
     """
     t0, t1 = t_span
     y = tuple(map(float, y0))
     n = len(y)
     threshold = (solver.default_blowup_threshold(y) if blowup_threshold
                  is None else blowup_threshold)
-    f = rhs(t0, y)
-    if not all(map(math.isfinite, f)):
-        return Trajectory(np.empty(0), np.empty((0, n)), solver.ABORTED_BLOWUP,
-                          f"non-finite right-hand side at t={t0:.6g}")
     times, states = [t0], [y]
 
     def finish(status, message=None):
@@ -512,6 +509,10 @@ def comprehension_dopri(rhs, y0, t_span, rtol, atol=solver.DEFAULT_ATOL,
     if max(map(abs, y)) > threshold:
         return finish(solver.ABORTED_BLOWUP,
                       f"initial state already exceeds guard {threshold:g}")
+    f = rhs(t0, y)
+    if not all(map(math.isfinite, f)):
+        return finish(solver.ABORTED_BLOWUP,
+                      f"non-finite state near t={t0:.6g}")
     t = t0
     h = float(solver._initial_step(t0, t1, np.array(y), f, rtol, atol))
     attempts = 0
@@ -733,9 +734,14 @@ class TestGeneratedAttempt:
             # no finite state passes this guard: the accepted inf ends the
             # run, unrecorded
             (steep, [1.6e308, 1.7e308], 1e-6, 1e-12, None,
-             solver.DEFAULT_MAX_STEPS, "non-finite state", "accepted")],
+             solver.DEFAULT_MAX_STEPS, "non-finite state", "accepted"),
+            # every component's square overflows: the first derivative is
+            # inf, and the run ends at t0 after its one call
+            (squares, [1e200, -1e200, 3e180, -1e170], 1e-6, 1e-12,
+             sys.float_info.max, solver.DEFAULT_MAX_STEPS,
+             "non-finite state near t=-0.5", "rhs_evals")],
         ids=["signed-zeros-and-subnormals", "guard", "overflow",
-             "step-limit", "overflow-to-inf"])
+             "step-limit", "overflow-to-inf", "non-finite-start"])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_the_comprehension_form(self, n, rhs, pool, rtol, atol,
                                             threshold, max_steps, ends,
@@ -753,6 +759,21 @@ class TestGeneratedAttempt:
         assert (got.status, got.message) == (want.status, want.message)
         assert (got.message or got.status).startswith(ends)
         assert getattr(got, counter) > 0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_start_past_the_guard_matches_the_comprehension_form(self, n):
+        rng = random.Random(n)
+        y0 = [rng.choice([0.5, -2.0, 1.5]) for _ in range(n - 1)] + [-3.0]
+        rhs, calls = counting(coupled)
+        got = integrate_adaptive(rhs, y0, (-0.5, 1.5), blowup_threshold=1.0)
+        want = comprehension_dopri(rhs, y0, (-0.5, 1.5), solver.DEFAULT_RTOL,
+                                   blowup_threshold=1.0)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.status, got.message) == (want.status, want.message)
+        assert got.message == "initial state already exceeds guard 1"
+        # the guard is tested before either makes an rhs call
+        assert got.rhs_evals == len(calls) == 0
 
     # BUMPS caps its steps in the bump windows; each blow-up retries
     # non-finite stages until the step underflows, and error-norm-overflow
@@ -991,11 +1012,13 @@ class TestAdaptive:
         assert integrate_adaptive(rhs, [1.0, 0.0], (0.0, 1.0)).completed
         assert seen == {(float, tuple)}
 
-    def test_nonfinite_rhs_at_start_gives_empty_trajectory(self):
+    def test_nonfinite_rhs_at_start_keeps_t0(self):
         traj = integrate_adaptive(lambda t, y: np.array([math.nan]),
                                   [1.0], (0.0, 1.0))
+        assert traj.times.tolist() == [0.0]
+        assert traj.states.tolist() == [[1.0]]
         assert traj.status == solver.ABORTED_BLOWUP
-        assert len(traj) == 0
+        assert traj.message == "non-finite state near t=0"
 
 
 def lorenz(t, y):
@@ -1209,7 +1232,8 @@ class TestCounters:
         rhs, calls = counting(decay)
         traj = method(rhs, [2.0], (0.0, 1.0), blowup_threshold=1.0)
         assert traj.message.startswith("initial state already exceeds")
-        assert traj.rhs_evals == len(calls)
+        # the guard is tested before any call
+        assert traj.rhs_evals == len(calls) == 0
         assert (traj.accepted, traj.rejected, traj.retried) == (0, 0, 0)
         assert traj.h_min is traj.h_max is None
 
@@ -1236,7 +1260,7 @@ class TestCounters:
 
     def test_non_finite_start_counts_one_call(self):
         traj = integrate_adaptive(lambda t, y: (math.inf,), [1.0], (0.0, 1.0))
-        assert (traj.rhs_evals, traj.accepted, len(traj)) == (1, 0, 0)
+        assert (traj.rhs_evals, traj.accepted, len(traj)) == (1, 0, 1)
 
 
 class TestTrajectory:
