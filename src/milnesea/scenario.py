@@ -35,7 +35,6 @@ import warnings
 from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
@@ -54,7 +53,7 @@ from .milne import (EnvelopeSample, MilneState, envelope_denominator,
                     envelope_q, estimate_period_phase, hamiltonian_density,
                     integrate_milne, wrap_angle)
 from .solver import Trajectory, check_sample_budget, fixed_steps, grid_points
-from .transition import COMPOSED, EXPANDED, FormComparison, compare_forms
+from .transition import FormComparison, compare_forms
 
 class DynamicalParams(NamedTuple):
     """A signal's Milne energy, phase shift and period."""
@@ -104,32 +103,32 @@ class ScenarioResult:
 
 
 # Every product's CSV layout, shared by write_csv, result_to_dict and
-# _first_nonfinite: the CSV header, the %-format of one record, and
+# _first_nonfinite: the CSV header, the bytes %-format of one record, and
 # data -> columns, one entry per record. A product's data is the
 # ScenarioResult attribute of its name; a record is one line, except a
 # transition record: one grid time, two lines.
 _Product = namedtuple("_Product", "header line columns")
 _TABLE = {
     "trajectory": _Product(
-        "t,p,p_dot", "%.17g,%.17g,%.17g",
+        b"t,p,p_dot", b"%.17g,%.17g,%.17g",
         lambda traj: (traj.times, *traj.states.T)),
     "summary": _Product(
-        "e_m,tau,delta,e_m_bound_violated", "%.17g,%.17g,%.17g,%s",
+        b"e_m,tau,delta,e_m_bound_violated", b"%.17g,%.17g,%.17g,%s",
         lambda s: ([s.e_m], [s.tau], [s.delta],
-                   [str(s.e_m_bound_violated).lower()])),
+                   [b"true" if s.e_m_bound_violated else b"false"])),
     "envelope": _Product(
-        "t,q_squared,magnitude,imaginary_branch", "%.17g,%.17g,%.17g,%s",
+        b"t,q_squared,magnitude,imaginary_branch", b"%.17g,%.17g,%.17g,%s",
         lambda env: (env.t, env.q_squared, env.magnitude,
-                     np.where(env.imaginary_branch, "true", "false"))),
+                     np.where(env.imaginary_branch, b"true", b"false"))),
     "transition": _Product(
-        "t,m11,m12,m21,m22,provenance,discrepancy",
-        f"%.17g,%.17g,%.17g,%.17g,%.17g,{COMPOSED},%.17g\n"
-        f"%.17g,%.17g,%.17g,%.17g,%.17g,{EXPANDED},%.17g",
+        b"t,m11,m12,m21,m22,provenance,discrepancy",
+        b"%.17g,%.17g,%.17g,%.17g,%.17g,composed,%.17g\n"
+        b"%.17g,%.17g,%.17g,%.17g,%.17g,expanded,%.17g",
         lambda c: (c.t, *c.composed.reshape(-1, 4).T, c.discrepancy,
                    c.t, *c.expanded.reshape(-1, 4).T, c.discrepancy)),
-    "spectrum": _Product("k,S", "%.17g,%.17g",
+    "spectrum": _Product(b"k,S", b"%.17g,%.17g",
                          lambda sp: (sp.k, sp.density)),
-    "bathymetry": _Product("x,zeta", "%.17g,%.17g",
+    "bathymetry": _Product(b"x,zeta", b"%.17g,%.17g",
                            lambda b: (b.x, b.zeta)),
 }
 PRODUCTS = tuple(_TABLE)
@@ -634,17 +633,19 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _record_lines(line: str, columns, lo: int, hi: int):
-    """ASCII lines of records lo..hi, one %-operation per _CHUNK records."""
+def _record_lines(line: bytes, columns, lo: int, hi: int):
+    """Lines of records lo..hi, one bytes %-operation per _CHUNK records."""
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
-        # Python floats and strs format faster than numpy scalars
-        cols = [np.asarray(c[start:stop]).tolist() for c in columns]
-        yield (line * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
-               ).encode("ascii")
+        # the chunk's values in record order, as Python floats and bytes:
+        # they format faster than numpy scalars
+        records = np.empty((stop - start, len(columns)), dtype=object)
+        for j, c in enumerate(columns):
+            records[:, j] = c[start:stop]
+        yield line * (stop - start) % tuple(records.ravel().tolist())
 
 
-def _fork_range(line: str, columns, lo: int, hi: int):
+def _fork_range(line: bytes, columns, lo: int, hi: int):
     """(pid, file) of a child writing records lo..hi's lines to the file;
     None where the file or the fork cannot be had."""
     try:
@@ -688,8 +689,8 @@ def _reap(pids: dict, lo: int) -> bool:
 
 def write_csv(product: str, data, out) -> None:
     """Write one product's CSV into the binary file `out`: the header line,
-    then the lines of each run of _CHUNK records, formatted by one
-    %-operation per run and encoded to ASCII once.
+    then the lines of each run of _CHUNK records, formatted by one bytes
+    %-operation per run over the run's values in record order.
 
     The records split into one contiguous range per available CPU, each of
     at least _CHUNK records. A forked child formats each range but the
@@ -701,7 +702,7 @@ def write_csv(product: str, data, out) -> None:
     """
     p = _TABLE[product]
     columns = p.columns(data)
-    line = p.line + "\n"
+    line = p.line + b"\n"
     records = len(columns[0])
     parts = max(1, min(_available_cpus(), records // _CHUNK))
     cuts = [records * i // parts for i in range(parts + 1)]
@@ -710,7 +711,7 @@ def write_csv(product: str, data, out) -> None:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             if (child := _fork_range(line, columns, lo, hi)) is not None:
                 pids[lo], files[lo] = child
-        out.write(f"{p.header}\n".encode("ascii"))
+        out.write(p.header + b"\n")
         for lo, hi in zip(cuts, cuts[1:]):
             if lo in pids and _reap(pids, lo):
                 files[lo].seek(0)
@@ -760,7 +761,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
             p = _TABLE[name]
             records = len(p.columns(getattr(result, name))[0])
             products[name] = {"status": "computed",
-                              "rows": records * (p.line.count("\n") + 1)}
+                              "rows": records * (p.line.count(b"\n") + 1)}
     doc = {
         "schema_version": "1",
         "config": config_to_dict(result.config),
@@ -783,7 +784,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
 
 def export_json(result: ScenarioResult, destination) -> Path:
     """Write the run summary document (schema_version 1) as stable JSON,
-    encoded to ASCII bytes as write_csv's lines are, so neither newline
+    in ASCII bytes as write_csv's lines are, so neither newline
     translation nor the locale's encoding can change them."""
     path = Path(destination)
     text = json.dumps(result_to_dict(result), indent=2, sort_keys=True,

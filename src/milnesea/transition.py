@@ -23,9 +23,6 @@ from .acoustic_signal import SignalSpec
 from .medium import MediumSpec
 from .milne import q_plus_minus_squared
 
-COMPOSED = "composed"
-EXPANDED = "expanded"
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,22 @@ def problems_of(doc: dict):
     return err.value.problems
 
 
-def csv_text(product: str, data) -> str:
-    """The bytes write_csv writes for `product`, decoded."""
+def csv_bytes(product: str, data) -> bytes:
+    """The bytes write_csv writes for `product`."""
     out = io.BytesIO()
     write_csv(product, data, out)
-    return out.getvalue().decode("ascii")
+    return out.getvalue()
+
+
+def assert_same_bytes(got: bytes, expected: bytes):
+    """got == expected; on a mismatch, fail on the first differing line,
+    its index and both lines (pytest's diff of two long CSVs can take
+    minutes)."""
+    if got != expected:
+        for i, (line, want) in enumerate(zip_longest(
+                got.splitlines(keepends=True),
+                expected.splitlines(keepends=True))):
+            assert (i, line) == (i, want)
 
 
 class TestDefaults:
@@ -703,11 +715,11 @@ class TestArraySweep:
                                   grid)
         assert reason == "envelope denominator vanishes at t=0.0"
         # exactly the rows of the times before t = 0
-        text = csv_text(product, data)
-        assert text == csv_text(product, point(grid[:8]))
+        text = csv_bytes(product, data)
+        assert text == csv_bytes(product, point(grid[:8]))
         lines = text.splitlines()
         per_time = 1 if product == "envelope" else 2
-        assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        assert [float(line.split(b",")[0]) for line in lines[1:]] == \
             np.repeat(grid[:8], per_time).tolist()
         assert run_scenario(config).skips[product] == reason
 
@@ -727,13 +739,13 @@ class TestArraySweep:
                                   grid)
         assert reason == f"{product} is not finite at t={first!r}"
         n = int(np.searchsorted(grid, first))
-        text = csv_text(product, data)
-        assert text == csv_text(product, point(grid[:n]))
+        text = csv_bytes(product, data)
+        assert text == csv_bytes(product, point(grid[:n]))
         assert len(text.splitlines()) == 1 + n * (
             1 if product == "envelope" else 2)
-        words = ("true", "false", "composed", "expanded")
+        words = (b"true", b"false", b"composed", b"expanded")
         assert all(math.isfinite(float(v)) for line in text.splitlines()[1:]
-                   for v in line.split(",") if v not in words)
+                   for v in line.split(b",") if v not in words)
         assert run_scenario(config).skips[product] == reason
 
 
@@ -853,11 +865,11 @@ def _records(product: str, n: int):
     return BathymetryProfile(t, np.abs(floats(n)))
 
 
-def _reference_csv(product: str, data) -> str:
+def _reference_csv(product: str, data) -> bytes:
     """The CSV written one record at a time."""
     p = _TABLE[product]
-    return "\n".join([p.header, *(p.line % rec
-                                  for rec in zip(*p.columns(data)))]) + "\n"
+    return b"\n".join([p.header, *(p.line % rec
+                                   for rec in zip(*p.columns(data)))]) + b"\n"
 
 
 class TestChunkedCsv:
@@ -867,11 +879,11 @@ class TestChunkedCsv:
     @staticmethod
     def check(tmp_path, product, data):
         expected = _reference_csv(product, data)
-        assert csv_text(product, data) == expected
+        assert_same_bytes(csv_bytes(product, data), expected)
         config = replace(load_config("{}"), outputs=(product,))
         result = ScenarioResult(config=config, **{product: data})
         path = export_csv(result, product, tmp_path / f"{product}.csv")
-        assert path.read_bytes() == expected.encode()
+        assert_same_bytes(path.read_bytes(), expected)
         return expected
 
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
@@ -881,18 +893,19 @@ class TestChunkedCsv:
     def test_record_counts_around_a_chunk(self, tmp_path, product, n):
         text = self.check(tmp_path, product, _records(product, n))
         per_record = 2 if product == "transition" else 1
-        assert text.count("\n") == 1 + n * per_record
+        assert text.count(b"\n") == 1 + n * per_record
 
     @pytest.mark.parametrize("e_m", [0.5, 2.0])
     def test_summary_record(self, tmp_path, e_m):
         text = self.check(tmp_path, "summary",
                           DynamicalParams(e_m=e_m, delta=0.3, tau=0.7))
-        assert text.splitlines()[1].endswith(str(e_m < 1.0).lower())
+        assert text.splitlines()[1].endswith(b"true" if e_m < 1.0
+                                             else b"false")
 
     def test_empty_trajectory(self, tmp_path):
         empty = Trajectory(np.array([]), np.zeros((0, 2)),
                            status="aborted-blowup", message="bad start")
-        assert self.check(tmp_path, "trajectory", empty) == "t,p,p_dot\n"
+        assert self.check(tmp_path, "trajectory", empty) == b"t,p,p_dot\n"
 
 
 @pytest.fixture
@@ -948,14 +961,14 @@ class TestParallelCsv:
                                             product, n):
         data = _records(product, n)
         set_cpus(monkeypatch, 1)
-        serial = csv_text(product, data)
-        assert serial == _reference_csv(product, data)
+        serial = csv_bytes(product, data)
+        assert_same_bytes(serial, _reference_csv(product, data))
         assert forks == []
         # 5 workers start at most 4 children
         for workers in (2, 3, 5):
             set_cpus(monkeypatch, workers)
             forks.clear()
-            assert csv_text(product, data) == serial
+            assert_same_bytes(csv_bytes(product, data), serial)
             assert len(forks) == min(workers, n // _CHUNK) - 1
 
     def test_failed_child_falls_back(self, monkeypatch, forks):
@@ -969,8 +982,8 @@ class TestParallelCsv:
         data = _records("transition", 3 * _CHUNK + 1)
         set_cpus(monkeypatch, 3)
         monkeypatch.setattr(scenario, "_record_lines", fails_in_child)
-        assert csv_text("transition", data) == _reference_csv(
-            "transition", data)
+        assert_same_bytes(csv_bytes("transition", data),
+                          _reference_csv("transition", data))
         assert len(forks) == 2
 
     @pytest.mark.parametrize("module, name", [(os, "fork"),
@@ -982,8 +995,8 @@ class TestParallelCsv:
         data = _records("spectrum", 2 * _CHUNK)
         set_cpus(monkeypatch, 2)
         monkeypatch.setattr(module, name, refuse)
-        assert csv_text("spectrum", data) == _reference_csv(
-            "spectrum", data)
+        assert_same_bytes(csv_bytes("spectrum", data),
+                          _reference_csv("spectrum", data))
         assert forks == []
 
     @pytest.mark.parametrize("name", ["sched_getaffinity", "fork"])
@@ -991,13 +1004,13 @@ class TestParallelCsv:
         data = _records("spectrum", 2 * _CHUNK)
         available_cpus = scenario._available_cpus
         set_cpus(monkeypatch, 2)
-        forked = csv_text("spectrum", data)
+        forked = csv_bytes("spectrum", data)
         assert len(forks) == 1
         monkeypatch.setattr(scenario, "_available_cpus", available_cpus)
         monkeypatch.delattr(os, name)
         forks.clear()
         assert scenario._available_cpus() == 1
-        assert csv_text("spectrum", data) == forked
+        assert_same_bytes(csv_bytes("spectrum", data), forked)
         assert forks == []
 
     def test_children_reaped_elsewhere(self, monkeypatch, forks):
@@ -1007,12 +1020,12 @@ class TestParallelCsv:
         set_cpus(monkeypatch, 3)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            text = csv_text("bathymetry", data)
+            text = csv_bytes("bathymetry", data)
             with pytest.raises(OSError, match="disk full"):
                 write_csv("bathymetry", data, FailingSink())
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert text == _reference_csv("bathymetry", data)
+        assert_same_bytes(text, _reference_csv("bathymetry", data))
         assert len(forks) == 4
 
     def check_reaped_and_closed(self, monkeypatch, forks, product, sink):
