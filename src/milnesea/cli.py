@@ -21,14 +21,15 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .scenario import (config_to_dict, export_csv, export_json, grid_sweep,
-                       load_config, output_grid, run_scenario, write_csv)
+from .scenario import (export_csv, export_json, grid_sweep, load_config,
+                       output_grid, run_scenario, write_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,17 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, **blocks):
-    """The config at `path`, top-level `blocks` replaced by options.
-
-    The options are validated like the file's own keys, so a simulate
-    run's result.json echoes a config that loads back.
-    """
-    config = load_config(Path(path).read_text())
-    if not blocks:
-        return config
-    doc = config_to_dict(config)
-    doc.update(blocks)
-    return load_config(json.dumps(doc))
+    """The config at `path`, its top-level `blocks` replaced by options
+    before one load_config call: the options are checked like the file's
+    keys, and the blocks they replace are never read."""
+    text = Path(path).read_text()
+    with suppress(ValueError):  # load_config reports where the JSON fails
+        if blocks and isinstance(doc := json.loads(text), dict):
+            text = json.dumps({**doc, **blocks})
+    return load_config(text)
 
 
 def _cmd_simulate(args) -> int:

@@ -152,12 +152,22 @@ def _integer(v) -> int:
     return v
 
 
-def _seed(v) -> int:
-    if (v := _integer(v)) < 0:
-        raise ValueError(f"must be nonnegative, got {v}")
-    if v >= 2 ** 64:
-        raise ValueError(f"must be below 2**64, got {v}")
-    return v
+def _rule(check, holds, text):
+    """`check`, then `holds(value)`, else the problem `text`."""
+    def checked(v):
+        if not holds(v := check(v)):
+            raise ValueError(f"{text}, got {v}")
+        return v
+    return checked
+
+
+_positive = _rule(_number, lambda v: v > 0, "must be positive")
+_seed = _rule(_rule(_integer, lambda v: v >= 0, "must be nonnegative"),
+              lambda v: v < 2 ** 64, "must be below 2**64")
+_stride = _rule(_integer, lambda v: v >= 1, "must be >= 1")
+# the composed transition form takes cos(2 delta): 2 delta must be finite
+_phase = _rule(_number, lambda v: math.isfinite(2.0 * v),
+               f"magnitude must be at most {sys.float_info.max / 2}")
 
 
 def _method(v) -> str:
@@ -194,33 +204,33 @@ _KIND_FIELDS = {kind: {key: _PROFILE_FIELDS[key] for key in ("kind", *keys)}
 # The scenario document, read by load_config and written by config_to_dict:
 # block path ("" is the top level) -> (ScenarioConfig attribute holding the
 # block's object, "" for the config itself; key -> field, or None for a
-# profile). A field is (check, default[, attribute]). A key left out takes
-# its default; a default of ... marks a required key. The value lives in
-# the object's attribute named like the key, or as given third (None:
-# input-only).
+# profile). A field is (check, default[, attribute]); the check is the
+# key's whole rule. A key left out takes its default; a default of ...
+# marks a required key. The value lives in the object's attribute named
+# like the key, or as given third (None: input-only).
 _SCHEMA = {
     "": ("", {"seed": (_seed, 0),
               "outputs": (_unchecked, ["trajectory", "summary"])}),
     "signal": ("signal", {
         "amplitude": (_number, 1.0), "sound_speed": (_number, 1480.0),
-        # exactly one of the three is used; a bad one counts as 0.1
+        # exactly one of the three is given; no block: wave number 0.1
         "wave_number": (_number, 0.1), "wavelength": (_number, 0.1, None),
         "angular_frequency": (_number, 0.1, None)}),
     "medium": ("medium", {}),
     "medium.omega": ("medium.omega", None),
     "medium.beta": ("medium.beta", None),
     "time": ("", {"t0": (_number, 0.0), "t1": (_number, 2.0),
-                  "stride": (_integer, 10)}),
+                  "stride": (_stride, 10)}),
     "solver": ("", {"method": (_method, "fixed"),
-                    "dt": (_number, solver.DEFAULT_DT),
-                    "rtol": (_number, solver.DEFAULT_RTOL),
-                    "atol": (_number, solver.DEFAULT_ATOL),
-                    "blowup_threshold": (_number, None)}),
+                    "dt": (_positive, solver.DEFAULT_DT),
+                    "rtol": (_positive, solver.DEFAULT_RTOL),
+                    "atol": (_positive, solver.DEFAULT_ATOL),
+                    "blowup_threshold": (_positive, None)}),
     "initial_condition": ("initial_condition", {
         "p0": (_number, ..., "p"), "p_dot0": (_number, 0.0, "p_dot")}),
     "dynamical_params": ("dynamical_params", {
-        "e_m": (_number, ...), "delta": (_number, ...),
-        "tau": (_number, ...)}),
+        "e_m": (_number, ...), "delta": (_phase, ...),
+        "tau": (_positive, ...)}),
     "environment": ("", {}),
     "environment.surface_spectrum": ("spectrum", {
         "wind_speed": (_number, ...),
@@ -235,15 +245,13 @@ _SCHEMA = {
         "length": (_number, ...), "dx": (_number, ...),
         "seed": (_seed, None)}),
 }
-_POSITIVE = {"solver": ("dt", "rtol", "atol", "blowup_threshold"),
-             "dynamical_params": ("tau",)}
 
 
 def _block(doc: dict, path: str, problems: list) -> Optional[dict]:
-    """Block `path` inside its enclosing block `doc`; None if absent or bad."""
+    """Block `path` in `doc`: {} if absent, None (reported) if no object."""
     value = doc.get(path.rpartition(".")[2])
     if value is None or isinstance(value, dict):
-        return value
+        return value or {}
     problems.append(f"{path}: expected an object")
     return None
 
@@ -259,36 +267,26 @@ def _unknown_keys(block: dict, path: str, problems: list, fields=None):
 
 def _values(block: dict, path: str, problems: list,
             fields=None) -> Optional[dict]:
-    """Key -> value of block `path`, defaults filled in; None if unbuildable.
-
-    A bad optional number is reported and falls back to its default, so
-    the checks that use it still run. A missing or bad required key, or
-    any other bad value, makes the block unbuildable.
-    """
+    """Key -> value of block `path`, defaults filled in; None if a key is
+    missing or fails its check, so that no rule reads the block."""
     where = path or "config"
     fields = _SCHEMA[path][1] if fields is None else fields
-    values, built = {}, True
+    values = {}
     for key, (check, default, *_) in fields.items():
-        required = default is ...
-        values[key] = None if required else default
         try:
-            if key not in block:
-                if required:
-                    raise ValueError("required")
-                continue
-            values[key] = check(block[key])
+            if key not in block and default is ...:
+                raise ValueError("required")
+            values[key] = check(block[key]) if key in block else default
         except (TypeError, ValueError, OverflowError) as exc:
             problems.append(f"{where}.{key}: {exc}")
-            built = built and not required and check in (_number, _integer,
-                                                          _seed)
-    for key in _POSITIVE.get(path, ()):
-        if values[key] is not None and values[key] <= 0:
-            problems.append(f"{where}.{key}: must be positive, "
-                            f"got {values[key]}")
-    return values if built else None
+    return values if len(values) == len(fields) else None
 
 
-def _read(block: dict, path: str, problems: list) -> Optional[dict]:
+def _read(doc: dict, path: str, problems: list) -> Optional[dict]:
+    """_values of block `path` inside `doc`; None if it is not an object."""
+    block = _block(doc, path, problems)
+    if block is None:
+        return None
     _unknown_keys(block, path, problems)
     return _values(block, path, problems)
 
@@ -303,9 +301,10 @@ def _build(problems: list, path: str, build, *args, **kwargs):
 
 
 def _optional(doc: dict, path: str, problems: list, build):
-    """`build` applied to an optional block's values, in schema order."""
-    block = _block(doc, path, problems)
-    values = None if block is None else _read(block, path, problems)
+    """`build` of an optional block's values in schema order, or None."""
+    if doc.get(path.rpartition(".")[2]) is None:
+        return None
+    values = _read(doc, path, problems)
     return values and _build(problems, path, build, *values.values())
 
 
@@ -331,7 +330,8 @@ def load_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration.
 
     Rejects unknown keys at every level and reports every problem found,
-    not just the first, via ConfigError.problems.
+    not just the first, via ConfigError.problems. A block with a bad key,
+    or one that is not an object, is reported once and read by no rule.
     """
     try:
         raw = json.loads(text)
@@ -342,47 +342,47 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError(["top level must be a JSON object"])
 
     # each block reports its unknown keys, then its sub-blocks, then its
-    # values, then the rules that tie values together
+    # values; a rule that ties values together reads only good blocks
     problems: list[str] = []
     _unknown_keys(raw, "", problems)
 
-    sblock = _block(raw, "signal", problems) or {}
-    sig = _read(sblock, "signal", problems)
-    signal = None
+    sig = _read(raw, "signal", problems)
     given = [key for key in ("wave_number", "wavelength", "angular_frequency")
-             if key in sblock]
-    if len(given) > 1 or (not given and "signal" in raw):
+             if sig is not None and key in (raw.get("signal") or {})]
+    signal = None
+    if sig is not None and (len(given) > 1 or
+                            (not given and "signal" in raw)):
         got = ", ".join(given) if given else "none"
         problems.append("signal: provide exactly one of wave_number, "
                         f"wavelength, angular_frequency (got {got})")
-    else:
+    elif sig is not None:
         key = given[0] if given else "wave_number"
         signal = _build(problems, "signal", getattr(SignalSpec, f"from_{key}"),
                         sig["amplitude"], sig["sound_speed"], sig[key])
 
-    mblock = _block(raw, "medium", problems) or {}
-    _unknown_keys(mblock, "medium", problems)
-    omega = _profile(mblock, "medium.omega", problems, 1.0)
-    beta = _profile(mblock, "medium.beta", problems, 0.0)
-    medium = omega and beta and _build(problems, "medium", MediumSpec,
-                                       omega, beta)
+    medium = None
+    if (mblock := _block(raw, "medium", problems)) is not None:
+        _unknown_keys(mblock, "medium", problems)
+        omega = _profile(mblock, "medium.omega", problems, 1.0)
+        beta = _profile(mblock, "medium.beta", problems, 0.0)
+        medium = omega and beta and _build(problems, "medium", MediumSpec,
+                                           omega, beta)
 
-    time = _read(_block(raw, "time", problems) or {}, "time", problems)
-    t0, t1, stride = time["t0"], time["t1"], time["stride"]
-    if not t1 > t0:
-        problems.append(f"time: t1 ({t1}) must exceed t0 ({t0})")
-    if stride < 1:
-        problems.append(f"time.stride: must be >= 1, got {stride}")
+    time = _read(raw, "time", problems)
+    if time is not None and not time["t1"] > time["t0"]:
+        problems.append("time: t1 ({t1}) must exceed t0 ({t0})".format(**time))
+        time = None
 
-    run = _read(_block(raw, "solver", problems) or {}, "solver", problems)
-    if run is not None and run["rtol"] > 0:
+    run = _read(raw, "solver", problems)
+    if run is not None:
         _build(problems, "solver", solver.check_rtol, run["rtol"])
-    if run is not None and run["dt"] > 0 and stride >= 1:
+    if run is not None and time is not None:
+        t0, t1, stride = time.values()
         h = _output_step(run["method"], run["dt"], stride)
         if not math.isfinite(h):
             problems.append("time.stride: too large, the output step "
                             "overflows a float")
-        elif t1 > t0:
+        else:
             # a fixed run records t0 and every step, finer than the grid
             fixed = run["method"] == "fixed"
             step = run["dt"] if fixed else h
@@ -393,23 +393,17 @@ def load_config(text: str) -> ScenarioConfig:
 
     ic = _optional(raw, "initial_condition", problems, MilneState)
     dyn = _optional(raw, "dynamical_params", problems, DynamicalParams)
-    # the composed transition form takes cos(2 delta), so 2 delta must be
-    # a finite float
-    if dyn is not None and not math.isfinite(2.0 * dyn.delta):
-        problems.append("dynamical_params.delta: magnitude must be at most "
-                        f"{sys.float_info.max / 2}, got {dyn.delta}")
 
     spectrum = bathymetry = None
-    eblock = _block(raw, "environment", problems)
-    if eblock is not None:
+    if (eblock := _block(raw, "environment", problems)) is not None:
         _unknown_keys(eblock, "environment", problems)
         spectrum = _optional(eblock, "environment.surface_spectrum", problems,
                              SurfaceSpectrumParams)
         bathymetry = _optional(eblock, "environment.bathymetry", problems,
                                BathymetrySpec)
 
-    top = _values(raw, "", problems)
-    outputs = top["outputs"]
+    top = _values(raw, "", problems)  # None if the seed is bad
+    outputs = raw.get("outputs", _SCHEMA[""][1]["outputs"][1])
     if (not isinstance(outputs, list)
             or not all(isinstance(o, str) for o in outputs)):
         problems.append("outputs: expected a list of product names")
@@ -424,7 +418,8 @@ def load_config(text: str) -> ScenarioConfig:
         for product, key in (("spectrum", "surface_spectrum"),
                              ("bathymetry", "bathymetry")):
             # a present but invalid block has reported its own problems
-            if product in outputs and (eblock or {}).get(key) is None:
+            if product in outputs and eblock is not None \
+                    and eblock.get(key) is None:
                 problems.append(f"outputs: {product!r} requested but "
                                 f"environment.{key} is missing")
 

@@ -88,8 +88,11 @@ def fixed_steps(t0: float, t1: float, dt: float):
 
 
 def check_sample_budget(samples) -> None:
-    """Reject more than DEFAULT_MAX_STEPS samples; call before allocating."""
+    """Reject more than DEFAULT_MAX_STEPS samples; call before allocating.
+    A count from 2**53 up to the float range is printed as a float."""
     if samples > DEFAULT_MAX_STEPS:
+        if 2 ** 53 <= samples <= sys.float_info.max:
+            samples = f"{samples:g}"
         raise ValueError(f"{samples} samples exceed the sample budget of "
                          f"{DEFAULT_MAX_STEPS}")
 

@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the property tests: valid scenario documents."""
+"""Hypothesis strategies shared by the property tests: valid scenario
+documents, and the same documents with one value or block made junk."""
 
 from hypothesis import strategies as st
 
@@ -74,4 +75,31 @@ def documents(draw):
                                           ("bathymetry", "bathymetry"))
                  if block in env]
     doc["outputs"] = draw(st.lists(st.sampled_from(products), unique=True))
+    return doc
+
+
+# values that break some key or block: wrong types, signs, zero, and
+# numbers at or past the float range
+JUNK = ["x", True, None, [], 5, -1, 0, 1e308, -1e308, 2 ** 64]
+
+
+@st.composite
+def junk_documents(draw):
+    """A documents() draw with one value, or one whole block, replaced."""
+    # slot and junk are drawn first: hypothesis leaves a draw made after
+    # the document at its minimum in about half of all examples, which
+    # would junk the first slot (the signal block) every other time
+    pick, junk = draw(st.integers(0, 2 ** 16)), draw(st.sampled_from(JUNK))
+    doc = draw(documents())
+    slots = []
+
+    def walk(block):
+        for key, value in block.items():
+            slots.append((block, key))
+            if isinstance(value, dict):
+                walk(value)
+
+    walk(doc)
+    block, key = slots[pick % len(slots)]
+    block[key] = junk
     return doc

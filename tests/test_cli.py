@@ -99,6 +99,32 @@ class TestSimulate:
                 "18446744073709551616") in capsys.readouterr().err
         assert not (out / "result.json").exists()
 
+    def test_seed_override_replaces_a_bad_seed(self, tmp_path, capsys):
+        # the option replaces the file's seed before the file is read
+        runs = []
+        for name, doc in (("clean", {}), ("bad", {"seed": -1})):
+            cfg = write_config(tmp_path, {**doc, "outputs": ["summary"]},
+                               f"{name}.json")
+            out = tmp_path / name
+            code = main(["simulate", str(cfg), "--out-dir", str(out),
+                         "--seed", "3"])
+            assert strict_json(out / "result.json")["config"]["seed"] == 3
+            runs.append((code, (out / "result.json").read_bytes()))
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{\n  "time": }', "JSON parse error at line 2 column 11"),
+        ("[1, 2]", "top level must be a JSON object")])
+    def test_seed_override_keeps_the_file_problem(self, tmp_path, capsys,
+                                                  text, problem):
+        # a file that is no JSON object reaches load_config as it is
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path),
+                     "--seed", "3"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"configuration rejected:\n  - {problem}")
+
     def test_table_rounding_below_a_zero_knot_runs(self, tmp_path, capsys):
         # interpolating at the zero knot's own time rounds to -2.8e-17;
         # the medium's range is proven at load time, not on each read
@@ -255,6 +281,23 @@ class TestEnvelopeCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,q_squared,magnitude,imaginary_branch"
         assert len(lines) > 2
+
+    def test_options_replace_a_bad_dynamical_params_block(self, tmp_path):
+        # the options replace the block before the file is read, so the
+        # file's own block is never checked
+        doc = {"time": {"t0": 0.5, "t1": 1.0},
+               "medium": {"beta": {"kind": "constant", "base": 0.5}}}
+        outs = []
+        for name, params in (("valid", {"e_m": 2.0, "delta": 0.1,
+                                        "tau": 3.0}),
+                             ("invalid", {"e_m": "x", "tau": -1})):
+            cfg = write_config(tmp_path, {**doc, "dynamical_params": params},
+                               f"{name}.json")
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["envelope", str(cfg), "--em", "1.0", "--tau", "1.0",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[0].read_bytes().splitlines()) > 2
 
     def test_singularity_partial_output(self, tmp_path, capsys):
         # beta = 0 makes the denominator vanish right at t0 = 0

@@ -267,11 +267,35 @@ class TestValidation:
           "outputs": ["summary", "transition"]},
          ["dynamical_params.delta: magnitude must be at most "
           "8.988465674311579e+307, got -1e+308"]),
+        # a block with a bad key is reported once: no rule reads the
+        # default its bad value would have fallen back to
+        ({"time": {"t0": 5, "t1": "x"}},
+         ["time.t1: expected a number, got str"]),
+        ({"time": {"t1": 1e12}, "solver": {"dt": "x"}},
+         ["solver.dt: expected a number, got str"]),
+        ({"environment": {"surface_spectrum": {
+            "wind_speed": 10, "k_min": "x", "k_max": 1e-4}}},
+         ["environment.surface_spectrum.k_min: expected a number, got str"]),
+        ({"signal": {"sound_speed": "x", "wave_number": 1e306}},
+         ["signal.sound_speed: expected a number, got str"]),
+        # so is a block that is not an object
+        ({"signal": 5}, ["signal: expected an object"]),
+        ({"time": 5, "solver": {"dt": 1e-300}}, ["time: expected an object"]),
+        ({"environment": 5, "outputs": ["spectrum"]},
+         ["environment: expected an object"]),
+        # about 2e300 samples: a count past 2**53 is printed as a float
+        ({"solver": {"dt": 1e-300}},
+         ["time: 2e+300 samples exceed the sample budget of 10000000",
+          "time: step 1e-300 is finer than 4 float spacings at |t| = 2.0 "
+          "(1.7763568394002505e-15)"]),
     ], ids=["malformed-table", "mistyped-knot", "non-finite-knot",
             "profile-not-object", "kind-not-string",
             "outputs-not-list", "wave-number-overflow",
             "angular-frequency-overflow", "fixed-run-half-step",
-            "delta-overflow"])
+            "delta-overflow", "bad-t1-unread", "bad-dt-unread",
+            "bad-k-min-unread", "bad-sound-speed-unread",
+            "signal-not-object", "time-not-object",
+            "environment-not-object", "huge-sample-count"])
     def test_problem_text(self, doc, problems):
         assert problems_of(doc) == problems
 
