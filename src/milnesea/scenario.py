@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import solver
+from . import csvfloat, solver
 from .acoustic_signal import SignalSpec
 from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           SurfaceSpectrumParams, bathymetry_profile,
@@ -616,8 +616,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # exports
 
 
-# records per %-operation: enough to amortise each chunk's slicing, few
-# enough that a chunk of the widest records (transition) is ~1.3 MB of text
+# the fewest records a forked child formats: enough to amortise the fork
+# and the copy of its file
 _CHUNK = 4096
 
 
@@ -629,15 +629,12 @@ def _available_cpus() -> int:
 
 
 def _record_lines(line: bytes, columns, lo: int, hi: int):
-    """Lines of records lo..hi, one bytes %-operation per _CHUNK records."""
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        # the chunk's values in record order, as Python floats and bytes:
-        # they format faster than numpy scalars
-        records = np.empty((stop - start, len(columns)), dtype=object)
-        for j, c in enumerate(columns):
-            records[:, j] = c[start:stop]
-        yield line * (stop - start) % tuple(records.ravel().tolist())
+    """Lines of records lo..hi, one vectorised pass per run of about
+    csvfloat.PASS_VALUES floats."""
+    template = csvfloat.template(line)
+    for start in range(lo, hi, template.records_per_pass):
+        yield template.lines(columns, start,
+                             min(start + template.records_per_pass, hi))
 
 
 def _fork_range(line: bytes, columns, lo: int, hi: int):
@@ -650,9 +647,9 @@ def _fork_range(line: bytes, columns, lo: int, hi: int):
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork() in a multi-threaded process, and
-            # OpenBLAS starts threads. The child is safe: it runs only
-            # pure-Python formatting and os._exit, and never calls BLAS,
-            # whose threads it lacks.
+            # OpenBLAS starts threads. The child is safe: it runs only the
+            # formatting, numpy ufuncs and indexing, and os._exit, and
+            # never calls BLAS, whose threads it lacks.
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
                                     "multi-threaded", DeprecationWarning)
             pid = os.fork()
@@ -684,8 +681,8 @@ def _reap(pids: dict, lo: int) -> bool:
 
 def write_csv(product: str, data, out) -> None:
     """Write one product's CSV into the binary file `out`: the header line,
-    then the lines of each run of _CHUNK records, formatted by one bytes
-    %-operation per run over the run's values in record order.
+    then the lines of the records, formatted by csvfloat in vectorised
+    passes of about csvfloat.PASS_VALUES floats each.
 
     The records split into one contiguous range per available CPU, each of
     at least _CHUNK records. A forked child formats each range but the
@@ -693,7 +690,7 @@ def write_csv(product: str, data, out) -> None:
     child's file is then copied into `out` as written, in order. A range
     whose child fails, or cannot be forked, is formatted here. Each record
     is formatted on its own, so the bytes do not depend on where ranges or
-    chunks are cut. A failed write propagates once every child is reaped.
+    passes are cut. A failed write propagates once every child is reaped.
     """
     p = _TABLE[product]
     columns = p.columns(data)

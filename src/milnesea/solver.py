@@ -87,12 +87,30 @@ def fixed_steps(t0: float, t1: float, dt: float):
     return max(1, int(n_whole) + (t1 - (t0 + dt * n_whole) > 1e-12 * dt))
 
 
+def _g(n: int) -> str:
+    """`n`, an int of 2**53 or more, as f"{float(n):g}" prints it, also
+    past the float range: 6 digits, rounded half to even, and the
+    exponent."""
+    if n <= sys.float_info.max:
+        return f"{n:g}"
+    e = int(math.log10(n))  # one off at worst, next to a power of ten
+    e += (n >= 10 ** (e + 1)) - (n < 10 ** e)
+    unit = 10 ** (e - 5)
+    q, r = divmod(n, unit)
+    q += 2 * r > unit or (2 * r == unit and q % 2)
+    if q == 10 ** 6:
+        q, e = 10 ** 5, e + 1
+    digits = str(q).rstrip("0")
+    point = "." if len(digits) > 1 else ""
+    return f"{digits[0]}{point}{digits[1:]}e+{e}"
+
+
 def check_sample_budget(samples) -> None:
     """Reject more than DEFAULT_MAX_STEPS samples; call before allocating.
-    A count from 2**53 up to the float range is printed as a float."""
+    A count from 2**53 on is printed as %g prints a float."""
     if samples > DEFAULT_MAX_STEPS:
-        if 2 ** 53 <= samples <= sys.float_info.max:
-            samples = f"{samples:g}"
+        if isinstance(samples, int) and samples >= 2 ** 53:
+            samples = _g(samples)
         raise ValueError(f"{samples} samples exceed the sample budget of "
                          f"{DEFAULT_MAX_STEPS}")
 

@@ -288,6 +288,16 @@ class TestValidation:
          ["time: 2e+300 samples exceed the sample budget of 10000000",
           "time: step 1e-300 is finer than 4 float spacings at |t| = 2.0 "
           "(1.7763568394002505e-15)"]),
+        # a count past the float range is printed short, without a float,
+        # and rounded to 6 digits as %g rounds
+        ({"environment": {"surface_spectrum": {"wind_speed": 10,
+                                               "samples": 10 ** 400}}},
+         ["environment.surface_spectrum: 1e+400 samples exceed the sample "
+          "budget of 10000000"]),
+        ({"environment": {"surface_spectrum": {"wind_speed": 10,
+                                               "samples": 10 ** 401 - 1}}},
+         ["environment.surface_spectrum: 1e+401 samples exceed the sample "
+          "budget of 10000000"]),
     ], ids=["malformed-table", "mistyped-knot", "non-finite-knot",
             "profile-not-object", "kind-not-string",
             "outputs-not-list", "wave-number-overflow",
@@ -295,7 +305,8 @@ class TestValidation:
             "delta-overflow", "bad-t1-unread", "bad-dt-unread",
             "bad-k-min-unread", "bad-sound-speed-unread",
             "signal-not-object", "time-not-object",
-            "environment-not-object", "huge-sample-count"])
+            "environment-not-object", "huge-sample-count",
+            "sample-count-past-float-range", "sample-count-rounds-up"])
     def test_problem_text(self, doc, problems):
         assert problems_of(doc) == problems
 
@@ -1087,8 +1098,8 @@ class TestParallelCsv:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_export_peak_stays_near_one_chunk(self, tmp_path, monkeypatch,
                                               cpus):
-        # the parent formats one chunk, or copies one buffer, at a time:
-        # ~640 KiB of traced peak on the spectrum and ~525 KiB on the
+        # the parent formats one pass, or copies one buffer, at a time:
+        # ~607 KiB of traced peak on the spectrum and ~508 KiB on the
         # bathymetry, where one range of either is megabytes of text
         doc, _ = workloads.make("env-tables", 0)
         result = run_scenario(load(doc))
