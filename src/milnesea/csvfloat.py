@@ -2,10 +2,10 @@
 
 ``put_g17(x, outs)`` writes ``b"%.17g" % v`` for each float ``v`` of
 ``x`` as four little-endian uint64 words, 32 bytes holding the text with
-0 bytes as padding. ``template(line)`` splits a bytes line of ``%.17g``
-and ``%s`` slots once into literal words and slots; its ``lines`` lays
-out a run of records in words and drops the padding with one
-``bytes.translate``.
+0 bytes as padding. ``Template(line)`` splits a bytes line of ``%.17g``
+and ``%s`` slots once into literal words and slots; its ``lines`` yields
+the text of a run of records one pass at a time, each pass laid out in
+words and its padding dropped with one ``bytes.translate``.
 
 The digits are those of CPython's ``%.17g``, Gay's correctly rounded
 dtoa. With X = floor(log10 |x|) and k = 16 - X they are the integer
@@ -307,10 +307,17 @@ class Template:
         floats = sum(g for _, g in self.slots)
         self.records_per_pass = max(1, PASS_VALUES // max(1, floats))
 
-    def lines(self, columns, lo: int, hi: int) -> bytes:
-        """The lines of records lo..hi: `columns` holds one sequence per
-        slot, with one entry per record. A column given for several slots
-        is formatted once."""
+    def lines(self, columns, lo: int, hi: int):
+        """The lines of records lo..hi, one bytes object per pass of
+        records_per_pass records: `columns` holds one sequence per slot,
+        with one entry per record."""
+        for start in range(lo, hi, self.records_per_pass):
+            yield self.format_pass(columns, start,
+                                   min(start + self.records_per_pass, hi))
+
+    def format_pass(self, columns, lo: int, hi: int) -> bytes:
+        """The lines of records lo..hi in one pass. A column given for
+        several slots is formatted once."""
         m = hi - lo
         rows = np.empty((m, self.width), "<u8")
         for at, words in self.literals:
@@ -337,9 +344,3 @@ class Template:
         padded = rows.tobytes()
         del rows
         return padded.translate(None, b"\0")
-
-
-@lru_cache(maxsize=None)
-def template(line: bytes) -> Template:
-    """The one Template of each line format."""
-    return Template(line)

@@ -616,9 +616,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # exports
 
 
-# the fewest records a forked child formats: enough to amortise the fork
-# and the copy of its file
-_CHUNK = 4096
+# the fewest csvfloat passes a forked child formats: below this, the fork
+# and the copy of its file cost more than the passes it takes off here
+_FORK_PASSES = 6
 
 
 def _available_cpus() -> int:
@@ -628,16 +628,7 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _record_lines(line: bytes, columns, lo: int, hi: int):
-    """Lines of records lo..hi, one vectorised pass per run of about
-    csvfloat.PASS_VALUES floats."""
-    template = csvfloat.template(line)
-    for start in range(lo, hi, template.records_per_pass):
-        yield template.lines(columns, start,
-                             min(start + template.records_per_pass, hi))
-
-
-def _fork_range(line: bytes, columns, lo: int, hi: int):
+def _fork_range(template, columns, lo: int, hi: int):
     """(pid, file) of a child writing records lo..hi's lines to the file;
     None where the file or the fork cannot be had."""
     try:
@@ -659,7 +650,7 @@ def _fork_range(line: bytes, columns, lo: int, hi: int):
     if pid == 0:
         status = 1
         try:
-            out.writelines(_record_lines(line, columns, lo, hi))
+            out.writelines(template.lines(columns, lo, hi))
             out.flush()
             status = 0
         finally:
@@ -681,11 +672,11 @@ def _reap(pids: dict, lo: int) -> bool:
 
 def write_csv(product: str, data, out) -> None:
     """Write one product's CSV into the binary file `out`: the header line,
-    then the lines of the records, formatted by csvfloat in vectorised
-    passes of about csvfloat.PASS_VALUES floats each.
+    then the lines of the records, formatted by a csvfloat.Template in
+    vectorised passes of its records_per_pass records.
 
-    The records split into one contiguous range per available CPU, each of
-    at least _CHUNK records. A forked child formats each range but the
+    The passes split into one contiguous range per available CPU, each of
+    at least _FORK_PASSES passes. A forked child formats each range but the
     first into a temporary file while this process formats the first; each
     child's file is then copied into `out` as written, in order. A range
     whose child fails, or cannot be forked, is formatted here. Each record
@@ -694,14 +685,16 @@ def write_csv(product: str, data, out) -> None:
     """
     p = _TABLE[product]
     columns = p.columns(data)
-    line = p.line + b"\n"
-    records = len(columns[0])
-    parts = max(1, min(_available_cpus(), records // _CHUNK))
-    cuts = [records * i // parts for i in range(parts + 1)]
+    template = csvfloat.Template(p.line + b"\n")
+    records, step = len(columns[0]), template.records_per_pass
+    passes = -(-records // step)
+    parts = max(1, min(_available_cpus(), passes // _FORK_PASSES))
+    cuts = [min(records, step * (passes * i // parts))
+            for i in range(parts + 1)]
     pids, files = {}, {}  # range start -> its unreaped child, its file
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            if (child := _fork_range(line, columns, lo, hi)) is not None:
+            if (child := _fork_range(template, columns, lo, hi)) is not None:
                 pids[lo], files[lo] = child
         out.write(p.header + b"\n")
         for lo, hi in zip(cuts, cuts[1:]):
@@ -709,7 +702,7 @@ def write_csv(product: str, data, out) -> None:
                 files[lo].seek(0)
                 shutil.copyfileobj(files[lo], out)
             else:
-                out.writelines(_record_lines(line, columns, lo, hi))
+                out.writelines(template.lines(columns, lo, hi))
     finally:
         for pid in pids.values():
             with suppress(ProcessLookupError):

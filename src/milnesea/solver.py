@@ -93,16 +93,10 @@ def _g(n: int) -> str:
     exponent."""
     if n <= sys.float_info.max:
         return f"{n:g}"
-    e = int(math.log10(n))  # one off at worst, next to a power of ten
-    e += (n >= 10 ** (e + 1)) - (n < 10 ** e)
-    unit = 10 ** (e - 5)
-    q, r = divmod(n, unit)
-    q += 2 * r > unit or (2 * r == unit and q % 2)
-    if q == 10 ** 6:
-        q, e = 10 ** 5, e + 1
-    digits = str(q).rstrip("0")
-    point = "." if len(digits) > 1 else ""
-    return f"{digits[0]}{point}{digits[1:]}e+{e}"
+    from decimal import Decimal  # only here: keep it off the import path
+
+    digits, exponent = format(Decimal(n), ".6g").split("e")
+    return f"{digits.rstrip('0').rstrip('.')}e{exponent}"
 
 
 def check_sample_budget(samples) -> None:

@@ -130,18 +130,27 @@ class TestTemplate:
         b = rng.standard_normal(500) * 1e300
         flags = np.where(a > 0, b"true", b"false")
         columns = (a, b, flags, a, list(b), a)
-        text = csvfloat.template(line).lines(columns, 3, 400)
+        text = b"".join(csvfloat.Template(line).lines(columns, 3, 400))
         assert text == b"".join(
             line % tuple(c[i] for c in columns) for i in range(3, 400))
 
+    def test_one_bytes_object_per_pass(self):
+        template = csvfloat.Template(b"%.17g,%s\n")
+        step = template.records_per_pass
+        assert step == csvfloat.PASS_VALUES
+        x = np.arange(2 * step + 1) / 3
+        passes = list(template.lines((x, [b"a"] * x.size), 1, x.size))
+        assert [p.count(b"\n") for p in passes] == [step, step]
+        assert b"".join(passes) == b"".join(b"%.17g,a\n" % v for v in x[1:])
+
     def test_bytes_slots_alone(self):
-        assert csvfloat.template(b"%s;%s\n").lines(
+        assert csvfloat.Template(b"%s;%s\n").format_pass(
             ([b"true", b"false"], [b"x", b""]), 0, 2) == b"true;x\nfalse;\n"
 
     @pytest.mark.parametrize("value", [b"ninebytes", "true"])
     def test_rejects_long_or_str_values(self, value):
         with pytest.raises(ValueError, match="not bytes of at most 8"):
-            csvfloat.template(b"%s\n").lines([[value]], 0, 1)
+            csvfloat.Template(b"%s\n").format_pass([[value]], 0, 1)
 
     def test_rejects_other_formats(self):
         with pytest.raises(ValueError, match="unsupported"):

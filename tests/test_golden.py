@@ -9,6 +9,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,6 +47,34 @@ def test_workload(tmp_path, name):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc, indent=2) + "\n")
     assert _simulate(config, tmp_path / "out") == GOLDEN["workloads"][name]
+
+
+# no FMA in OpenBLAS and no AVX-512 loops in numpy, as on an older x86-64
+PORTABLE_HOST = {"OPENBLAS_CORETYPE": "Prescott",
+                 "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the forced kernels and SIMD levels are x86-64's")
+@pytest.mark.parametrize("name, files", [
+    ("osc-fixed", ["envelope.csv", "result.json", "summary.csv",
+                   "trajectory.csv"]),
+    ("env-tables", ["bathymetry.csv", "result.json"])])
+def test_bytes_that_do_not_depend_on_the_host(tmp_path, name, files):
+    # these files must not move with the BLAS kernel or numpy's SIMD
+    # level; the others (transition.csv, spectrum.csv) still do
+    doc, _ = workloads.make(name, GOLDEN["seed"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc, indent=2) + "\n")
+    here = _simulate(config, tmp_path / "here")
+    there = tmp_path / "there"
+    subprocess.run(
+        [sys.executable, "-m", "milnesea.cli", "simulate", str(config),
+         "--out-dir", str(there)], check=True, capture_output=True,
+        timeout=120, env={**os.environ, **PORTABLE_HOST,
+                          "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert {f: hashlib.sha256((there / f).read_bytes()).hexdigest()
+            for f in files} == {f: here[f] for f in files}
 
 
 def integrate(config):

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from memtrace import peak_bytes
 
-from milnesea import default_config_path, scenario
+from milnesea import csvfloat, default_config_path, scenario
 from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
 from milnesea.milne import EnvelopeSample, envelope_q, hamiltonian_density
-from milnesea.scenario import (_CHUNK, _TABLE, DynamicalParams,
+from milnesea.scenario import (_FORK_PASSES, _TABLE, DynamicalParams,
                                ScenarioResult, _estimate_summary,
                                config_to_dict, export_csv, export_json,
                                grid_sweep, load_config, output_grid,
@@ -900,6 +900,21 @@ def _records(product: str, n: int):
     return BathymetryProfile(t, np.abs(floats(n)))
 
 
+# the products of many records, and the records of one csvfloat pass of each
+SERIES = ("trajectory", "envelope", "transition", "spectrum", "bathymetry")
+PASS = {product: csvfloat.Template(_TABLE[product].line + b"\n")
+        .records_per_pass for product in SERIES}
+
+
+def _sizes(*counts, edges=()):
+    """(product, n) for every product of SERIES: n each of `counts`, and
+    for each k of `edges`, k passes of that product's records and one
+    record either side."""
+    return [(product, n) for product in SERIES
+            for n in sorted({*counts, *(k * PASS[product] + d
+                                        for k in edges for d in (-1, 0, 1))})]
+
+
 def _reference_csv(product: str, data) -> bytes:
     """The CSV written one record at a time."""
     p = _TABLE[product]
@@ -908,8 +923,9 @@ def _reference_csv(product: str, data) -> bytes:
 
 
 class TestChunkedCsv:
-    """CSV text is formatted in chunks of _CHUNK records; the bytes must
-    equal those of a per-record writer on both sides of a chunk edge."""
+    """CSV text is formatted in csvfloat passes of PASS[product] records;
+    the bytes must equal those of a per-record writer on both sides of a
+    pass edge, and across several passes."""
 
     @staticmethod
     def check(tmp_path, product, data):
@@ -921,10 +937,8 @@ class TestChunkedCsv:
         assert_same_bytes(path.read_bytes(), expected)
         return expected
 
-    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
-    @pytest.mark.parametrize("product", ["trajectory", "envelope",
-                                         "transition", "spectrum",
-                                         "bathymetry"])
+    @pytest.mark.parametrize("product, n",
+                             _sizes(1, 4095, 4096, 4097, edges=[1]))
     def test_record_counts_around_a_chunk(self, tmp_path, product, n):
         text = self.check(tmp_path, product, _records(product, n))
         per_record = 2 if product == "transition" else 1
@@ -962,6 +976,11 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _ranges(product: str, k: int) -> int:
+    """Records of `k` forked ranges of the fewest passes each."""
+    return k * _FORK_PASSES * PASS[product]
+
+
 def set_cpus(monkeypatch, n: int):
     monkeypatch.setattr(scenario, "_available_cpus", lambda: n)
 
@@ -987,11 +1006,12 @@ class TestParallelCsv:
     """Ranges of a large CSV are formatted by forked children; the bytes
     must not depend on how many, and no child may outlive the export."""
 
-    @pytest.mark.parametrize("n", [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
-                                   5 * _CHUNK + 3])
-    @pytest.mark.parametrize("product", ["trajectory", "envelope",
-                                         "transition", "spectrum",
-                                         "bathymetry"])
+    # one record either side of the first forking pass count, ranges of
+    # _FORK_PASSES passes for 5 workers, and record counts that end
+    # anywhere in a pass
+    @pytest.mark.parametrize("product, n", [
+        *_sizes(8191, 8192, 8193, 20483, edges=[2 * _FORK_PASSES - 1]),
+        *((product, _ranges(product, 5) + 3) for product in SERIES)])
     def test_bytes_do_not_depend_on_workers(self, monkeypatch, forks,
                                             product, n):
         data = _records(product, n)
@@ -1004,19 +1024,37 @@ class TestParallelCsv:
             set_cpus(monkeypatch, workers)
             forks.clear()
             assert_same_bytes(csv_bytes(product, data), serial)
-            assert len(forks) == min(workers, n // _CHUNK) - 1
+            passes = -(-n // PASS[product])
+            assert len(forks) == max(1, min(workers,
+                                            passes // _FORK_PASSES)) - 1
+
+    def test_seed0_workload_forks(self, monkeypatch, forks):
+        # at 2 CPUs a product forks from 2 * _FORK_PASSES passes: the
+        # trajectory (9 passes) and the envelopes (8 at most) stay here
+        set_cpus(monkeypatch, 2)
+        forked = set()
+        for name in workloads.NAMES:
+            result = run_scenario(load(workloads.make(name, 0)[0]))
+            for product in result.config.outputs:
+                forks.clear()
+                write_csv(product, getattr(result, product), io.BytesIO())
+                if forks:
+                    forked.add((name, product))
+        assert forked == {("sweep-bumps", "transition"),
+                          ("env-tables", "spectrum"),
+                          ("env-tables", "bathymetry")}
 
     def test_failed_child_falls_back(self, monkeypatch, forks):
-        parent, record_lines = os.getpid(), scenario._record_lines
+        parent, format_pass = os.getpid(), csvfloat.Template.format_pass
 
         def fails_in_child(*args):
             if os.getpid() != parent:
                 raise RuntimeError("formatting failed in the child")
-            return record_lines(*args)
+            return format_pass(*args)
 
-        data = _records("transition", 3 * _CHUNK + 1)
+        data = _records("transition", _ranges("transition", 3) + 1)
         set_cpus(monkeypatch, 3)
-        monkeypatch.setattr(scenario, "_record_lines", fails_in_child)
+        monkeypatch.setattr(csvfloat.Template, "format_pass", fails_in_child)
         assert_same_bytes(csv_bytes("transition", data),
                           _reference_csv("transition", data))
         assert len(forks) == 2
@@ -1027,7 +1065,7 @@ class TestParallelCsv:
         def refuse():
             raise OSError(f"{name} refused")
 
-        data = _records("spectrum", 2 * _CHUNK)
+        data = _records("spectrum", _ranges("spectrum", 2))
         set_cpus(monkeypatch, 2)
         monkeypatch.setattr(module, name, refuse)
         assert_same_bytes(csv_bytes("spectrum", data),
@@ -1036,7 +1074,7 @@ class TestParallelCsv:
 
     @pytest.mark.parametrize("name", ["sched_getaffinity", "fork"])
     def test_no_fork_or_affinity_formats_here(self, monkeypatch, forks, name):
-        data = _records("spectrum", 2 * _CHUNK)
+        data = _records("spectrum", _ranges("spectrum", 2))
         available_cpus = scenario._available_cpus
         set_cpus(monkeypatch, 2)
         forked = csv_bytes("spectrum", data)
@@ -1051,7 +1089,7 @@ class TestParallelCsv:
     def test_children_reaped_elsewhere(self, monkeypatch, forks):
         # with SIGCHLD ignored the kernel reaps each child, so no exit
         # status can be read: the parent formats every range itself
-        data = _records("bathymetry", 3 * _CHUNK)
+        data = _records("bathymetry", _ranges("bathymetry", 3))
         set_cpus(monkeypatch, 3)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
@@ -1073,7 +1111,7 @@ class TestParallelCsv:
 
         set_cpus(monkeypatch, 3)
         monkeypatch.setattr(scenario, "_fork_range", keep_file)
-        data = _records(product, 3 * _CHUNK)
+        data = _records(product, _ranges(product, 3))
         with pytest.raises(OSError, match="disk full"):
             write_csv(product, data, sink)
         assert sink.writes == sink.fail_at
