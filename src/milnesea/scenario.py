@@ -616,8 +616,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # exports
 
 
-# the fewest csvfloat passes a forked child formats: below this, the fork
+# the fewest csvfloat passes a forked range holds: below this, the fork
 # and the copy of its file cost more than the passes it takes off here
+# (measured with 2 ranges on 2 CPUs; not measured for 3 or more ranges)
 _FORK_PASSES = 6
 
 

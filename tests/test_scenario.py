@@ -1151,27 +1151,30 @@ class TestParallelCsv:
     CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "milnesea.cli"]
     ENV = {**os.environ,
            "PYTHONPATH": str(Path(scenario.__file__).parents[1])}
+    # three forked ranges of spectrum records and 3 more: the export forks
+    # one child at 2 CPUs and two at 3 or more
+    SAMPLES = _ranges("spectrum", 3) + 3
 
     def test_cli_pipe_output_is_not_duplicated(self, forks):
         # children exit without flushing the parent's stdout buffer
         done = subprocess.run(
             [*self.CLI, "spectrum", "--wind-speed", "10", "--samples",
-             "20000"], capture_output=True, check=True, timeout=60,
-            env=self.ENV)
+             str(self.SAMPLES)], capture_output=True, check=True,
+            timeout=60, env=self.ENV)
         assert done.stderr == b""
         lines = done.stdout.decode().splitlines()
-        assert len(lines) == 20_001
+        assert len(lines) == 1 + self.SAMPLES
         assert lines[0] == "k,S"
         k = [float(row.split(",")[0]) for row in lines[1:]]
         assert all(a < b for a, b in zip(k, k[1:]))
 
     def test_cli_closed_stdout_ends_quietly(self, forks):
-        # the reader stops after two lines, as `| head -2` does: ~0.9 MB
+        # the reader stops after two lines, as `| head -2` does: ~1.4 MB
         # is still unwritten, so a write meets the closed pipe
         with subprocess.Popen(
                 [*self.CLI, "spectrum", "--wind-speed", "10", "--samples",
-                 "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env=self.ENV) as child:
+                 str(self.SAMPLES)], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=self.ENV) as child:
             assert child.stdout.readline() == b"k,S\n"
             assert child.stdout.readline().startswith(b"0.001,")
             child.stdout.close()
