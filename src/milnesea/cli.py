@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands (every CSV is written as bytes by ``scenario.write_csv``):
+Subcommands (every CSV is written as bytes by ``scenario.csv_schedule``,
+one schedule for all the CSVs of a ``simulate`` run):
 
 * ``simulate``    run a full scenario from a JSON config, writing one CSV
                   per computed product plus a result.json summary
@@ -28,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .scenario import (export_csv, export_json, grid_sweep, load_config,
-                       output_grid, run_scenario, write_csv)
+from .scenario import (csv_schedule, export_csv, export_json, grid_sweep,
+                       load_config, output_grid, run_scenario, write_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,13 +111,16 @@ def _cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    export_json(result, out_dir / "result.json")
-    for product in config.outputs:
-        if product in result.skips:
-            print(f"{product}: skipped ({result.skips[product]})")
-        else:
-            path = export_csv(result, product, out_dir / f"{product}.csv")
-            print(f"{product}: computed -> {path}")
+    with csv_schedule({p: getattr(result, p) for p in config.outputs
+                       if p not in result.skips}) as write:
+        export_json(result, out_dir / "result.json")
+        for product in config.outputs:
+            if product in result.skips:
+                print(f"{product}: skipped ({result.skips[product]})")
+            else:
+                path = export_csv(result, product,
+                                  out_dir / f"{product}.csv", write)
+                print(f"{product}: computed -> {path}")
     if result.trajectory is not None and not result.trajectory.completed:
         print(f"note: integration ended early, {result.trajectory.message}")
     print(f"result summary -> {out_dir / 'result.json'}")

@@ -18,8 +18,8 @@ with a reason instead of failing the whole run; configuration mistakes,
 by contrast, are rejected up front by ``load_config`` with an exhaustive
 problem list.
 
-All exports are byte-identical for the same config; ``write_csv`` writes
-every CSV as bytes, on every CPU, and ``export_json`` the summary JSON.
+All exports are byte-identical for the same config; ``csv_schedule``
+writes a run's CSVs as bytes, on every CPU, and ``export_json`` the JSON.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import sys
 import tempfile
 import warnings
 from collections import namedtuple
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
@@ -102,7 +103,7 @@ class ScenarioResult:
     skips: dict = field(default_factory=dict)
 
 
-# Every product's CSV layout, shared by write_csv, result_to_dict and
+# Every product's CSV layout, shared by csv_schedule, result_to_dict and
 # _first_nonfinite: the CSV header, the bytes %-format of one record, and
 # data -> columns, one entry per record. A product's data is the
 # ScenarioResult attribute of its name; a record is one line, except a
@@ -616,9 +617,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # exports
 
 
-# the fewest csvfloat passes a forked range holds: below this, the fork
-# and the copy of its file cost more than the passes it takes off here
-# (measured with 2 ranges on 2 CPUs; not measured for 3 or more ranges)
+# the least weight a forked range holds, a pass weighing its records over
+# records_per_pass. With 2 ranges on 2 idle CPUs (3 or more not measured),
+# forking a whole run paid from weight 8 on for sweep-bumps' products and
+# from 12 on for env-tables'; below, the fork and the copies cost more
 _FORK_PASSES = 6
 
 
@@ -629,81 +631,93 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_range(template, columns, lo: int, hi: int):
-    """(pid, file) of a child writing records lo..hi's lines to the file;
-    None where the file or the fork cannot be had."""
-    try:
-        out = tempfile.TemporaryFile()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork() in a multi-threaded process, and
-            # OpenBLAS starts threads. The child is safe: it runs only the
-            # formatting, numpy ufuncs and indexing, and os._exit, and
-            # never calls BLAS, whose threads it lacks.
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
-                                    "multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        out.close()
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            out.writelines(template.lines(columns, lo, hi))
-            out.flush()
-            status = 0
-        finally:
-            # never return into the caller's stack, and never flush the
-            # parent's buffered output a second time
-            os._exit(status)
-    return pid, out
+@contextmanager
+def csv_schedule(products: dict):
+    """Format the CSVs of `products` (product -> data, in output order) on
+    every available CPU; yields write(product, out), which writes one into
+    the binary file `out`: its header, then its records' lines, made by a
+    csvfloat.Template in passes of records_per_pass records.
 
-
-def _reap(pids: dict, lo: int) -> bool:
-    """Wait for the child formatting range `lo`; True if it exited 0."""
-    try:
-        status = os.waitstatus_to_exitcode(os.waitpid(pids[lo], 0)[1])
-    except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored): unknown
-        status = None
-    del pids[lo]
-    return status == 0
-
-
-def write_csv(product: str, data, out) -> None:
-    """Write one product's CSV into the binary file `out`: the header line,
-    then the lines of the records, formatted by a csvfloat.Template in
-    vectorised passes of its records_per_pass records.
-
-    The passes split into one contiguous range per available CPU, each of
-    at least _FORK_PASSES passes. A forked child formats each range but the
-    first into a temporary file while this process formats the first; each
-    child's file is then copied into `out` as written, in order. A range
-    whose child fails, or cannot be forked, is formatted here. Each record
-    is formatted on its own, so the bytes do not depend on where ranges or
-    passes are cut. A failed write propagates once every child is reaped.
+    All the passes, laid end to end and weighing their records over
+    records_per_pass, are cut at pass boundaries into a range per CPU, each
+    weighing about _FORK_PASSES or more. A forked child formats each range
+    but the first into a temporary file per product; write() formats the
+    rest and copies the children's files in, in order, or formats a failed
+    or unforked child's range itself. The bytes do not depend on the cuts.
+    On exit every child is killed and reaped, and every file closed.
     """
-    p = _TABLE[product]
-    columns = p.columns(data)
-    template = csvfloat.Template(p.line + b"\n")
-    records, step = len(columns[0]), template.records_per_pass
-    passes = -(-records // step)
-    parts = max(1, min(_available_cpus(), passes // _FORK_PASSES))
-    cuts = [min(records, step * (passes * i // parts))
-            for i in range(parts + 1)]
-    pids, files = {}, {}  # range start -> its unreaped child, its file
+    jobs = {}  # product -> (header, lines(lo, hi), records, records_per_pass)
+    for product, data in products.items():
+        p = _TABLE[product]
+        columns = p.columns(data)
+        template = csvfloat.Template(p.line + b"\n")
+        jobs[product] = (p.header, partial(template.lines, columns),
+                         len(columns[0]), template.records_per_pass)
+    weight = sum(n / step for *_, n, step in jobs.values())
+    parts = max(1, min(_available_cpus(), int(weight // _FORK_PASSES)))
+    ranges, done = {}, 0.0  # (part, product) -> [lo, hi], in order
+    for product, (*_, n, step) in jobs.items():
+        for lo in range(0, n, step):  # to the range the pass's middle is in
+            hi = min(lo + step, n)
+            part = min(parts - 1, int((done + (hi - lo) / step / 2)
+                                      / weight * parts))
+            done += (hi - lo) / step
+            ranges.setdefault((part, product), [lo, hi])[1] = hi
+    # part -> its unreaped child; (part, product) -> file; parts whose
+    # child exited 0
+    pids, files, ok = {}, {}, set()
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            if (child := _fork_range(template, columns, lo, hi)) is not None:
-                pids[lo], files[lo] = child
-        out.write(p.header + b"\n")
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo in pids and _reap(pids, lo):
-                files[lo].seek(0)
-                shutil.copyfileobj(files[lo], out)
-            else:
-                out.writelines(template.lines(columns, lo, hi))
+        for part in range(1, parts):
+            mine = [(product, lo, hi) for (at, product), (lo, hi)
+                    in ranges.items() if at == part]
+            try:
+                for product, _, _ in mine:
+                    files[part, product] = tempfile.TemporaryFile()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on fork() in a multi-threaded
+                    # process, and OpenBLAS starts threads. The child is
+                    # safe: it runs only the formatting, numpy ufuncs and
+                    # indexing, and os._exit, and never calls BLAS.
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is "
+                        "multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    for product, lo, hi in mine:
+                        lines = jobs[product][1]
+                        files[part, product].writelines(lines(lo, hi))
+                        files[part, product].flush()
+                    status = 0
+                finally:
+                    # never return into the caller's stack, and never
+                    # flush the parent's buffered output a second time
+                    os._exit(status)
+            pids[part] = pid
+
+        def write(product: str, out) -> None:
+            header, lines, *_ = jobs[product]
+            out.write(header + b"\n")
+            for (part, name), (lo, hi) in ranges.items():
+                if name != product:
+                    continue
+                if part in pids:
+                    # reaped elsewhere (SIGCHLD ignored): status unknown
+                    with suppress(ChildProcessError):
+                        if os.waitstatus_to_exitcode(
+                                os.waitpid(pids[part], 0)[1]) == 0:
+                            ok.add(part)
+                    del pids[part]
+                if part in ok:
+                    files[part, name].seek(0)
+                    shutil.copyfileobj(files[part, name], out)
+                else:
+                    out.writelines(lines(lo, hi))
+
+        yield write
     finally:
         for pid in pids.values():
             with suppress(ProcessLookupError):
@@ -712,6 +726,13 @@ def write_csv(product: str, data, out) -> None:
                 os.waitpid(pid, 0)
         for f in files.values():
             f.close()
+
+
+def write_csv(product: str, data, out) -> None:
+    """Write one product's CSV into the binary file `out`: the one-product
+    csv_schedule."""
+    with csv_schedule({product: data}) as write:
+        write(product, out)
 
 
 def _require_product(result: ScenarioResult, product: str):
@@ -723,8 +744,10 @@ def _require_product(result: ScenarioResult, product: str):
         raise NotComputedError(f"{product} was skipped: {result.skips[product]}")
 
 
-def export_csv(result: ScenarioResult, product: str, destination) -> Path:
-    """Write one product as CSV with full float precision (%.17g).
+def export_csv(result: ScenarioResult, product: str, destination,
+               write=None) -> Path:
+    """Write one product as CSV with full float precision (%.17g), by
+    `write` of the run's csv_schedule if given.
 
     Raises NotComputedError (naming the skip reason) for products the run
     did not produce.
@@ -732,7 +755,10 @@ def export_csv(result: ScenarioResult, product: str, destination) -> Path:
     _require_product(result, product)
     path = Path(destination)
     with path.open("wb") as f:
-        write_csv(product, getattr(result, product), f)
+        if write is None:
+            write_csv(product, getattr(result, product), f)
+        else:
+            write(product, f)
     return path
 
 

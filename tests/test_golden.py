@@ -2,7 +2,9 @@
 
 The benchmark checks these hashes too, but only when it runs; this test
 runs the shipped scenario and each benchmark workload at the golden seed
-in-process, so byte drift fails the suite.
+in-process, so byte drift fails the suite. A failed comparison names
+this host's fingerprint beside the one the hashes were recorded on
+(hostprint.py).
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hostprint import mismatch
 
 from milnesea import cli, default_config_path
 from milnesea.milne import integrate_milne
@@ -38,7 +41,7 @@ def _simulate(config: Path, out_dir: Path) -> dict:
 
 def test_default_scenario(tmp_path):
     assert _simulate(default_config_path(), tmp_path / "out") == \
-        GOLDEN["default-scenario"]
+        GOLDEN["default-scenario"], mismatch()
 
 
 @pytest.mark.parametrize("name", workloads.NAMES)
@@ -46,7 +49,8 @@ def test_workload(tmp_path, name):
     doc, _ = workloads.make(name, GOLDEN["seed"])
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc, indent=2) + "\n")
-    assert _simulate(config, tmp_path / "out") == GOLDEN["workloads"][name]
+    assert _simulate(config, tmp_path / "out") == \
+        GOLDEN["workloads"][name], mismatch()
 
 
 # no FMA in OpenBLAS and no AVX-512 loops in numpy, as on an older x86-64
@@ -108,5 +112,6 @@ def test_osc_adaptive_counters():
     doc, _ = workloads.make("osc-adaptive", GOLDEN["seed"])
     traj = integrate(load_config(json.dumps(doc)))
     assert traj.completed
-    assert (traj.accepted, traj.rejected, traj.retried) == (5731, 667, 0)
+    assert (traj.accepted, traj.rejected, traj.retried) == (5731, 667, 0), \
+        mismatch()
     assert traj.rhs_evals == 1 + 6 * (5731 + 667) == 38389

@@ -1,5 +1,6 @@
 """Scenario configuration parsing, run orchestration, and exports."""
 
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import partial
 from itertools import zip_longest
@@ -15,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hostprint import mismatch
 from memtrace import peak_bytes
 
-from milnesea import csvfloat, default_config_path, scenario
+from milnesea import cli, csvfloat, default_config_path, scenario
 from milnesea.environment import BathymetryProfile, SpectrumSeries
 from milnesea.errors import ConfigError, NotComputedError
 from milnesea.milne import EnvelopeSample, envelope_q, hamiltonian_density
@@ -33,6 +36,9 @@ from milnesea.transition import FormComparison, compare_forms
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
+
+GOLDEN = json.loads((Path(workloads.__file__).parent / "golden.json")
+                    .read_text())
 
 
 def load(doc: dict):
@@ -959,21 +965,34 @@ class TestChunkedCsv:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children write_csv forks, in order; afterwards no
+    """The pids of the children csv_schedule forks, in order; afterwards no
     child of this process is left, running or unreaped."""
     pids = []
 
-    def spy(*args):
-        child = fork_range(*args)
-        if child is not None:
-            pids.append(child[0])
-        return child
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    fork_range = scenario._fork_range
-    monkeypatch.setattr(scenario, "_fork_range", spy)
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", spy)
     yield pids
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def temporary_files(monkeypatch):
+    """Every temporary file csv_schedule opens, in order."""
+    files, temporary_file = [], tempfile.TemporaryFile
+
+    def keep(*args, **kwargs):
+        files.append(temporary_file(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", keep)
+    return files
 
 
 def _ranges(product: str, k: int) -> int:
@@ -1006,11 +1025,12 @@ class TestParallelCsv:
     """Ranges of a large CSV are formatted by forked children; the bytes
     must not depend on how many, and no child may outlive the export."""
 
-    # one record either side of the first forking pass count, ranges of
-    # _FORK_PASSES passes for 5 workers, and record counts that end
-    # anywhere in a pass
+    # one record either side of 11 passes and of 12, the least weight that
+    # forks at 2 CPUs, ranges of _FORK_PASSES passes for 5 workers, and
+    # record counts that end anywhere in a pass
     @pytest.mark.parametrize("product, n", [
-        *_sizes(8191, 8192, 8193, 20483, edges=[2 * _FORK_PASSES - 1]),
+        *_sizes(8191, 8192, 8193, 20483,
+                edges=[2 * _FORK_PASSES - 1, 2 * _FORK_PASSES]),
         *((product, _ranges(product, 5) + 3) for product in SERIES)])
     def test_bytes_do_not_depend_on_workers(self, monkeypatch, forks,
                                             product, n):
@@ -1024,25 +1044,9 @@ class TestParallelCsv:
             set_cpus(monkeypatch, workers)
             forks.clear()
             assert_same_bytes(csv_bytes(product, data), serial)
-            passes = -(-n // PASS[product])
+            weight = n / PASS[product]
             assert len(forks) == max(1, min(workers,
-                                            passes // _FORK_PASSES)) - 1
-
-    def test_seed0_workload_forks(self, monkeypatch, forks):
-        # at 2 CPUs a product forks from 2 * _FORK_PASSES passes: the
-        # trajectory (9 passes) and the envelopes (8 at most) stay here
-        set_cpus(monkeypatch, 2)
-        forked = set()
-        for name in workloads.NAMES:
-            result = run_scenario(load(workloads.make(name, 0)[0]))
-            for product in result.config.outputs:
-                forks.clear()
-                write_csv(product, getattr(result, product), io.BytesIO())
-                if forks:
-                    forked.add((name, product))
-        assert forked == {("sweep-bumps", "transition"),
-                          ("env-tables", "spectrum"),
-                          ("env-tables", "bathymetry")}
+                                            int(weight // _FORK_PASSES))) - 1
 
     def test_failed_child_falls_back(self, monkeypatch, forks):
         parent, format_pass = os.getpid(), csvfloat.Template.format_pass
@@ -1058,6 +1062,60 @@ class TestParallelCsv:
         assert_same_bytes(csv_bytes("transition", data),
                           _reference_csv("transition", data))
         assert len(forks) == 2
+
+    def test_failed_child_of_two_products_falls_back(self, monkeypatch,
+                                                     forks):
+        # 12 spectrum passes, then 12 bathymetry passes, cut in 3 at
+        # weights 8 and 16: the first child takes the spectrum's last 4
+        # passes and the bathymetry's first 4, and fails on the spectrum
+        products = {product: _records(product, _ranges(product, 2))
+                    for product in ("spectrum", "bathymetry")}
+        parent, format_pass = os.getpid(), csvfloat.Template.format_pass
+
+        def fails_in_child(template, columns, lo, hi):
+            if os.getpid() != parent and \
+                    columns[0] is products["spectrum"].k:
+                raise RuntimeError("formatting failed in the child")
+            return format_pass(template, columns, lo, hi)
+
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(csvfloat.Template, "format_pass", fails_in_child)
+        with scenario.csv_schedule(products) as write:
+            for product, data in products.items():
+                out = io.BytesIO()
+                write(product, out)
+                assert_same_bytes(out.getvalue(),
+                                  _reference_csv(product, data))
+        assert len(forks) == 2
+
+    # the golden bytes at every CPU count; at 2 CPUs only sweep-bumps
+    # (weight 36.7) and env-tables (146.5) weigh 2 * _FORK_PASSES or more
+    @pytest.mark.parametrize("name, forked", [
+        ("osc-fixed", 0), ("osc-adaptive", 0), ("sweep-bumps", 1),
+        ("env-tables", 1), ("default-scenario", 0)])
+    def test_simulate_bytes_do_not_depend_on_cpus(self, tmp_path,
+                                                  monkeypatch, forks, name,
+                                                  forked):
+        if name == "default-scenario":
+            config, golden = default_config_path(), GOLDEN[name]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(workloads.make(name,
+                                                        GOLDEN["seed"])[0]))
+            golden = GOLDEN["workloads"][name]
+        digests = {}
+        for cpus in (1, 2, 3, 5):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            out_dir = tmp_path / f"out{cpus}"
+            with redirect_stdout(io.StringIO()):
+                cli.main(["simulate", str(config), "--out-dir", str(out_dir)])
+            digests[cpus] = {p.name: hashlib.sha256(p.read_bytes())
+                             .hexdigest() for p in sorted(out_dir.iterdir())}
+            assert digests[cpus] == digests[1], cpus
+            if cpus == 2:
+                assert len(forks) == forked
+        assert digests[1] == golden, mismatch()
 
     @pytest.mark.parametrize("module, name", [(os, "fork"),
                                               (tempfile, "TemporaryFile")])
@@ -1101,16 +1159,9 @@ class TestParallelCsv:
         assert_same_bytes(text, _reference_csv("bathymetry", data))
         assert len(forks) == 4
 
-    def check_reaped_and_closed(self, monkeypatch, forks, product, sink):
-        files, fork_range = [], scenario._fork_range
-
-        def keep_file(*args):
-            child = fork_range(*args)
-            files.append(child[1])
-            return child
-
+    @staticmethod
+    def check_reaped_and_closed(monkeypatch, forks, files, product, sink):
         set_cpus(monkeypatch, 3)
-        monkeypatch.setattr(scenario, "_fork_range", keep_file)
         data = _records(product, _ranges(product, 3))
         with pytest.raises(OSError, match="disk full"):
             write_csv(product, data, sink)
@@ -1119,19 +1170,49 @@ class TestParallelCsv:
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
-        assert all(f.closed for f in files)
+        assert len(files) == 2 and all(f.closed for f in files)
 
-    def test_close_after_the_header_reaps_children(self, monkeypatch, forks):
+    def test_close_after_the_header_reaps_children(self, monkeypatch, forks,
+                                                    temporary_files):
         # the export stops at the first write after the header, before
         # either child is waited for
-        self.check_reaped_and_closed(monkeypatch, forks, "bathymetry",
-                                     FailingSink(fail_at=2))
+        self.check_reaped_and_closed(monkeypatch, forks, temporary_files,
+                                     "bathymetry", FailingSink(fail_at=2))
 
-    def test_failed_write_reaps_children(self, monkeypatch, forks):
+    def test_failed_write_reaps_children(self, monkeypatch, forks,
+                                         temporary_files):
         # the header and the first range are written; the copy of the
         # first child's file fails, with the second child still unreaped
-        self.check_reaped_and_closed(monkeypatch, forks, "trajectory",
-                                     FailingSink(fail_at=3))
+        self.check_reaped_and_closed(monkeypatch, forks, temporary_files,
+                                     "trajectory", FailingSink(fail_at=3))
+
+    def test_failed_write_in_a_run_reaps_its_child(self, tmp_path,
+                                                   monkeypatch, forks,
+                                                   temporary_files):
+        # sweep-bumps at 2 CPUs forks one child, for the transition's
+        # tail; the run's second product, the envelope, fails to write
+        # after its header, with that child still unreaped
+        doc, _ = workloads.make("sweep-bumps", 0)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        sinks = []
+
+        def export_csv(result, product, destination, write):
+            sinks.append(FailingSink(fail_at=2 if sinks else 0))
+            write(product, sinks[-1])
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "export_csv", export_csv)
+        with redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["simulate", str(config), "--out-dir",
+                             str(tmp_path / "out")]) == 1
+        assert err.getvalue() == "error: disk full\n"
+        assert [sink.writes for sink in sinks] == [2, 2]
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        assert len(temporary_files) == 1 and temporary_files[0].closed
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_export_peak_stays_near_one_chunk(self, tmp_path, monkeypatch,

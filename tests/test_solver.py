@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from hostprint import mismatch
 from memtrace import peak_bytes
 from test_cli import ADAPTIVE_BLOWUPS
 
@@ -1083,7 +1084,8 @@ class TestAdaptiveBits:
     bit. They were recorded from the step written in whole-array numpy
     form, which the float form must reproduce. Like perfbench/golden.json
     they assume the BLAS the stage sums run on: the products' summation
-    order sets the last bits.
+    order sets the last bits. A failed digest names this host's
+    fingerprint beside the one the digests were recorded on.
     """
 
     @pytest.mark.parametrize("name, rtol, status, digest", [
@@ -1113,7 +1115,7 @@ class TestAdaptiveBits:
         traj = integrate_adaptive(rhs, y0, span, rtol=rtol)
         assert traj.status == status
         data = traj.times.tobytes() + traj.states.tobytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert hashlib.sha256(data).hexdigest() == digest, mismatch()
 
 
 class TestTableau:

@@ -6,7 +6,9 @@ the module global ``milne.milne_rhs`` and the class attribute
 either some other way (a hoisted coefficient, a direct kernel read)
 would make the traced counts wrong without failing anything else; these
 tests run `simulate` on osc-fixed and osc-adaptive under the tracer and
-pin them.
+pin them. The export spans are timed at ``cli.export_csv`` and
+``cli.export_json``, so `simulate` must call each through the module
+global, once per product and once.
 """
 
 import contextlib
@@ -14,6 +16,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from milnesea import cli
 
@@ -47,3 +51,13 @@ def test_osc_adaptive_calls_reach_the_traced_names(tmp_path):
     assert calls["solver.integrate_adaptive"][:3:2] == [1, 5_731]
     assert calls["milne.rhs"][0] == 38_389
     assert calls["medium.coeff"][0] == 76_784
+
+
+@pytest.mark.parametrize("name", ["osc-fixed", "sweep-bumps"])
+def test_exports_reach_the_traced_names(tmp_path, name):
+    # the tracer times each export at cli.export_csv and cli.export_json;
+    # the run's CSV schedule must leave one call per product in place
+    calls = traced(tmp_path, name)
+    doc, _ = workloads.make(name, 0)
+    assert calls["scenario.export_csv"][0] == len(doc["outputs"])
+    assert calls["scenario.export_json"][0] == 1
