@@ -17,10 +17,11 @@ Supported profile kinds:
 Ranges are proven once, when a MediumSpec is built, from extreme_values(),
 which value(t) never leaves for any t; coefficient reads check nothing.
 
-Each profile builds its scalar kernel once, at construction: a closure
-of its parameters, so ``value`` on a float t is one call of that kernel,
+Each profile decides its kind once, at construction, and builds from
+its parameters both kernels, its range and its feature window. The
+scalar kernel is a closure, so ``value`` on a float t is one call of it,
 with no array round trip and no float() of a value that is one already.
-An array t is evaluated by the same float operations over whole arrays.
+The array kernel applies the same float operations to whole arrays.
 Both give the same value, bit for bit.
 """
 
@@ -105,55 +106,52 @@ class CoefficientProfile:
                 raise InvalidProfileError(f"profile {key} must be finite, "
                                           f"got {value!r}")
         # not fields: equality, hashing and the config echo ignore them
-        if self.kind == TABLE:
-            ts, vs = np.array(self.table).T
-            object.__setattr__(self, "_knots", (ts, vs, float(vs.min()),
-                                                float(vs.max())))
+        for name, value in zip(("_kernel", "_array", "_extremes", "_window"),
+                               self._formulas()):
+            object.__setattr__(self, name, value)
         # each field is finite, but base + amplitude can still overflow,
         # and MediumSpec checks one end of the range, not the other
-        extremes = self.extreme_values()
-        if not all(map(math.isfinite, extremes)):
+        if not all(map(math.isfinite, self._extremes)):
             raise InvalidProfileError(f"profile range must be finite, got "
-                                      f"{extremes!r}")
-        object.__setattr__(self, "_kernel", self._build_kernel())
+                                      f"{self._extremes!r}")
 
     def __reduce__(self):
-        # the kernel is a closure: a copy is rebuilt from the fields
+        # the kernels are closures: a copy is rebuilt from the fields
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    def _build_kernel(self):
-        """The scalar kernel: a closure of the profile's parameters that
-        maps a float t to a float."""
+    def _formulas(self):
+        """The kind's formulas, decided once: (scalar kernel mapping a
+        float t to a float, array kernel mapping a float array t to an
+        array, extreme values, feature window)."""
         if self.kind == CONSTANT:
             base = float(self.base)
-            return lambda t: base
+            return (lambda t: base, lambda t: np.full(t.shape, base),
+                    (base, base), None)
         if self.kind == TABLE:
             # clamped: interpolation can round just past a knot value
-            ts, vs, lo, hi = self._knots
-            return lambda t: min(max(float(np.interp(t, ts, vs)), lo), hi)
-        return self._bump(float)
-
-    def _bump(self, finish):
+            ts, vs = np.array(self.table).T
+            lo, hi = float(vs.min()), float(vs.max())
+            return (lambda t: min(max(float(np.interp(t, ts, vs)), lo), hi),
+                    lambda t: np.clip(np.interp(t, ts, vs), lo, hi),
+                    (lo, hi), None)
         bump = _gaussian if self.kind == GAUSSIAN_BUMP else _sech2
-        return bump(self.base, self.amplitude, self.center, self.width, finish)
+        params = self.base, self.amplitude, self.center, self.width
+        reach = 20.0 * self.width
+        return (bump(*params, float), bump(*params, np.asarray),
+                (float(self.base + min(0.0, self.amplitude)),
+                 float(self.base + max(0.0, self.amplitude))),
+                (self.center - reach, self.center + reach, self.width))
 
     def value(self, t):
         """Evaluate the profile at float or array t.
 
         A float t (np.float64 included) gives a float from the scalar
-        kernel in one call; any other t is evaluated as an array, and a
-        0-d one gives a float too.
+        kernel in one call; any other t is evaluated as an array by the
+        array kernel, and a 0-d one gives a float too.
         """
         if isinstance(t, float):
             return self._kernel(t)
-        t = np.asarray(t, dtype=float)
-        if self.kind == CONSTANT:
-            out = np.full(t.shape, float(self.base))
-        elif self.kind == TABLE:
-            ts, vs, lo, hi = self._knots
-            out = np.clip(np.interp(t, ts, vs), lo, hi)
-        else:
-            out = self._bump(np.asarray)(t)
+        out = self._array(np.asarray(t, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -164,20 +162,11 @@ class CoefficientProfile:
         exp(-200) (gaussian) or ~1.7e-17 (sech²) of its amplitude. Other
         kinds have no window (None).
         """
-        if self.kind not in BUMP_KINDS:
-            return None
-        reach = 20.0 * self.width
-        return (self.center - reach, self.center + reach, self.width)
+        return self._window
 
     def extreme_values(self) -> Tuple[float, float]:
         """Smallest and largest value the profile can attain."""
-        if self.kind == CONSTANT:
-            return float(self.base), float(self.base)
-        if self.kind in BUMP_KINDS:
-            lo = self.base + min(0.0, self.amplitude)
-            hi = self.base + max(0.0, self.amplitude)
-            return float(lo), float(hi)
-        return self._knots[2:]  # the clamps value() applies
+        return self._extremes
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,13 @@ class TestProfiles:
         CoefficientProfile(kind="table", table=((0.0, 1.0), (1.0, 3.0)))],
         ids=["constant", "gaussian-bump", "sech2-bump", "table"])
     def test_pickled_copy_reads_the_same(self, profile):
-        # the scalar kernel is a closure; the copy builds its own
+        # the kernels are closures; the copy builds its own
         copy = pickle.loads(pickle.dumps(profile))
         assert copy == profile
         ts = [-3.0, 0.25, 1.0, 10.5]
         assert [copy.value(t) for t in ts] == [profile.value(t) for t in ts]
+        assert (copy.value(np.array(ts)).tobytes()
+                == profile.value(np.array(ts)).tobytes())
 
     # x = (t - center) / width is t itself here: c * c overflows past
     # |x| ~ 355 and cosh itself past ~710
@@ -96,6 +98,18 @@ class TestProfiles:
                                                    amplitude):
         prof = CoefficientProfile(kind=kind, base=base, amplitude=amplitude,
                                   center=0.0, width=1.0)
+        assert_scalar_reads_match_array(prof)
+
+    @pytest.mark.parametrize("prof", [
+        CoefficientProfile(kind="constant", base=0.7),
+        CoefficientProfile(kind="constant", base=-0.0),
+        CoefficientProfile(kind="table", table=((0.5, 2.0),)),
+        CoefficientProfile(kind="table", table=(
+            (-2.0, 0.5), (-1.0, -0.0), (0.0, 0.0), (1.0, 3.0),
+            (700.0, 1.0)))],
+        ids=["constant", "constant-minus-zero", "table-one-knot",
+             "table-signed-zeros"])
+    def test_scalar_read_of_other_kinds_has_the_array_bytes(self, prof):
         assert_scalar_reads_match_array(prof)
 
     # numpy scalar fields warn on overflow where float fields do not

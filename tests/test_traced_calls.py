@@ -3,12 +3,13 @@
 perfbench/tracing.py counts RHS calls and coefficient reads by swapping
 the module global ``milne.milne_rhs`` and the class attribute
 ``CoefficientProfile.value`` for wrappers. A refactor that reaches
-either some other way (a hoisted coefficient, a direct kernel read)
-would make the traced counts wrong without failing anything else; these
-tests run `simulate` on osc-fixed and osc-adaptive under the tracer and
-pin them. The export spans are timed at ``cli.export_csv`` and
-``cli.export_json``, so `simulate` must call each through the module
-global, once per product and once.
+either some other way (a hoisted coefficient, a direct read of the
+scalar or the array kernel) would make the traced counts wrong without
+failing anything else; these tests run `simulate` on osc-fixed,
+osc-adaptive and sweep-bumps under the tracer and pin them. The export
+spans are timed at ``cli.export_csv`` and ``cli.export_json``, so
+`simulate` must call each through the module global, once per product
+and once.
 """
 
 import contextlib
@@ -51,6 +52,13 @@ def test_osc_adaptive_calls_reach_the_traced_names(tmp_path):
     assert calls["solver.integrate_adaptive"][:3:2] == [1, 5_731]
     assert calls["milne.rhs"][0] == 38_389
     assert calls["medium.coeff"][0] == 76_784
+
+
+def test_sweep_bumps_array_reads_reach_the_traced_name(tmp_path):
+    # the envelope and the transition sweep each read omega and beta once,
+    # as arrays over the whole grid
+    calls = traced(tmp_path, "sweep-bumps")
+    assert calls["medium.coeff"][0] == 4
 
 
 @pytest.mark.parametrize("name", ["osc-fixed", "sweep-bumps"])
