@@ -116,6 +116,8 @@ def _cmd_simulate(args) -> int:
         export_json(result, out_dir / "result.json")
         for product in config.outputs:
             if product in result.skips:
+                # an earlier run's CSV would contradict result.json
+                (out_dir / f"{product}.csv").unlink(missing_ok=True)
                 print(f"{product}: skipped ({result.skips[product]})")
             else:
                 path = export_csv(result, product,

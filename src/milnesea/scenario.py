@@ -48,8 +48,7 @@ from .environment import (BathymetryProfile, BathymetrySpec, SpectrumSeries,
                           SurfaceSpectrumParams, bathymetry_profile,
                           surface_psd_series)
 from .errors import ConfigError, InsufficientDataError, NotComputedError
-from .medium import (BUMP_KINDS, CONSTANT, KIND_KEYS, CoefficientProfile,
-                     MediumSpec)
+from .medium import CONSTANT, KIND_KEYS, CoefficientProfile, MediumSpec
 from .milne import (EnvelopeSample, MilneState, envelope_denominator,
                     envelope_q, estimate_period_phase, hamiltonian_density,
                     integrate_milne, wrap_angle)
@@ -469,7 +468,7 @@ def _settled_start(medium: MediumSpec, t0: float) -> float:
     """First time where bump disturbances have died down (5 widths past)."""
     start = t0
     for prof in (medium.omega, medium.beta):
-        if prof.kind in BUMP_KINDS:
+        if prof.feature_window is not None:  # a bump
             start = max(start, prof.center + 5.0 * prof.width)
     return start
 

@@ -70,6 +70,32 @@ class TestSimulate:
         assert (tmp_path / "out" / "trajectory.csv").exists()
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    def test_skip_removes_an_earlier_runs_csv(self, tmp_path, capsys):
+        # a second run into the same directory skips both products it
+        # computes from the estimate; their old CSVs would contradict its
+        # result.json. The trajectory, not requested again, is left alone
+        doc = {"time": {"t0": -60.0, "t1": -57.0, "stride": 100},
+               "solver": {"method": "fixed", "dt": 1e-3},
+               "outputs": ["trajectory", "summary", "envelope"]}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 0
+        names = ["envelope.csv", "result.json", "summary.csv",
+                 "trajectory.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        trajectory = (out / "trajectory.csv").read_bytes()
+        doc = {**doc, "time": {**doc["time"], "t1": -59.99},
+               "outputs": ["summary", "envelope"]}
+        assert main(["simulate", str(write_config(tmp_path, doc)),
+                     "--out-dir", str(out)]) == 2
+        assert "found 0 zero crossings" in capsys.readouterr().out
+        products = json.loads((out / "result.json").read_text())["products"]
+        assert {p: products[p]["status"] for p in doc["outputs"]} == \
+            {"summary": "skipped", "envelope": "skipped"}
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["result.json", "trajectory.csv"]
+        assert (out / "trajectory.csv").read_bytes() == trajectory
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"outputs": ["nope"], "extra": 1})
         assert main(["simulate", str(cfg)]) == 1

@@ -1,6 +1,7 @@
 """Travelling-wave field, inversion and discrete wave-operator checks."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from milnesea.acoustic_signal import (SignalSpec, invert_position,
                                       pressure_at, wave_residual)
 from milnesea.errors import DomainError
+from milnesea.medium import CoefficientProfile, MediumSpec
 from milnesea.scenario import config_to_dict, load_config
 
 WATER = dict(amplitude=1.0, sound_speed=1480.0)
@@ -36,7 +38,7 @@ class TestSignalSpec:
 
     def test_angular_frequency_computed_once(self):
         spec = water_spec()
-        # stored on first read, outside the fields
+        # stored at construction, outside the fields
         assert "angular_frequency" not in {
             f.name for f in dataclasses.fields(spec)}
         assert vars(spec)["angular_frequency"] == 148.0
@@ -57,6 +59,18 @@ class TestSignalSpec:
                 (built.sound_speed * built.wave_number).hex()
             assert built.angular_frequency == pytest.approx(148.0,
                                                             rel=1e-15)
+
+    def test_rhs_classes_keep_the_attribute_fast_path(self):
+        # milne_rhs reads these on every call. A value written through
+        # instance.__dict__ (as cached_property does) gives the instance a
+        # real dict, and every attribute read on it then leaves CPython's
+        # specialised fast path: ~20 ns against ~3 ns per read on 3.11.7
+        for cls in (SignalSpec, MediumSpec, CoefficientProfile):
+            assert not [name for name, attr in vars(cls).items()
+                        if isinstance(attr, functools.cached_property)], cls
+        assert "angular_frequency" not in {
+            f.name for f in dataclasses.fields(SignalSpec)}
+        assert "angular_frequency" not in vars(SignalSpec)
 
     def test_positivity(self):
         with pytest.raises(ValueError):
