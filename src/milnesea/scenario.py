@@ -131,7 +131,6 @@ _TABLE = {
     "bathymetry": _Product(b"x,zeta", b"%.17g,%.17g",
                            lambda b: (b.x, b.zeta)),
 }
-PRODUCTS = tuple(_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +185,26 @@ def _knots(v) -> tuple:
     raise TypeError("expected a list of [t, value] pairs")
 
 
-def _unchecked(v):  # a profile's kind and outputs, checked in load_config
+def _kind(v) -> str:
+    if not isinstance(v, str) or v not in KIND_KEYS:
+        raise ValueError(f"expected one of {', '.join(KIND_KEYS)}, got {v!r}")
     return v
 
 
+def _outputs(v) -> tuple:
+    if not isinstance(v, list) or not all(isinstance(o, str) for o in v):
+        raise TypeError("expected a list of product names")
+    if unknown := [o for o in dict.fromkeys(v) if o not in _TABLE]:
+        raise ValueError(f"unknown product {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(_TABLE)}")
+    if len(set(v)) != len(v):
+        raise ValueError("duplicate product names")
+    return tuple(v)
+
+
 # every key a coefficient profile block may hold, and the ones each kind
-# takes; an unknown kind is reported once the profile is built
-_PROFILE_FIELDS = {"kind": (_unchecked, None),
+# takes; a block without a known kind is checked against them all
+_PROFILE_FIELDS = {"kind": (_kind, ...),
                    "base": (_number, CoefficientProfile.base),
                    "amplitude": (_number, CoefficientProfile.amplitude),
                    "center": (_number, CoefficientProfile.center),
@@ -210,7 +222,7 @@ _KIND_FIELDS = {kind: {key: _PROFILE_FIELDS[key] for key in ("kind", *keys)}
 # like the key, or as given third (None: input-only).
 _SCHEMA = {
     "": ("", {"seed": (_seed, 0),
-              "outputs": (_unchecked, ["trajectory", "summary"])}),
+              "outputs": (_outputs, ("trajectory", "summary"))}),
     "signal": ("signal", {
         "amplitude": (_number, 1.0), "sound_speed": (_number, 1480.0),
         # exactly one of the three is given; no block: wave number 0.1
@@ -282,13 +294,14 @@ def _values(block: dict, path: str, problems: list,
     return values if len(values) == len(fields) else None
 
 
-def _read(doc: dict, path: str, problems: list) -> Optional[dict]:
+def _read(doc: dict, path: str, problems: list,
+          fields=None) -> Optional[dict]:
     """_values of block `path` inside `doc`; None if it is not an object."""
     block = _block(doc, path, problems)
     if block is None:
         return None
-    _unknown_keys(block, path, problems)
-    return _values(block, path, problems)
+    _unknown_keys(block, path, problems, fields)
+    return _values(block, path, problems, fields)
 
 
 def _build(problems: list, path: str, build, *args, **kwargs):
@@ -310,19 +323,14 @@ def _optional(doc: dict, path: str, problems: list, build):
 
 def _profile(medium: dict, path: str, problems: list,
              default_base: float) -> Optional[CoefficientProfile]:
-    if medium.get(path.rpartition(".")[2]) is None:
-        return CoefficientProfile(kind=CONSTANT, base=default_base)
-    block = _block(medium, path, problems)
+    block = medium.get(path.rpartition(".")[2])
     if block is None:
-        return None
-    kind = block.get("kind")
-    fields = _KIND_FIELDS.get(kind if isinstance(kind, str) else None,
-                              _PROFILE_FIELDS)
-    _unknown_keys(block, path, problems, fields)
-    if not isinstance(kind, str):
-        problems.append(f"{path}.kind: required string")
-        return None
-    values = _values(block, path, problems, fields)
+        return CoefficientProfile(kind=CONSTANT, base=default_base)
+    try:
+        fields = _KIND_FIELDS[block["kind"]]
+    except (TypeError, KeyError):  # no object, or no known kind
+        fields = _PROFILE_FIELDS
+    values = _read(medium, path, problems, fields)
     return values and _build(problems, path, CoefficientProfile, **values)
 
 
@@ -330,8 +338,11 @@ def load_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration.
 
     Rejects unknown keys at every level and reports every problem found,
-    not just the first, via ConfigError.problems. A block with a bad key,
-    or one that is not an object, is reported once and read by no rule.
+    not just the first, via ConfigError.problems. Each key, `outputs` and
+    `kind` too, is checked by its _SCHEMA rule; a null block is absent. A
+    block with a bad key, or one that is not an object, is reported once
+    and read by no other rule, so a bad `seed` or `outputs` holds back the
+    check that each requested environment product has its block.
     """
     try:
         raw = json.loads(text)
@@ -351,7 +362,7 @@ def load_config(text: str) -> ScenarioConfig:
              if sig is not None and key in (raw.get("signal") or {})]
     signal = None
     if sig is not None and (len(given) > 1 or
-                            (not given and "signal" in raw)):
+                            (not given and raw.get("signal") is not None)):
         got = ", ".join(given) if given else "none"
         problems.append("signal: provide exactly one of wave_number, "
                         f"wavelength, angular_frequency (got {got})")
@@ -402,26 +413,14 @@ def load_config(text: str) -> ScenarioConfig:
         bathymetry = _optional(eblock, "environment.bathymetry", problems,
                                BathymetrySpec)
 
-    top = _values(raw, "", problems)  # None if the seed is bad
-    outputs = raw.get("outputs", _SCHEMA[""][1]["outputs"][1])
-    if (not isinstance(outputs, list)
-            or not all(isinstance(o, str) for o in outputs)):
-        problems.append("outputs: expected a list of product names")
-        outputs = []
-    else:
-        for o in outputs:
-            if o not in PRODUCTS:
-                problems.append(f"outputs: unknown product {o!r}; "
-                                f"choose from {', '.join(PRODUCTS)}")
-        if len(set(outputs)) != len(outputs):
-            problems.append("outputs: duplicate product names")
-        for product, key in (("spectrum", "surface_spectrum"),
-                             ("bathymetry", "bathymetry")):
-            # a present but invalid block has reported its own problems
-            if product in outputs and eblock is not None \
-                    and eblock.get(key) is None:
-                problems.append(f"outputs: {product!r} requested but "
-                                f"environment.{key} is missing")
+    top = _values(raw, "", problems)  # None if the seed or outputs is bad
+    for product, key in (("spectrum", "surface_spectrum"),
+                         ("bathymetry", "bathymetry")):
+        # a present but invalid block has reported its own problems
+        if top is not None and product in top["outputs"] \
+                and eblock is not None and eblock.get(key) is None:
+            problems.append(f"outputs: {product!r} requested but "
+                            f"environment.{key} is missing")
 
     if problems:
         raise ConfigError(problems)
@@ -429,7 +428,7 @@ def load_config(text: str) -> ScenarioConfig:
         signal=signal, medium=medium, **time, **run,
         initial_condition=ic or MilneState(signal.amplitude, 0.0),
         dynamical_params=dyn, spectrum=spectrum, bathymetry=bathymetry,
-        seed=top["seed"], outputs=tuple(outputs))
+        **top)
 
 
 def _plain(value):
@@ -735,7 +734,7 @@ def write_csv(product: str, data, out) -> None:
 
 
 def _require_product(result: ScenarioResult, product: str):
-    if product not in PRODUCTS:
+    if product not in _TABLE:
         raise ValueError(f"unknown product {product!r}")
     if product not in result.config.outputs:
         raise NotComputedError(f"{product} was not requested by the scenario")

@@ -203,6 +203,10 @@ class TestValidation:
         probs = problems_of({"signal": {"amplitude": 2.0}})
         assert any("exactly one" in p for p in probs)
 
+    def test_null_signal_reads_as_absent(self):
+        # like every other null block (test_config_junk checks them all)
+        assert load({"signal": None}) == load({})
+
     def test_zero_wave_number_is_a_problem(self):
         assert problems_of({"signal": {"wave_number": 0}}) == [
             "signal: wave_number must be positive"]
@@ -257,8 +261,22 @@ class TestValidation:
          ["medium.beta.table: expected a list of [t, value] pairs"]),
         ({"medium": {"omega": 3}}, ["medium.omega: expected an object"]),
         ({"medium": {"beta": {"kind": 3, "base": 0.5}}},
-         ["medium.beta.kind: required string"]),
-        ({"outputs": "summary"}, ["outputs: expected a list of product names"]),
+         ["medium.beta.kind: expected one of constant, gaussian-bump, "
+          "sech2-bump, table, got 3"]),
+        ({"medium": {"beta": {"kind": "gauss"}}},
+         ["medium.beta.kind: expected one of constant, gaussian-bump, "
+          "sech2-bump, table, got 'gauss'"]),
+        ({"medium": {"beta": {"base": 0.2}}}, ["medium.beta.kind: required"]),
+        ({"outputs": "summary"},
+         ["config.outputs: expected a list of product names"]),
+        # each distinct unknown name once, in order, and no duplicate
+        # problem on top: outputs has one rule, reported once
+        ({"outputs": ["x", "y", "x"]},
+         ["config.outputs: unknown product 'x', 'y'; choose from "
+          "trajectory, summary, envelope, transition, spectrum, bathymetry"]),
+        # a bad outputs list is read by no other rule
+        ({"outputs": ["spectrum", "spectrum"]},
+         ["config.outputs: duplicate product names"]),
         # 2 pi / 1e-320 overflows
         ({"signal": {"wavelength": 1e-320}, "outputs": ["summary"]},
          ["signal: wave_number must be finite, got inf"]),
@@ -304,15 +322,20 @@ class TestValidation:
                                                "samples": 10 ** 401 - 1}}},
          ["environment.surface_spectrum: 1e+401 samples exceed the sample "
           "budget of 10000000"]),
+        # an empty signal block, unlike a null one, must name its wave
+        ({"signal": {}}, ["signal: provide exactly one of wave_number, "
+                          "wavelength, angular_frequency (got none)"]),
     ], ids=["malformed-table", "mistyped-knot", "non-finite-knot",
-            "profile-not-object", "kind-not-string",
-            "outputs-not-list", "wave-number-overflow",
+            "profile-not-object", "kind-not-string", "kind-unknown",
+            "kind-missing", "outputs-not-list", "outputs-unknown-once",
+            "outputs-duplicate-unread", "wave-number-overflow",
             "angular-frequency-overflow", "fixed-run-half-step",
             "delta-overflow", "bad-t1-unread", "bad-dt-unread",
             "bad-k-min-unread", "bad-sound-speed-unread",
             "signal-not-object", "time-not-object",
             "environment-not-object", "huge-sample-count",
-            "sample-count-past-float-range", "sample-count-rounds-up"])
+            "sample-count-past-float-range", "sample-count-rounds-up",
+            "signal-empty"])
     def test_problem_text(self, doc, problems):
         assert problems_of(doc) == problems
 
