@@ -57,10 +57,12 @@ def wrap_angle(a: float) -> float:
     return math.pi if w == -math.pi else w
 
 
-def milne_rhs(state, spec: SignalSpec, medium: MediumSpec,
-              t: float) -> Tuple[float, float]:
+def milne_rhs(t: float, state, spec: SignalSpec,
+              medium: MediumSpec) -> Tuple[float, float]:
     """Right-hand side (p', p'') of the pressure equation, as a tuple.
 
+    The signature is the integrators' ``rhs(t, y, *args)`` with
+    ``args=(spec, medium)``, so they call it with no closure around it.
     ``state`` is exactly (p, p'): a state of any other length is a
     ``ValueError``.
     """
@@ -86,22 +88,24 @@ def integrate_milne(spec: SignalSpec, medium: MediumSpec, t_span,
     check the returned Trajectory.status. An adaptive run caps its step
     inside the feature window of each bump profile, so no step jumps a
     bump narrower than itself.
+
+    Either integrator calls ``milne_rhs`` itself, with
+    ``args=(spec, medium)``. It is read through this module's global on
+    each call of integrate_milne, so a wrapper put there (the
+    benchmark's tracer) sees every RHS call.
     """
     if ic is None:
         ic = MilneState(spec.amplitude, 0.0)
-
-    def rhs(t, y):
-        return milne_rhs(y, spec, medium, t)
-
+    args = (spec, medium)
     if method == "fixed":
-        return integrate_fixed(rhs, ic, t_span, dt=dt,
-                               blowup_threshold=blowup_threshold)
+        return integrate_fixed(milne_rhs, ic, t_span, dt=dt,
+                               blowup_threshold=blowup_threshold, args=args)
     if method == "adaptive":
         windows = tuple(w for w in (medium.omega.feature_window,
                                     medium.beta.feature_window) if w)
-        return integrate_adaptive(rhs, ic, t_span, rtol=rtol, atol=atol,
+        return integrate_adaptive(milne_rhs, ic, t_span, rtol=rtol, atol=atol,
                                   blowup_threshold=blowup_threshold,
-                                  windows=windows)
+                                  windows=windows, args=args)
     raise ValueError(f"unknown method {method!r}; use 'fixed' or 'adaptive'")
 
 

@@ -4,28 +4,31 @@ Everything dynamical in this package is a small first-order system
 y' = f(t, y). Two integrators are provided:
 
 * ``integrate_fixed``    classic fourth-order Runge-Kutta on a uniform grid;
-  the whole run is one loop generated per state length (``_rk4_run``),
+  the whole run is one loop generated per state length and number of
+  ``args`` (``_rk4_run``),
 * ``integrate_adaptive`` embedded Dormand-Prince 5(4) pair with proportional
   step control, recording every accepted step; the whole run is likewise
-  one loop generated per state length (``_dp_run``), whose BLAS stage
-  sums write into one preallocated vector (``dot``'s ``out``) instead of
-  allocating an array each.
+  one loop generated per state length and number of ``args``
+  (``_dp_run``), whose BLAS stage sums write into one preallocated
+  vector (``dot``'s ``out``) instead of allocating an array each.
 
 Both generated runs are written from a source template with every
-component spelled out, compiled on first use and cached, and registered
-with ``linecache`` so tracebacks show their source. The two integrators
-share that generator and nothing of their arithmetic.
+component and every arg spelled out, compiled on first use and cached,
+and registered with ``linecache`` so tracebacks show their source. The
+two integrators share that generator and nothing of their arithmetic.
 
 They are deliberately independent code paths: the adaptive integrator acts
 as the accuracy oracle for the fixed one in the test suite, so neither may
 be expressed in terms of the other.
 
-A right-hand side ``rhs(t, y)`` indexes its state ``y`` and returns a
-length-n sequence of floats (a tuple is cheapest). Both integrators pass
-``y`` as a tuple of Python floats, so an RHS must not rely on array
-arithmetic on ``y``. Both unpack every result, so one of the wrong
-length is a ``ValueError``; the first one's message names both
-lengths.
+A right-hand side ``rhs(t, y, *args)`` indexes its state ``y`` and
+returns a length-n sequence of floats (a tuple is cheapest). Both
+integrators pass ``y`` as a tuple of Python floats, so an RHS must not
+rely on array arithmetic on ``y``. ``args``, as in SciPy's
+``solve_ivp``, are extra arguments passed after the state on every
+call, so an RHS with parameters needs no closure around it. Both unpack
+every result, so one of the wrong length is a ``ValueError``; the first
+one's message names both lengths.
 
 Both record their samples into flat ``array("d")`` buffers, one of times
 and one of states laid end to end, and wrap them as the trajectory's
@@ -66,9 +69,9 @@ DEFAULT_MAX_STEPS = 10_000_000
 # error test, and a run creeps on in steps too small to move the state
 MIN_RTOL = 100 * sys.float_info.epsilon
 
-# rhs(t, y): y is indexed, never used in array arithmetic; the result is a
-# length-n sequence of floats (see the module docstring)
-RHS = Callable[[float, Sequence[float]], Sequence[float]]
+# rhs(t, y, *args): y is indexed, never used in array arithmetic; the
+# result is a length-n sequence of floats (see the module docstring)
+RHS = Callable[..., Sequence[float]]
 
 
 def grid_points(span: float, step: float):
@@ -276,15 +279,23 @@ def _names(prefix: str, n: int) -> str:
     return _display([f"{prefix}{j}" for j in range(n)])
 
 
-def _generate(name: str, n: int, source: str, **names):
-    """Compile the source generated for state length n and return the
-    function it defines, ``name`` without its leading underscore.
+def _extra(m: int) -> str:
+    """The trailing parameters of a run that takes m args: ", a0, a1, ..."."""
+    return "".join(f", a{i}" for i in range(m))
+
+
+def _generate(name: str, n: int, m: int, source: str, **names):
+    """Compile the source generated for state length n and m args and
+    return the function it defines, ``name`` without its leading
+    underscore.
 
     ``names`` are the globals the source reads. The source is registered
-    with ``linecache`` under a ``<milnesea.solver.name(n)>`` filename, so
-    tracebacks and ``inspect.getsource`` show it.
+    with ``linecache`` under a ``<milnesea.solver.name(n)>`` filename, or
+    ``<milnesea.solver.name(n, m)>`` for m > 0, so tracebacks and
+    ``inspect.getsource`` show it.
     """
-    filename = f"<milnesea.solver.{name}({n})>"
+    shape = f"{n}, {m}" if m else f"{n}"
+    filename = f"<milnesea.solver.{name}({shape})>"
     namespace = {"__name__": __name__, **names}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None,
@@ -293,19 +304,19 @@ def _generate(name: str, n: int, source: str, **names):
 
 
 _RK4_RUN_SOURCE = """\
-def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend):
+def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend{args}):
     {y} = y
     {k1} = k1
     lo, last = -thr, steps - 1
     for i in range(steps):
         if i:
-            {k1} = rhs(t, y)
+            {k1} = rhs(t, y{args})
         t_next = t0 + dt * (i + 1) if i < last else t1
         h = t_next - t
         hh = 0.5 * h
-        {k2} = rhs(t + hh, {stage2})
-        {k3} = rhs(t + hh, {stage3})
-        {k4} = rhs(t + h, {stage4})
+        {k2} = rhs(t + hh, {stage2}{args})
+        {k3} = rhs(t + hh, {stage3}{args})
+        {k4} = rhs(t + h, {stage4}{args})
         h6 = h / 6.0
         y = {y} = {update}
         if not ({in_range}):
@@ -318,20 +329,23 @@ def rk4_run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend):
 
 
 @functools.lru_cache(maxsize=8)
-def _rk4_run(n: int):
-    """The classic RK4 run for states of length n, written out per component.
+def _rk4_run(n: int, m: int = 0):
+    """The classic RK4 run for states of length n and m args, written out
+    per component.
 
-    Returns ``run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend)``.
-    From the state tuple ``y`` at the grid's first time ``t`` and
-    ``k1 = rhs(t, y)``, it makes ``steps`` steps on integrate_fixed's
-    grid and passes each new time to ``append`` and state to ``extend``.
-    The time is carried as ``t = t_next``, the same float as
-    ``t0 + dt * i``. Every stage result and state is unpacked into names,
-    so a result of the wrong length is a ``ValueError``, and each state
-    component is tested once, ``-thr <= y_j <= thr``, which fails on nan,
-    on inf and past the guard alike. It returns ``(end, t, state, calls)``:
-    "t1", t1 and None, or "guard" and the first failed state, unrecorded,
-    and its time; ``calls`` is 4 per step made. Each component takes the
+    Returns ``run(rhs, t, y, k1, t0, dt, t1, steps, thr, append, extend,
+    a0, ..., a(m-1))``. From the state tuple ``y`` at the grid's first
+    time ``t`` and ``k1 = rhs(t, y, *args)``, it makes ``steps`` steps on
+    integrate_fixed's grid and passes each new time to ``append`` and
+    state to ``extend``. Every call is ``rhs(t, y, a0, ..., a(m-1))``,
+    with the args spelled out, so none unpacks a tuple. The time is
+    carried as ``t = t_next``, the same float as ``t0 + dt * i``. Every
+    stage result and state is unpacked into names, so a result of the
+    wrong length is a ``ValueError``, and each state component is tested
+    once, ``-thr <= y_j <= thr``, which fails on nan, on inf and past the
+    guard alike. It returns ``(end, t, state, calls)``: "t1", t1 and
+    None, or "guard" and the first failed state, unrecorded, and its
+    time; ``calls`` is 4 per step made. Each component takes the
     float operations of the array form y + (h/6) (k1 + 2 k2 + 2 k3 + k4)
     in that form's order, so the result is the same to the last bit.
 
@@ -345,9 +359,9 @@ def _rk4_run(n: int):
     def stage(k, step):
         return _display([f"y{j} + {step} * {k}_{j}" for j in range(n)])
 
-    return _generate("_rk4_run", n, _RK4_RUN_SOURCE.format(
-        y=_names("y", n), k1=_names("k1_", n), k2=_names("k2_", n),
-        k3=_names("k3_", n), k4=_names("k4_", n),
+    return _generate("_rk4_run", n, m, _RK4_RUN_SOURCE.format(
+        args=_extra(m), y=_names("y", n), k1=_names("k1_", n),
+        k2=_names("k2_", n), k3=_names("k3_", n), k4=_names("k4_", n),
         stage2=stage("k1", "hh"), stage3=stage("k2", "hh"),
         stage4=stage("k3", "h"),
         update=_display([f"y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * "
@@ -356,8 +370,9 @@ def _rk4_run(n: int):
 
 
 def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
-                    blowup_threshold: Optional[float] = None) -> Trajectory:
-    """Integrate y' = rhs(t, y) with classic RK4 on a uniform grid.
+                    blowup_threshold: Optional[float] = None,
+                    args: Sequence = ()) -> Trajectory:
+    """Integrate y' = rhs(t, y, *args) with classic RK4 on a uniform grid.
 
     The grid is t0 + i*dt, each time computed as it is reached, with the
     last time moved or appended onto t1 (see fixed_steps). Every step is
@@ -367,10 +382,11 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     aborts the same way without recording.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
-    one. The whole run is generated once per state length (``_rk4_run``)
-    and updates each component in the order of the array form
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the result is the same to the
-    last bit. It returns at the first state out of range, and
+    one, followed by ``args`` (as in SciPy's ``solve_ivp``). The whole
+    run is generated once per state length and number of args
+    (``_rk4_run``) and updates each component in the order of the array
+    form y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the result is the same to
+    the last bit. It returns at the first state out of range, and
     ``_recorder``'s rule tells the two aborts above apart.
     """
     t0, t1 = _check_span(t_span)
@@ -380,16 +396,18 @@ def integrate_fixed(rhs: RHS, y0, t_span, dt: float = DEFAULT_DT,
     check_sample_budget(steps + 1)
     check_step(t0, t1, dt)
 
+    args = tuple(args)
     y = tuple(y0.tolist())
     times, states, finish = _recorder(t0, y, threshold)
     if max(map(abs, y)) > threshold:
         return finish("initial", t0)
 
     t = t0 + dt * 0  # not t0: the grid's first time is +0.0 for -0.0
-    k1 = rhs(t, y)
+    k1 = rhs(t, y, *args)
     _check_rhs_length(k1, len(y))  # the run's unpacking names neither length
-    return finish(*_rk4_run(len(y))(rhs, t, y, k1, t0, dt, t1, steps,
-                                    threshold, times.append, states.extend))
+    return finish(*_rk4_run(len(y), len(args))(
+        rhs, t, y, k1, t0, dt, t1, steps, threshold, times.append,
+        states.extend, *args))
 
 
 # Dormand-Prince 5(4) tableau. The last row of _A is the fifth-order weight
@@ -433,7 +451,7 @@ def _cap_step(h, t, windows):
 
 _DP_RUN_SOURCE = """\
 def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
-           max_steps, append, extend):
+           max_steps, append, extend{args}):
     {y} = y
     fsal = km[{row6}:]
     (d2, d3, d4, d5, d6, de) = dots
@@ -484,18 +502,20 @@ def dp_run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr, windows,
 
 
 @functools.lru_cache(maxsize=8)
-def _dp_run(n: int):
-    """The Dormand-Prince 5(4) run for states of length n, written out per
-    component.
+def _dp_run(n: int, m: int = 0):
+    """The Dormand-Prince 5(4) run for states of length n and m args,
+    written out per component.
 
     Returns ``run(rhs, t, y, h, f, t1, km, dots, sm, atol, rtol, thr,
-    windows, max_steps, append, extend)``, integrate_adaptive's step
-    loop: from the state tuple ``y`` at ``t`` and the first step ``h``
-    it attempts steps until ``t1``, passing each accepted time to
-    ``append`` and state to ``extend``. It returns ``(end, t, state,
-    calls, rejected, retried)``: ``end`` is "t1", "limit" (``max_steps``
-    attempts made), "underflow" (a step too small to move t) or "guard"
-    (``state``, unrecorded, is past [-thr, thr]), ``t`` where that happened.
+    windows, max_steps, append, extend, a0, ..., a(m-1))``,
+    integrate_adaptive's step loop: from the state tuple ``y`` at ``t``
+    and the first step ``h`` it attempts steps until ``t1``, passing each
+    accepted time to ``append`` and state to ``extend``. It spells out
+    the args in every ``rhs`` call, as ``_rk4_run`` does. It returns
+    ``(end, t, state, calls, rejected, retried)``: ``end`` is "t1",
+    "limit" (``max_steps`` attempts made), "underflow" (a step too small
+    to move t) or "guard" (``state``, unrecorded, is past [-thr, thr]),
+    ``t`` where that happened.
 
     ``km`` is a flat memoryview of the (7, n) stage buffer and ``f`` a
     view of the row holding the derivative at (t, y), which each attempt
@@ -531,6 +551,7 @@ def _dp_run(n: int):
     Every caller in the package integrates n = 2, so there is one path
     and no size threshold.
     """
+    extra = _extra(m)
     finite = " and ".join(f"isfinite(k{j})" for j in range(n))
     a1 = float(_A[1][0])
     stages = []
@@ -546,7 +567,7 @@ def _dp_run(n: int):
             arg = "z"
         row = _display([f"km[{i * n + j}]" for j in range(n)])
         stages += [f"        {row} = {_names('k', n)} = "
-                   f"rhs(t + {_C[i]!r} * h, {arg})",
+                   f"rhs(t + {_C[i]!r} * h, {arg}{extra})",
                    f"        if not ({finite}):", f"            calls += {i}",
                    "            retried += 1", "            h *= 0.25",
                    "            continue"]
@@ -561,8 +582,8 @@ def _dp_run(n: int):
     norm.append("        err = sqrt(" + (f"({' + '.join(squares)}) / {n})"
                                          if n < 8 else
                                          f"mean([{', '.join(squares)}]))"))
-    return _generate("_dp_run", n, _DP_RUN_SOURCE.format(
-        y=_names("y", n), n=n, row6=6 * n, f=_names("f", n),
+    return _generate("_dp_run", n, m, _DP_RUN_SOURCE.format(
+        args=extra, y=_names("y", n), n=n, row6=6 * n, f=_names("f", n),
         stages="\n".join(stages), e=_names("e", n), norm="\n".join(norm),
         in_range=" and ".join(f"lo <= z{j} <= thr" for j in range(n))),
         isfinite=math.isfinite, sqrt=math.sqrt, mean=np.mean, cap=_cap_step)
@@ -575,9 +596,10 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL,
                        max_steps: int = DEFAULT_MAX_STEPS,
                        blowup_threshold: Optional[float] = None,
-                       windows: Sequence[Tuple[float, float, float]] = ()
-                       ) -> Trajectory:
-    """Integrate y' = rhs(t, y) with an embedded Dormand-Prince 5(4) pair.
+                       windows: Sequence[Tuple[float, float, float]] = (),
+                       args: Sequence = ()) -> Trajectory:
+    """Integrate y' = rhs(t, y, *args) with an embedded Dormand-Prince 5(4)
+    pair.
 
     Step sizes follow the standard proportional controller on the RMS of
     the scaled local error estimate (scale = atol + rtol*|y|). The initial
@@ -600,16 +622,18 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
     first step that cannot move t0 is a ``ValueError``.
 
     The state is a tuple of Python floats, and ``rhs`` receives it as
-    one; a result of the wrong length is a ``ValueError`` at every stage.
-    The whole step loop is one call of the run generated for the state
-    length (``_dp_run``), whose stage sums stay BLAS products on a (7, n)
-    stage buffer, written into one n-vector, so the result is the array
-    form's to the last bit. The step's result is stage 6's argument, since
-    the tableau's last row is the fifth-order weight row. An attempt after
-    the first accepted step starts from row 6 as it stands (first same as
-    last), which after a rejection is the rejected trial's last stage, not
-    rhs(t, y). The pinned bytes (perfbench/golden.json, TestAdaptiveBits)
-    record that behaviour, so its fix waits for a re-record of them.
+    one, followed by ``args`` (as in SciPy's ``solve_ivp``); a result of
+    the wrong length is a ``ValueError`` at every stage. The whole step
+    loop is one call of the run generated for the state length and
+    number of args (``_dp_run``), whose stage sums stay BLAS products on
+    a (7, n) stage buffer, written into one n-vector, so the result is
+    the array form's to the last bit. The step's result is stage 6's
+    argument, since the tableau's last row is the fifth-order weight row.
+    An attempt after the first accepted step starts from row 6 as it
+    stands (first same as last), which after a rejection is the rejected
+    trial's last stage, not rhs(t, y, *args). The pinned bytes
+    (perfbench/golden.json, TestAdaptiveBits) record that behaviour, so
+    its fix waits for a re-record of them.
     """
     t0, t1 = _check_span(t_span)
     y0, threshold = _prepare(y0, blowup_threshold)
@@ -621,12 +645,13 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
         raise ValueError(f"max_steps must be a positive integer, "
                          f"got {max_steps!r}")
 
+    args = tuple(args)
     n = y0.size
     y = tuple(y0.tolist())
     times, states, finish = _recorder(t0, y, threshold, max_steps)
     if max(map(abs, y)) > threshold:
         return finish("initial", t0)
-    f = rhs(t0, y)
+    f = rhs(t0, y, *args)
     _check_rhs_length(f, n)
     if not all(map(math.isfinite, f)):
         return finish("non-finite", t0, rhs_evals=1)
@@ -642,8 +667,8 @@ def integrate_adaptive(rhs: RHS, y0, t_span, rtol: float = DEFAULT_RTOL,
                  for i in range(2, 7)) + (functools.partial(kT.dot, _E, sums),)
     km = memoryview(k).cast("B").cast("d")
     # row 0 holds f until the first accepted step, and row 6 from then on
-    end, t, z, calls, rejected, retried = _dp_run(n)(
+    end, t, z, calls, rejected, retried = _dp_run(n, len(args))(
         rhs, t0, y, h, km[:n], t1, km, dots, memoryview(sums), atol, rtol,
-        threshold, windows, max_steps, times.append, states.extend)
+        threshold, windows, max_steps, times.append, states.extend, *args)
     return finish(end, t, z, rhs_evals=1 + calls, rejected=rejected,
                   retried=retried)

@@ -135,14 +135,14 @@ def test_c06_position_roundtrip():
 
 def test_c07_initial_pressure_acceleration():
     with criterion(7, "crest at rest accelerates at exactly 74.0"):
-        out = milne_rhs((1.0, 0.0), SPEC, MEDIUM, 0.0)
+        out = milne_rhs(0.0, (1.0, 0.0), SPEC, MEDIUM)
         assert abs(out[1] - 74.0) <= 1e-12, f"p_ddot(0) = {out[1]!r}"
 
 
 def test_c08_two_solvers_agree_on_the_default_scenario():
     with criterion(8, "fixed and adaptive integration agree on the default "
                       "scenario (values to 1e-6, or blow-up time to 1%)"):
-        rhs = lambda t, y: milne_rhs(y, SPEC, MEDIUM, t)
+        rhs = lambda t, y: milne_rhs(t, y, SPEC, MEDIUM)
         fixed = integrate_fixed(rhs, [1.0, 0.0], (0.0, 2.0), dt=1e-4)
         adaptive = integrate_adaptive(rhs, [1.0, 0.0], (0.0, 2.0),
                                       rtol=1e-10, atol=1e-12)

@@ -36,7 +36,7 @@ class TestRhs:
     def test_crest_at_rest_at_t0(self):
         # p p'^2 and the time-proportional term vanish; only beta c k p
         # survives: 0.5 * 1480 * 0.1 * 1 = 74 exactly
-        out = milne_rhs((1.0, 0.0), spec_k01(), const_medium(), 0.0)
+        out = milne_rhs(0.0, (1.0, 0.0), spec_k01(), const_medium())
         assert out[0] == 0.0
         assert out[1] == 74.0
 
@@ -44,7 +44,7 @@ class TestRhs:
         # p=0.5, p'=2, t=0.1:
         #   0.5*4 - 0.5*2 + 0.5*148*0.5 + 1480*0.1*0.1*0.5
         # = 2 - 1 + 37 + 7.4 = 45.4
-        out = milne_rhs((0.5, 2.0), spec_k01(), const_medium(), 0.1)
+        out = milne_rhs(0.1, (0.5, 2.0), spec_k01(), const_medium())
         assert out[1] == pytest.approx(45.4, rel=1e-14)
 
     @pytest.mark.parametrize("state", [(1.0,), (1.0, 0.0, 0.0)],
@@ -52,14 +52,14 @@ class TestRhs:
     def test_state_is_exactly_p_and_rate(self, state):
         # a third entry used to be ignored
         with pytest.raises(ValueError, match="values to unpack"):
-            milne_rhs(state, spec_k01(), const_medium(), 0.0)
+            milne_rhs(0.0, state, spec_k01(), const_medium())
 
     def test_time_dependence_through_profiles(self):
         med = MediumSpec(
             CoefficientProfile(kind="constant", base=1.0),
             CoefficientProfile(kind="gaussian-bump", base=0.0, amplitude=0.5,
                                center=10.0, width=1.0))
-        at_peak = milne_rhs((1.0, 0.0), spec_k01(), med, 10.0)
+        at_peak = milne_rhs(10.0, (1.0, 0.0), spec_k01(), med)
         # beta(10) = 0.5 -> 0.5*148 + 1480*10*0.1 = 74 + 1480
         assert at_peak[1] == pytest.approx(1554.0, rel=1e-14)
 

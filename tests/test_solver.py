@@ -291,8 +291,8 @@ class TestFixedMatchesArrayForm:
         # a 0-d time reads the coefficients through the array path, not
         # the scalar kernels
         oracle = array_rk4(
-            lambda t, y: milne_rhs(y, config.signal, config.medium,
-                                   np.asarray(t)),
+            lambda t, y: milne_rhs(np.asarray(t), y, config.signal,
+                                   config.medium),
             config.initial_condition, span, config.dt,
             config.blowup_threshold)
         assert np.array_equal(traj.times, oracle.times)
@@ -326,7 +326,7 @@ class TestFixedAgainstScipy:
             "initial_condition": {"p0": 0.01}}))
 
         def rhs(t, y):
-            return milne_rhs(y, config.signal, config.medium, t)
+            return milne_rhs(t, y, config.signal, config.medium)
 
         span = (config.t0, config.t1)
         traj = integrate_fixed(rhs, config.initial_condition, span,
@@ -352,7 +352,7 @@ class TestAdaptiveAgainstScipy:
             "initial_condition": {"p0": 0.01}}))
 
         def rhs(t, y):
-            return milne_rhs(y, config.signal, config.medium, t)
+            return milne_rhs(t, y, config.signal, config.medium)
 
         span = (config.t0, config.t1)
         traj = integrate_adaptive(rhs, config.initial_condition, span,
@@ -823,7 +823,7 @@ class TestGeneratedAttempt:
                               rtol=config.rtol, atol=config.atol,
                               blowup_threshold=config.blowup_threshold)
         want = comprehension_dopri(
-            lambda t, y: milne_rhs(y, config.signal, config.medium, t),
+            lambda t, y: milne_rhs(t, y, config.signal, config.medium),
             config.initial_condition, span, config.rtol, config.atol,
             blowup_threshold=config.blowup_threshold,
             windows=tuple(w for w in (config.medium.omega.feature_window,
@@ -1148,6 +1148,87 @@ class TestAdaptiveBits:
         assert traj.status == status
         data = traj.times.tobytes() + traj.states.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest, mismatch()
+
+
+class TestBumpBits:
+    """Trajectory bytes of BUMPS through both integrators.
+
+    No golden workload integrates on a bump: these pin the scalar
+    gaussian and sech² reads. np.exp and np.cosh have AVX-512 loops, so
+    like TestAdaptiveBits they hold on the host that recorded them.
+    """
+
+    @pytest.mark.parametrize("method, digest", [
+        ("fixed",
+         "6b9ae9da4bd93397d218a4bef8af9caa7fa87e41ef02dbeaa1830820525e05cb"),
+        ("adaptive",
+         "87887e2225b92e1b50310150e3d52be3061e98f4f1bbf4f74109d12e796db02c")])
+    def test_bump_run_bytes_are_pinned(self, method, digest):
+        config = load_config(json.dumps(BUMPS))
+        traj = integrate_milne(config.signal, config.medium,
+                               (config.t0, config.t1),
+                               ic=config.initial_condition, method=method,
+                               dt=config.dt, rtol=config.rtol,
+                               atol=config.atol,
+                               blowup_threshold=config.blowup_threshold)
+        assert traj.status == solver.ABORTED_BLOWUP
+        data = traj.times.tobytes() + traj.states.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, mismatch()
+
+
+def scaled(t, y, a, b):
+    # coupled with two parameters passed as args
+    n = len(y)
+    return tuple([a * y[(j + 1) % n] - b * t * y[j] + y[j] * y[j - 1]
+                  for j in range(n)])
+
+
+class TestArgs:
+    @pytest.mark.parametrize("integrate, options", [
+        (integrate_fixed, {"dt": 0.125}),
+        (integrate_adaptive, {"rtol": 1e-6})], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_args_match_the_closure_form(self, n, integrate, options):
+        y0 = [0.75 + 0.25 * j for j in range(n)]
+        a, b = 0.5, -1.5
+        got = integrate(scaled, y0, (-0.5, 1.5), args=(a, b), **options)
+        want = integrate(lambda t, y: scaled(t, y, a, b), y0, (-0.5, 1.5),
+                         **options)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.status, got.message) == (want.status, want.message)
+        counters = operator.attrgetter("rhs_evals", "rejected", "retried")
+        assert counters(got) == counters(want)
+        assert len(got) > 2
+
+    @pytest.mark.parametrize("integrate", [integrate_fixed,
+                                           integrate_adaptive],
+                             ids=["fixed", "adaptive"])
+    def test_result_of_the_wrong_length_names_both(self, integrate):
+        with pytest.raises(ValueError, match="rhs returned a result of length "
+                                             "3 for a state of length 2"):
+            integrate(lambda t, y, a: (y[1], -y[0], a), [1.0, 0.0],
+                      (0.0, 1.0), args=(0.0,))
+
+    @pytest.mark.parametrize("integrate, path, statement", [
+        (integrate_fixed, "<milnesea.solver._rk4_run(1, 2)>",
+         "(k2_0,) = rhs(t + hh, (y0 + hh * k1_0,), a0, a1)"),
+        (integrate_adaptive, "<milnesea.solver._dp_run(1, 2)>",
+         "(km[1],) = (k0,) = "
+         "rhs(t + 0.2 * h, (y0 + h * (0.2 * f0 + 0.0),), a0, a1)")],
+        ids=["fixed", "adaptive"])
+    def test_traceback_shows_the_run_that_takes_args(self, integrate, path,
+                                                     statement):
+        def rhs(t, y, a, b):
+            if t > 0.0:
+                raise ZeroDivisionError("stage")
+            return (a + b,)
+
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate(rhs, [0.0], (0.0, 1.0), args=(1.0, 0.0))
+        entry = info.traceback[-2]
+        assert entry.path == path
+        assert str(entry.statement).strip() == statement
 
 
 class TestTableau:
