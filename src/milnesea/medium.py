@@ -22,8 +22,7 @@ its parameters both kernels, its range and its feature window. The
 scalar kernel is a closure, so ``value`` on a float t is one call of it,
 with no array round trip and no float() of a value that is one already.
 The array kernel applies the same float operations to whole arrays.
-Both give the same value, bit for bit. The parameters are stored as
-Python floats, like table knots.
+Both give the same value, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,41 +48,27 @@ KIND_KEYS = {CONSTANT: ("base",),
              TABLE: ("table",)}
 
 
-# np.cosh(x) overflows from |x| ~ 710.48, and c * c from |x| ~ 355, so
-# past any bound between them c = inf gives the same bits
-_COSH_OVERFLOWS = 710.0
-
-
-# Bump kernels: given the profile's float parameters, each returns the
-# bump as its scalar kernel, on a float t, and its array kernel. They
-# keep numpy's exp and cosh, whose results math.exp and math.cosh do not
-# always match in the last bit. Far out, z * z and c * c overflow to inf,
-# and the bump reads base: quietly on Python floats, under np.errstate on
-# arrays. An np.float64 t is made a float first, since its arithmetic
-# warns.
-def _gaussian(base, amplitude, center, width):
-    def scalar(t):
-        z = (float(t) - center) / width
-        return base + amplitude * float(np.exp(-0.5 * z * z))
-
-    def array(t):
+# Bump kernels: given the profile's parameters and finish, each returns
+# the bump as a function of t alone, its result passed through finish:
+# float for the scalar kernel, np.asarray for array t, so the one formula
+# serves both in one call. They keep numpy's exp and cosh, whose results
+# math.exp and math.cosh do not always match in the last bit.
+def _gaussian(base, amplitude, center, width, finish):
+    def gaussian(t):
+        # z * z overflows to inf far out, and exp(-inf) gives base
         with np.errstate(over="ignore"):
             z = (t - center) / width
-            return base + amplitude * np.exp(-0.5 * z * z)
-    return scalar, array
+            return finish(base + amplitude * np.exp(-0.5 * z * z))
+    return gaussian
 
 
-def _sech2(base, amplitude, center, width):
-    def scalar(t):
-        x = (float(t) - center) / width
-        c = math.inf if abs(x) > _COSH_OVERFLOWS else float(np.cosh(x))
-        return base + amplitude / (c * c)
-
-    def array(t):
+def _sech2(base, amplitude, center, width, finish):
+    def sech2(t):
+        # c * c rounds scalar and array t alike; inf far out gives base
         with np.errstate(over="ignore"):
             c = np.cosh((t - center) / width)
-            return base + amplitude / (c * c)
-    return scalar, array
+            return finish(base + amplitude / (c * c))
+    return sech2
 
 
 @dataclass(frozen=True)
@@ -120,8 +105,6 @@ class CoefficientProfile:
             if not all(map(math.isfinite, numbers)):
                 raise InvalidProfileError(f"profile {key} must be finite, "
                                           f"got {value!r}")
-            if key != "table":  # knots are floats already
-                object.__setattr__(self, key, float(value))
         # not fields: equality, hashing and the config echo ignore them
         for name, value in zip(("_kernel", "_array", "_extremes", "_window"),
                                self._formulas()):
@@ -141,7 +124,7 @@ class CoefficientProfile:
         float t to a float, array kernel mapping a float array t to an
         array, extreme values, feature window)."""
         if self.kind == CONSTANT:
-            base = self.base
+            base = float(self.base)
             return (lambda t: base, lambda t: np.full(t.shape, base),
                     (base, base), None)
         if self.kind == TABLE:
@@ -152,10 +135,11 @@ class CoefficientProfile:
                     lambda t: np.clip(np.interp(t, ts, vs), lo, hi),
                     (lo, hi), None)
         bump = _gaussian if self.kind == GAUSSIAN_BUMP else _sech2
+        params = self.base, self.amplitude, self.center, self.width
         reach = 20.0 * self.width
-        return (*bump(self.base, self.amplitude, self.center, self.width),
-                (self.base + min(0.0, self.amplitude),
-                 self.base + max(0.0, self.amplitude)),
+        return (bump(*params, float), bump(*params, np.asarray),
+                (float(self.base + min(0.0, self.amplitude)),
+                 float(self.base + max(0.0, self.amplitude))),
                 (self.center - reach, self.center + reach, self.width))
 
     def value(self, t):

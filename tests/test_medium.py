@@ -15,9 +15,10 @@ SECH2_1 = 0.41997434161402614      # 1 / cosh(1)^2
 
 def assert_scalar_reads_match_array(prof):
     # 40: a gaussian's exp(-z * z / 2) underflows to 0; 356: a sech²'s
-    # c * c overflows while cosh does not; 711: cosh overflows
+    # c * c overflows while cosh does not; 710.2: cosh is just short of
+    # its overflow at ~710.48; 711: cosh overflows
     ts = [0.0, -0.0, 1e-3, 0.7, 40.0, 354.9, 355.0, 355.1, 356.0, 709.0,
-          711.0, 1e200, math.inf, math.nan]
+          710.2, 711.0, 1e200, math.inf, math.nan]
     ts += [-t for t in ts]
     got = np.array([prof.value(t) for t in ts]).tobytes()
     assert got == prof.value(np.array(ts)).tobytes()
